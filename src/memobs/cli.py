@@ -7,10 +7,11 @@ One JSON config per run, one subcommand per experiment family:
 
 Artifacts are JSON and CSV files with a fixed field order and floats printed
 with 17 significant digits, so identical configs produce byte-identical
-files regardless of thread count.  Every artifact embeds the sha256 of the
-effective config (file plus --set overrides).  Timings and library versions
-go to run_meta.json, which is metadata, not an artifact: it is the one file
-allowed to differ between reruns.
+files.  Every artifact embeds the sha256 of the effective config (file plus
+--set overrides).  Timings and library versions go to run_meta.json, which
+is metadata, not an artifact: it is the one file allowed to differ between
+reruns.  ``--threads`` is accepted for compatibility, validated and recorded
+in run_meta.json, but has no effect: every command runs on one thread.
 
 Exit status: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -338,7 +339,7 @@ def _field_from_spec(basis: SpectralBasis, spec, path: str) -> SpectralField:
 # command runners
 
 
-def _run_modal(cfg, threads):
+def _run_modal(cfg):
     M = _build_kernel(cfg)
     sec = _check_keys(
         cfg["modal"], "modal", {"lam", "T"}, {"n_steps", "method", "richardson", "tol"}
@@ -380,7 +381,7 @@ def _run_modal(cfg, threads):
     return [Report("modal", payload, ["t", "x"], rows)]
 
 
-def _run_nodal(cfg, threads):
+def _run_nodal(cfg):
     M = _build_kernel(cfg)
     sec = _check_keys(
         cfg["nodal"], "nodal", {"lam", "T_max"}, {"resolution", "refine_tol", "method"}
@@ -412,13 +413,13 @@ def _run_nodal(cfg, threads):
     return [Report("nodal", payload, ["zero", "flag"], rows)]
 
 
-def _run_propagate(cfg, threads):
+def _run_propagate(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     sec = _check_keys(cfg["propagate"], "propagate", {"t", "y0"})
     t = _num(sec, "propagate", "t", nonneg=True)
     y0 = _field_from_spec(basis, sec["y0"], "propagate.y0")
-    out = propagate(y0, M, t, threads=threads)
+    out = propagate(y0, M, t)
     payload = {
         "command": "propagate",
         "t": t,
@@ -434,7 +435,7 @@ def _run_propagate(cfg, threads):
     return [Report("propagate", payload, ["k", "lam", "coeff"], rows)]
 
 
-def _run_residual(cfg, threads):
+def _run_residual(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     sec = _check_keys(cfg["residual"], "residual", {"t"}, {"ks", "hlam_max"})
@@ -446,9 +447,7 @@ def _run_residual(cfg, threads):
         or not all(isinstance(k, int) and not isinstance(k, bool) for k in ks)
     ):
         raise ValidationError("residual.ks must be a list of integers")
-    table = decomposition_residual(
-        M, t, basis, ks=ks, threads=threads, hlam_max=hlam_max
-    )
+    table = decomposition_residual(M, t, basis, ks=ks, hlam_max=hlam_max)
     payload = {
         "command": "residual",
         "t": t,
@@ -459,7 +458,7 @@ def _run_residual(cfg, threads):
     return [Report("residual", payload, ["k", "lam", "x", "residual"], table.rows)]
 
 
-def _run_check_plan(cfg, threads):
+def _run_check_plan(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     plan = _build_plan(cfg, basis)
@@ -480,7 +479,7 @@ def _run_check_plan(cfg, threads):
     return [Report("plan_check", payload)]
 
 
-def _run_constants(cfg, threads):
+def _run_constants(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     plan = _build_plan(cfg, basis)
@@ -493,7 +492,7 @@ def _run_constants(cfg, threads):
     ):
         raise ValidationError("constants.K_list must be a nonempty list of integers")
     cache = ModalCache()
-    table = constants_table(plan, M, basis, K_list, cache=cache, threads=threads)
+    table = constants_table(plan, M, basis, K_list, cache=cache)
     payload = {
         "command": "constants",
         "m": plan.m,
@@ -526,7 +525,7 @@ def _run_constants(cfg, threads):
     ]
 
 
-def _run_probe(cfg, threads):
+def _run_probe(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     plan = _build_plan(cfg, basis)
@@ -535,7 +534,7 @@ def _run_probe(cfg, threads):
     radii = sec["radii"]
     if not isinstance(radii, list) or not radii:
         raise ValidationError("probe.radii must be a nonempty list of numbers")
-    result = probe_upper_bound(plan, M, basis, x0, radii, threads=threads)
+    result = probe_upper_bound(plan, M, basis, x0, radii)
     payload = {
         "command": "probe",
         "x0": result.x0,
@@ -545,7 +544,7 @@ def _run_probe(cfg, threads):
     return [Report("probe", payload, ["radius", "ratio"], result.rows)]
 
 
-def _run_certify(cfg, threads):
+def _run_certify(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     sec = _check_keys(cfg["certify"], "certify", {"times"}, {"K", "tol"})
@@ -554,7 +553,7 @@ def _run_certify(cfg, threads):
         raise ValidationError("certify.times must be a nonempty list of numbers")
     K = _int(sec, "certify", "K", default=basis.K, lo=1)
     tol = _num(sec, "certify", "tol", default=1e-10, positive=True)
-    cert = backward_uniqueness_certificate(times, M, basis, K=K, tol=tol, threads=threads)
+    cert = backward_uniqueness_certificate(times, M, basis, K=K, tol=tol)
     payload = {"command": "certify", **cert.to_json()}
     rows = [
         (
@@ -572,7 +571,7 @@ def _run_certify(cfg, threads):
     return [Report("certificate", payload, header, rows)]
 
 
-def _run_reconstruct(cfg, threads):
+def _run_reconstruct(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     plan = _build_plan(cfg, basis)
@@ -599,9 +598,7 @@ def _run_reconstruct(cfg, threads):
         spu = _int(sec, "reconstruct", "samples_per_unit", default=64, lo=16)
         sigma = _num(sec, "reconstruct", "sigma", default=0.0, nonneg=True)
         seed = _int(sec, "reconstruct", "seed", default=0)
-        data = simulate_observations(
-            truth, plan, M, spu, sigma, seed, cache=cache, threads=threads
-        )
+        data = simulate_observations(truth, plan, M, spu, sigma, seed, cache=cache)
         reports.append(Report("observations", data.to_json()))
     else:
         path = sec["data_file"]
@@ -621,9 +618,7 @@ def _run_reconstruct(cfg, threads):
         data = ObservationData.from_json(raw, L=basis.L)
         if data.plan != plan:
             raise ValidationError("reconstruct.data_file holds a different plan")
-    result = reconstruct_initial(
-        data, M, basis, K=K, reg=reg, cache=cache, threads=threads
-    )
+    result = reconstruct_initial(data, M, basis, K=K, reg=reg, cache=cache)
     payload = {
         "command": "reconstruct",
         "K": K,
@@ -659,7 +654,7 @@ def _run_reconstruct(cfg, threads):
     return reports
 
 
-def _run_control(cfg, threads):
+def _run_control(cfg):
     basis = _build_basis(cfg)
     M = _build_kernel(cfg)
     plan = _build_plan(cfg, basis)
@@ -677,7 +672,7 @@ def _run_control(cfg, threads):
     y1 = _field_from_spec(basis, sec["y1"], "control.y1")
     cache = ModalCache()
     result = impulse_control(
-        y0, y1, plan, T, M, K=K, rank_rtol=rank_rtol, cache=cache, threads=threads
+        y0, y1, plan, T, M, K=K, rank_rtol=rank_rtol, cache=cache
     )
     payload = {
         "command": "control",
@@ -743,7 +738,7 @@ def run_command(name: str, config: ExperimentConfig) -> int:
     runner, required, optional = _COMMANDS[name]
     _check_keys(config.data, "config", required, optional | {"out"})
     t0 = time.perf_counter()
-    reports = runner(config.data, config.threads)
+    reports = runner(config.data)
     paths = emit_report(reports, config.out_dir, config_sha=config.sha256)
     meta = {
         "command": name,
@@ -775,7 +770,12 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility and recorded in run_meta.json; no effect",
+        )
         p.add_argument(
             "--set",
             action="append",

@@ -15,11 +15,8 @@ product-trapezoidal march.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +30,21 @@ DEFAULT_HLAM_MAX = 0.25
 DEFAULT_N_MIN = 1024
 
 
+def _n_steps(t: float, lam: float, n_min: int, hlam_max: float) -> int:
+    """Step count of a march to time t: at least n_min, and h lam <= hlam_max."""
+    return max(n_min, math.ceil(t * lam / hlam_max))
+
+
 class ModalCache:
     """Cache of modal endpoint values keyed by kernel, lam, time, and policy.
 
     Values are pairs (x(t), sup |x| on [0, t]) from Richardson-extrapolated
-    solves with n = max(n_min, ceil(t lam / hlam_max)) steps.  An optional
-    backing file persists entries across runs; keys embed exact float hex so a
-    loaded entry can never silently shadow a different configuration.
+    solves with n = max(n_min, ceil(t lam / hlam_max)) steps.  A lock guards
+    the entries, so one cache may be used concurrently.
     """
 
     def __init__(
         self,
-        store_path: str | None = None,
         hlam_max: float = DEFAULT_HLAM_MAX,
         n_min: int = DEFAULT_N_MIN,
     ):
@@ -54,35 +54,11 @@ class ModalCache:
             raise ValidationError("n_min must be an integer >= 8")
         self.hlam_max = float(hlam_max)
         self.n_min = int(n_min)
-        self.store_path = store_path
-        self._data: dict[str, tuple[float, float]] = {}
+        self._data: dict[tuple, tuple[float, float]] = {}
         self._lock = threading.Lock()
-        if store_path is not None and os.path.exists(store_path):
-            with open(store_path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            self._data = {k: (float(v[0]), float(v[1])) for k, v in raw.items()}
-
-    def save(self) -> None:
-        if self.store_path is None:
-            raise ValidationError("cache has no backing store path")
-        with self._lock:
-            payload = {k: list(v) for k, v in sorted(self._data.items())}
-        with open(self.store_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def _key(self, M, lam, t, n_min, hlam_max) -> str:
-        return "|".join(
-            (
-                M.cache_key(),
-                float(lam).hex(),
-                float(t).hex(),
-                str(n_min),
-                float(hlam_max).hex(),
-            )
-        )
 
     def _policy(self, n_min, hlam_max) -> tuple[int, float]:
         n_min = self.n_min if n_min is None else int(n_min)
@@ -99,13 +75,12 @@ class ModalCache:
         if t == 0.0:
             return 1.0, 1.0
         n_min, hlam_max = self._policy(n_min, hlam_max)
-        key = self._key(M, lam, t, n_min, hlam_max)
+        key = (M.cache_key(), lam, t, n_min, hlam_max)
         with self._lock:
             hit = self._data.get(key)
         if hit is not None:
             return hit
-        n = max(n_min, math.ceil(t * lam / hlam_max))
-        _, x = solve_modal_richardson(lam, M, t, n)
+        _, x = solve_modal_richardson(lam, M, t, _n_steps(t, lam, n_min, hlam_max))
         entry = (float(x[-1]), float(np.max(np.abs(x))))
         with self._lock:
             self._data[key] = entry
@@ -115,18 +90,10 @@ class ModalCache:
         return self.value_and_sup(M, lam, t, n_min, hlam_max)[0]
 
     def values(
-        self, M: MemoryKernel, lams, t: float, threads: int = 1, n_min=None, hlam_max=None
+        self, M: MemoryKernel, lams, t: float, n_min=None, hlam_max=None
     ) -> np.ndarray:
         """Modal values x(t) for each lam in ``lams``, in order."""
-        lams = list(lams)
-        if threads > 1 and len(lams) > 1:
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-                out = list(
-                    pool.map(lambda l: self.value(M, l, t, n_min, hlam_max), lams)
-                )
-        else:
-            out = [self.value(M, l, t, n_min, hlam_max) for l in lams]
-        return np.asarray(out)
+        return np.asarray([self.value(M, l, t, n_min, hlam_max) for l in lams])
 
 
 def propagate(
@@ -134,7 +101,6 @@ def propagate(
     M: MemoryKernel,
     t: float,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> SpectralField:
     """Coefficient-wise evolution a_k -> a_k x_k(t); t = 0 returns y0's data."""
     t = float(t)
@@ -144,7 +110,7 @@ def propagate(
         return SpectralField(y0.basis, y0.coefficients)
     if cache is None:
         cache = ModalCache()
-    xs = cache.values(M, y0.basis.eigenvalues, t, threads=threads)
+    xs = cache.values(M, y0.basis.eigenvalues, t)
     return SpectralField(y0.basis, y0.coefficients * xs)
 
 
@@ -178,7 +144,6 @@ def decomposition_residual(
     basis: SpectralBasis,
     ks=None,
     cache: ModalCache | None = None,
-    threads: int = 1,
     hlam_max: float = 0.125,
 ) -> ResidualTable:
     """Table of lambda_k^2 x_k(t) + M(t) and the log-log decay slope.
@@ -202,7 +167,7 @@ def decomposition_residual(
         raise ValidationError("mode range must span at least a decade in lambda")
     if cache is None:
         cache = ModalCache()
-    xs = cache.values(M, lams, t, threads=threads, hlam_max=hlam_max)
+    xs = cache.values(M, lams, t, hlam_max=hlam_max)
     Mt = float(M(t))
     residuals = lams**2 * xs + Mt
     nz = np.abs(residuals) > 0

@@ -22,12 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalError, StabilityError, ValidationError
-from .evolution import ModalCache
+from .errors import NumericalError, ValidationError
+from .evolution import ModalCache, _n_steps
 from .kernels import MemoryKernel
+from .modal import _march
 from .regions import ObservationRegion
-from .sampling import SamplingPlan
-from .spectral import SpectralBasis, SpectralField, overlap_matrix
+from .sampling import SamplingPlan, _plan_gram, _plan_modes
+from .spectral import SpectralBasis, SpectralField
 
 NOISE_GENERATOR = "numpy.random.Generator(PCG64).standard_normal"
 
@@ -109,7 +110,6 @@ def backward_uniqueness_certificate(
     K: int | None = None,
     tol: float = 1e-10,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> Certificate:
     """Check that every mode k <= K is nonzero at some sampling instant.
 
@@ -129,15 +129,11 @@ def backward_uniqueness_certificate(
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
-    rows_vals = []
-    rows_sups = []
-    for t in times:
-        cache.values(M, lams, t, threads=threads)
-        pairs = [cache.value_and_sup(M, float(lam), t) for lam in lams]
-        rows_vals.append([p[0] for p in pairs])
-        rows_sups.append([p[1] for p in pairs])
-    values = np.asarray(rows_vals)  # shape (m, K)
-    sups = np.asarray(rows_sups).max(axis=0)  # sup over [0, max t_j]
+    pairs = np.asarray(
+        [[cache.value_and_sup(M, float(lam), t) for lam in lams] for t in times]
+    )  # shape (m, K, 2)
+    values = pairs[:, :, 0]
+    sups = pairs[:, :, 1].max(axis=0)  # sup over [0, max t_j]
 
     witnesses = []
     for idx in range(K):
@@ -288,7 +284,6 @@ def simulate_observations(
     sigma: float = 0.0,
     seed: int = 0,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> ObservationData:
     """Propagate y0 to each instant and sample it on uniform grids over the
     region intervals.  Gaussian noise (std sigma) is added from the seeded
@@ -304,9 +299,7 @@ def simulate_observations(
     rng = np.random.default_rng(int(seed)) if sigma > 0 else None
     blocks = []
     for entry in plan.entries:
-        coeffs = y0.coefficients * cache.values(
-            M, basis.eigenvalues, entry.t, threads=threads
-        )
+        coeffs = y0.coefficients * cache.values(M, basis.eigenvalues, entry.t)
         xs_parts = []
         for iv in entry.region.intervals:
             n_pts = max(2, int(math.ceil(samples_per_unit * (iv.b - iv.a))) + 1)
@@ -353,7 +346,6 @@ def reconstruct_initial(
     reg: float = 0.0,
     plan: SamplingPlan | None = None,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> ReconstructionResult:
     """Least-squares recovery of the initial coefficients from sampled data.
 
@@ -383,7 +375,7 @@ def reconstruct_initial(
     data_sq = 0.0
     designs = []
     for entry, block in zip(plan.entries, data.blocks):
-        scale = lams**2 * cache.values(M, lams, entry.t, threads=threads)
+        scale = lams**2 * cache.values(M, lams, entry.t)
         B = basis.modes_at(block.xs)[:, :K] * scale[None, :]
         Bw = B * block.weights[:, None]
         N += B.T @ Bw
@@ -467,7 +459,6 @@ def impulse_control(
     rank_rtol: float = 1e-10,
     reach_rtol: float = 1e-8,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> ImpulseControlResult:
     """Steer y0 to y1 at time T with impulses at the mirrored instants.
 
@@ -492,17 +483,9 @@ def impulse_control(
         raise ValidationError(f"K must lie in 1..{basis.K}")
     if cache is None:
         cache = ModalCache()
-    lams = basis.eigenvalues[:K]
-    X = np.stack([cache.values(M, lams, e.t, threads=threads) for e in plan.entries])
-    Gs = [overlap_matrix(basis, e.region)[:K, :K] for e in plan.entries]
-
-    Q = np.zeros((K, K))
-    for j in range(plan.m):
-        d = X[j]
-        Q += d[:, None] * Gs[j] * d[None, :]
-    Q = 0.5 * (Q + Q.T)
-
-    xT = cache.values(M, lams, T, threads=threads)
+    X, Gs = _plan_modes(plan, M, basis, K, cache)
+    Q = _plan_gram(X, Gs)
+    xT = cache.values(M, basis.eigenvalues[:K], T)
     target = y1.coefficients[:K] - xT * y0.coefficients[:K]
 
     try:
@@ -588,52 +571,6 @@ def _jump_grid_size(taus, T: float, n_target: int) -> int:
     return ((n_target + den - 1) // den) * den
 
 
-def _march_with_jumps(
-    lam: float, M: MemoryKernel, T: float, x0: float, jumps: dict[int, float], n: int
-) -> float:
-    """Product-trapezoidal march with state jumps at interior grid nodes.
-
-    Identical arithmetic to the plain modal march away from jumps.  At a
-    jump node the history quadrature uses the mean of the two one-sided
-    limits, which reproduces the exact split trapezoid on the two adjacent
-    subintervals, so the h^2 error expansion stays clean piecewise and
-    Richardson extrapolation over grid halving remains valid.
-    """
-    h = T / n
-    if h * lam > 2.0:
-        raise StabilityError(
-            f"h*lam = {h * lam:.3g} > 2; raise n_steps above {math.ceil(T * lam / 2)}"
-        )
-    t = np.linspace(0.0, T, n + 1)
-    Mg = np.asarray(M(t), dtype=float)
-    denom = 1.0 + 0.5 * h * lam + 0.25 * h * h * Mg[0]
-    if abs(denom) < 1e-14:
-        raise StabilityError("implicit step is singular; refine the grid")
-    fac = 1.0 - 0.5 * h * lam
-    half_h = 0.5 * h
-    x = np.empty(n + 1)  # right-limit values
-    xl = np.empty(n + 1)  # left-limit values
-    x[0] = xl[0] = x0
-    xqrev = np.empty(n + 1)  # xqrev[n - r]: history value used for node r
-    J_i = 0.0
-    for i in range(n):
-        if i == 0:
-            I_i = 0.0
-            hist = 0.0
-        else:
-            I_i = J_i + half_h * Mg[0] * xl[i]
-            xqrev[n - i] = 0.5 * (xl[i] + x[i])
-            hist = float(np.dot(Mg[1 : i + 1], xqrev[n - i : n]))
-        J1 = h * (0.5 * Mg[i + 1] * x[0] + hist)
-        xn = (x[i] * fac - half_h * (I_i + J1)) / denom
-        xl[i + 1] = xn
-        x[i + 1] = xn + jumps.get(i + 1, 0.0)
-        J_i = J1
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("controlled trajectory produced non-finite values")
-    return float(x[n])
-
-
 def simulate_controlled(
     y0: SpectralField,
     result: ImpulseControlResult,
@@ -661,8 +598,7 @@ def simulate_controlled(
     finals = np.empty(K)
     for idx in range(K):
         lam = float(lams[idx])
-        n_target = max(n_min, int(math.ceil(T * lam / hlam_max)))
-        n = _jump_grid_size(taus, T, n_target)
+        n = _jump_grid_size(taus, T, _n_steps(T, lam, n_min, hlam_max))
         jumps_c: dict[int, float] = {}
         jumps_f: dict[int, float] = {}
         for imp in result.impulses:
@@ -671,8 +607,8 @@ def simulate_controlled(
             jumps_c[node] = jumps_c.get(node, 0.0) + delta
             jumps_f[2 * node] = jumps_f.get(2 * node, 0.0) + delta
         x0 = float(y0.coefficients[idx])
-        coarse = _march_with_jumps(lam, M, T, x0, jumps_c, n)
-        fine = _march_with_jumps(lam, M, T, x0, jumps_f, 2 * n)
+        coarse = _march(lam, M, T, n, x0, jumps_c)[1][-1]
+        fine = _march(lam, M, T, 2 * n, x0, jumps_f)[1][-1]
         finals[idx] = (4.0 * fine - coarse) / 3.0
     sub = basis if K == basis.K else SpectralBasis(basis.L, K)
     return SpectralField(sub, finals)

@@ -97,6 +97,78 @@ class NodalSet:
         return f"NodalSet({self.zeros.tolist()})"
 
 
+def _march(
+    lam: float,
+    M: MemoryKernel,
+    T: float,
+    n_steps: int,
+    x0: float = 1.0,
+    jumps: dict[int, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product-trapezoidal march of x(0) = x0 with optional state jumps.
+
+    ``jumps`` maps interior grid nodes p to increments d: the state jumps
+    from its left limit x(t_p-) to x(t_p+) = x(t_p-) + d.  The march runs
+    segment by segment between jump nodes and returns the right limits.  At
+    a jump node the history quadrature uses the mean of the two one-sided
+    limits, which reproduces the exact split trapezoid on the two adjacent
+    subintervals, so the h^2 error expansion stays clean piecewise and
+    Richardson extrapolation over grid halving remains valid.
+    """
+    lam = float(lam)
+    T = float(T)
+    if lam <= 0:
+        raise ValidationError("lam must be positive")
+    if T <= 0:
+        raise ValidationError("horizon T must be positive")
+    if int(n_steps) != n_steps or n_steps < 8:
+        raise ValidationError("n_steps must be an integer >= 8")
+    n = int(n_steps)
+    jumps = jumps or {}
+    h = T / n
+    if h * lam > 2.0:
+        raise StabilityError(
+            f"h*lam = {h * lam:.3g} > 2; raise n_steps above {math.ceil(T * lam / 2)}"
+        )
+    t = np.linspace(0.0, T, n + 1)
+    Mg = np.asarray(M(t), dtype=float)
+    if not np.all(np.isfinite(Mg)):
+        raise NumericalError("kernel produced non-finite samples")
+
+    x = np.empty(n + 1)
+    x[0] = x0
+    # Reversed copy of the history so the per-step dot product runs over a
+    # contiguous slice: xrev[n - r] = x[r], or at a jump node the mean of the
+    # two one-sided limits.
+    xrev = np.empty(n + 1)
+    xrev[n] = x0
+    denom = 1.0 + 0.5 * h * lam + 0.25 * h * h * Mg[0]
+    if abs(denom) < 1e-14:
+        raise StabilityError("implicit step is singular; refine the grid")
+    fac = 1.0 - 0.5 * h * lam
+    half_h = 0.5 * h
+    I_i = 0.0  # trapezoidal history integral at t_i, from the left limit
+    start = 0
+    for stop in sorted(jumps) + [n]:
+        for i in range(start, stop):
+            if i == 0:
+                hist = 0.0
+            else:
+                hist = float(np.dot(Mg[1 : i + 1], xrev[n - i : n]))
+            J1 = h * (0.5 * Mg[i + 1] * x[0] + hist)
+            xn = (x[i] * fac - half_h * (I_i + J1)) / denom
+            x[i + 1] = xn
+            xrev[n - (i + 1)] = xn
+            I_i = J1 + half_h * Mg[0] * xn
+        if stop < n:
+            x[stop] += jumps[stop]
+            xrev[n - stop] = 0.5 * (xrev[n - stop] + x[stop])
+        start = stop
+    if not np.all(np.isfinite(x)):
+        raise NumericalError("modal trajectory produced non-finite values")
+    return t, x
+
+
 def solve_modal_volterra(
     lam: float, M: MemoryKernel, T: float, n_steps: int
 ) -> ModalTrajectory:
@@ -113,48 +185,8 @@ def solve_modal_volterra(
     Richardson extrapolation over grid halving is effective.  Steps with
     h lam > 2 are rejected: the memoryless damping factor would change sign.
     """
-    lam = float(lam)
-    T = float(T)
-    if lam <= 0:
-        raise ValidationError("lam must be positive")
-    if T <= 0:
-        raise ValidationError("horizon T must be positive")
-    if int(n_steps) != n_steps or n_steps < 8:
-        raise ValidationError("n_steps must be an integer >= 8")
-    n = int(n_steps)
-    h = T / n
-    if h * lam > 2.0:
-        raise StabilityError(
-            f"h*lam = {h * lam:.3g} > 2; raise n_steps above {math.ceil(T * lam / 2)}"
-        )
-    t = np.linspace(0.0, T, n + 1)
-    Mg = np.asarray(M(t), dtype=float)
-    if not np.all(np.isfinite(Mg)):
-        raise NumericalError("kernel produced non-finite samples")
-
-    x = np.empty(n + 1)
-    x[0] = 1.0
-    # Reversed copy of the history so the per-step dot product runs over a
-    # contiguous slice: xrev[n - r] = x[r].
-    xrev = np.empty(n + 1)
-    xrev[n] = 1.0
-    denom = 1.0 + 0.5 * h * lam + 0.25 * h * h * Mg[0]
-    if abs(denom) < 1e-14:
-        raise StabilityError("implicit step is singular; refine the grid")
-    fac = 1.0 - 0.5 * h * lam
-    half_h = 0.5 * h
-    I_i = 0.0  # trapezoidal history integral at t_i
-    for i in range(n):
-        if i == 0:
-            hist = 0.0
-        else:
-            hist = float(np.dot(Mg[1 : i + 1], xrev[n - i : n]))
-        J1 = h * (0.5 * Mg[i + 1] * x[0] + hist)
-        xn = (x[i] * fac - half_h * (I_i + J1)) / denom
-        x[i + 1] = xn
-        xrev[n - (i + 1)] = xn
-        I_i = J1 + half_h * Mg[0] * xn
-    return ModalTrajectory(lam, M, t, x)
+    t, x = _march(lam, M, T, n_steps)
+    return ModalTrajectory(float(lam), M, t, x)
 
 
 def solve_modal_richardson(
@@ -255,7 +287,14 @@ def series_solution(
 
 
 def _scan_brackets(t: np.ndarray, x: np.ndarray, sup: float):
-    """Sign-change brackets and tangential suspects on a sampled trajectory."""
+    """Sign-change brackets, exact zeros and runs of tangential suspects on a
+    sampled trajectory.
+
+    A suspect run is a maximal run of consecutive grid points with
+    |x| < 1e-9 sup.  A run touching a bracket endpoint or an exact zero is
+    the flat neighbourhood of that sign change, not a separate zero, so it
+    is dropped whole.
+    """
     signs = np.sign(x)
     brackets = []
     exact = []
@@ -266,14 +305,16 @@ def _scan_brackets(t: np.ndarray, x: np.ndarray, sup: float):
             brackets.append(i)
     if signs[-1] == 0.0:
         exact.append(len(x) - 1)
-    near = np.abs(x) < 1e-9 * sup
-    suspects = []
-    for i in np.nonzero(near)[0]:
-        if i == 0 or i in exact:
-            continue
-        adjacent = any(b in (i - 1, i) for b in brackets)
-        if not adjacent:
-            suspects.append(i)
+    claimed = set(exact)
+    for b in brackets:
+        claimed.update((b, b + 1))
+    runs: list[list[int]] = []
+    for i in np.nonzero(np.abs(x) < 1e-9 * sup)[0].tolist():
+        if runs and i == runs[-1][-1] + 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    suspects = [run for run in runs if claimed.isdisjoint(run)]
     return brackets, exact, suspects
 
 
@@ -333,18 +374,11 @@ def nodal_set_numeric(
                 hi = mid
         zeros.append(0.5 * (lo + hi))
         flags.append(SIGN_CHANGE)
-    # Cluster consecutive tangential suspects into single reports.
-    if suspects:
-        groups = [[suspects[0]]]
-        for i in suspects[1:]:
-            if i == groups[-1][-1] + 1:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        for g in groups:
-            best = min(g, key=lambda i: abs(x_f[i]))
-            zeros.append(float(t_f[best]))
-            flags.append(SUSPECTED_TANGENTIAL)
+    # One report per run of tangential suspects, at its smallest |x|.
+    for run in suspects:
+        best = min(run, key=lambda i: abs(x_f[i]))
+        zeros.append(float(t_f[best]))
+        flags.append(SUSPECTED_TANGENTIAL)
 
     order = np.argsort(zeros)
     zs = [zeros[i] for i in order]

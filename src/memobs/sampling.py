@@ -158,18 +158,29 @@ def check_geometric_condition(
     return GeometricVerdict(kind, unc)
 
 
-def _modal_matrix(
+def _plan_modes(
     plan: SamplingPlan,
     M: MemoryKernel,
-    lams: np.ndarray,
+    basis: SpectralBasis,
+    K: int,
     cache: ModalCache | None,
-    threads: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """X[j, k] = x_k(t_j) and the overlaps G_j of the plan regions, both on
+    the first K modes of the basis."""
     if cache is None:
         cache = ModalCache()
-    return np.stack(
-        [cache.values(M, lams, e.t, threads=threads) for e in plan.entries]
-    )
+    lams = basis.eigenvalues[:K]
+    X = np.stack([cache.values(M, lams, e.t) for e in plan.entries])
+    Gs = [overlap_matrix(basis, e.region)[:K, :K] for e in plan.entries]
+    return X, Gs
+
+
+def _plan_gram(U: np.ndarray, Gs: list[np.ndarray]) -> np.ndarray:
+    """Symmetrized sum_j diag(U[j]) G_j diag(U[j])."""
+    Q = np.zeros_like(Gs[0])
+    for u, G in zip(U, Gs):
+        Q += u[:, None] * G * u[None, :]
+    return 0.5 * (Q + Q.T)
 
 
 def observation_gram(
@@ -178,18 +189,10 @@ def observation_gram(
     basis: SpectralBasis,
     K: int | None = None,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Q = sum_j D_j G_j D_j on the first K modes of the basis."""
-    K = _resolve_K(basis, K)
-    lams = basis.eigenvalues[:K]
-    X = _modal_matrix(plan, M, lams, cache, threads)
-    Q = np.zeros((K, K))
-    for j, e in enumerate(plan.entries):
-        G = overlap_matrix(basis, e.region)[:K, :K]
-        d = X[j]
-        Q += d[:, None] * G * d[None, :]
-    return 0.5 * (Q + Q.T)
+    X, Gs = _plan_modes(plan, M, basis, _resolve_K(basis, K), cache)
+    return _plan_gram(X, Gs)
 
 
 def _resolve_K(basis: SpectralBasis, K: int | None) -> int:
@@ -290,32 +293,12 @@ def _constants_from_S(S: np.ndarray, m: int, K: int) -> ObservabilityConstants:
     )
 
 
-def _scaled_form(
-    plan: SamplingPlan,
-    M: MemoryKernel,
-    basis: SpectralBasis,
-    K: int,
-    cache: ModalCache | None,
-    threads: int,
-) -> np.ndarray:
-    """S = Lam^2 Q Lam^2 assembled from lambda_k^2 x_k(t_j) directly."""
-    lams = basis.eigenvalues[:K]
-    X = _modal_matrix(plan, M, lams, cache, threads)
-    S = np.zeros((K, K))
-    for j, e in enumerate(plan.entries):
-        G = overlap_matrix(basis, e.region)[:K, :K]
-        u = lams**2 * X[j]
-        S += u[:, None] * G * u[None, :]
-    return 0.5 * (S + S.T)
-
-
 def observability_constants(
     plan: SamplingPlan,
     M: MemoryKernel,
     basis: SpectralBasis,
     K: int | None = None,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> ObservabilityConstants:
     """c_min and c_max with sum-of-norms brackets [c_min, sqrt(m) c_max].
 
@@ -327,7 +310,8 @@ def observability_constants(
     K = _resolve_K(basis, K)
     if K < 2:
         raise ValidationError("observability constants need K >= 2")
-    S = _scaled_form(plan, M, basis, K, cache, threads)
+    X, Gs = _plan_modes(plan, M, basis, K, cache)
+    S = _plan_gram(basis.eigenvalues[:K] ** 2 * X, Gs)
     return _constants_from_S(S, plan.m, K)
 
 
@@ -337,7 +321,6 @@ def constants_table(
     basis: SpectralBasis,
     K_list,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> list[ObservabilityConstants]:
     """Constants for several truncation levels from one assembly at max K.
 
@@ -347,7 +330,8 @@ def constants_table(
     Ks = sorted({_resolve_K(basis, K) for K in K_list})
     if Ks[0] < 2:
         raise ValidationError("observability constants need K >= 2")
-    S = _scaled_form(plan, M, basis, Ks[-1], cache, threads)
+    X, Gs = _plan_modes(plan, M, basis, Ks[-1], cache)
+    S = _plan_gram(basis.eigenvalues[: Ks[-1]] ** 2 * X, Gs)
     return [_constants_from_S(S[:K, :K], plan.m, K) for K in Ks]
 
 
@@ -394,7 +378,6 @@ def probe_upper_bound(
     x0: float,
     radii,
     cache: ModalCache | None = None,
-    threads: int = 1,
 ) -> ProbeResult:
     """Ratios sum_j ||chi_{omega_j} y(t_j; probe)|| / ||probe||_{H^{-4}} for a
     decreasing list of ball radii.  Each ratio upper-bounds the sum-of-norms
@@ -405,8 +388,7 @@ def probe_upper_bound(
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly decreasing")
     lams = basis.eigenvalues
-    X = _modal_matrix(plan, M, lams, cache, threads)
-    Gs = [overlap_matrix(basis, e.region) for e in plan.entries]
+    X, Gs = _plan_modes(plan, M, basis, basis.K, cache)
     ratios = []
     for r in radii:
         a = probe_coefficients(basis, x0, r)

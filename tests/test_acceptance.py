@@ -312,14 +312,14 @@ def test_criterion_09_control_duality_and_closed_loop(record_criterion):
         / np.linalg.norm(y1.coefficients)
     )
     elapsed = time.monotonic() - t0
-    ok = gram_err <= 1e-12 and loop_err < 1e-6 and elapsed < 60.0
+    ok = gram_err == 0.0 and loop_err < 1e-6 and elapsed < 60.0
     record_criterion(
         "09",
         ok,
-        f"Gram agreement {gram_err:.2e} <= 1e-12, closed-loop relative error "
+        f"Gram agreement {gram_err:.2e} == 0, closed-loop relative error "
         f"{loop_err:.2e} < 1e-6; {elapsed:.1f}s < 60s",
     )
-    assert gram_err <= 1e-12
+    assert gram_err == 0.0
     assert loop_err < 1e-6
     assert elapsed < 60.0
 

@@ -34,23 +34,6 @@ def test_cache_hits_and_policy_keys(cache, exp_kernel):
     assert len(c) == n1 + 1
 
 
-def test_cache_threads_match_sequential(exp_kernel):
-    lams = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
-    seq = ModalCache().values(exp_kernel, lams, 0.8, threads=1)
-    par = ModalCache().values(exp_kernel, lams, 0.8, threads=3)
-    np.testing.assert_array_equal(seq, par)
-
-
-def test_cache_store_round_trip(tmp_path, exp_kernel):
-    path = str(tmp_path / "modal_cache.json")
-    c = ModalCache(store_path=path)
-    v = c.value_and_sup(exp_kernel, 9.0, 0.5)
-    c.save()
-    fresh = ModalCache(store_path=path)
-    assert len(fresh) == len(c)
-    assert fresh.value_and_sup(exp_kernel, 9.0, 0.5) == v
-
-
 def test_cache_sup_dominates_endpoint(exp_kernel):
     val, sup = ModalCache().value_and_sup(exp_kernel, 4.0, 1.5)
     assert sup >= abs(val)

@@ -15,6 +15,7 @@ from memobs import (
     ExponentialKernel,
     LinearKernel,
     StabilityError,
+    TabulatedKernel,
     UniformGrid,
     ValidationError,
     ZeroKernel,
@@ -25,6 +26,7 @@ from memobs import (
     solve_modal_richardson,
     solve_modal_volterra,
 )
+from memobs.modal import _march
 
 # M(t) = 2 exp(-t), lam = 4: roots -2 and -3, x(t) = 2 exp(-3t) - exp(-2t)
 X_EXP21_LAM4_T1 = -0.035761146500884806
@@ -74,6 +76,33 @@ def test_march_is_second_order():
         errs.append(abs(traj.x[-1] - X_EXP40_LAM1_T1))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
+
+
+TAB_GRID = np.linspace(0.0, 2.0, 41)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        ExponentialKernel(2.0, -1.0),
+        LinearKernel(),
+        ConstantKernel(-1.0),
+        TabulatedKernel(TAB_GRID, 1.5 * np.cos(TAB_GRID)),
+    ],
+    ids=["exponential", "linear", "constant", "tabulated"],
+)
+@pytest.mark.parametrize("lam", [1.0, 9.0])
+def test_march_jump_is_superposition(M, lam):
+    # The march is linear and a jump restarts the history with half weight on
+    # its node, exactly as a fresh march starting there: one jump d at node p
+    # gives x0 x_n(T) + d x_{n-p}((n-p) h) on the same step h.
+    T, n, p, x0, d = 1.5, 384, 144, 0.7, -0.45
+    _, x = _march(lam, M, T, n, x0, {p: d})
+    free = solve_modal_volterra(lam, M, T, n).x[-1]
+    kick = solve_modal_volterra(lam, M, T * (n - p) / n, n - p).x[-1]
+    assert x[-1] == pytest.approx(x0 * free + d * kick, rel=1e-11)
+    # before the jump node the trajectory is the jump-free one
+    np.testing.assert_array_equal(x[:p], _march(lam, M, T, n, x0)[1][:p])
 
 
 def test_zero_kernel_march_is_pade_exponential():
@@ -157,6 +186,17 @@ def test_nodal_numeric_flags_underflowed_tail_as_suspect():
     ns = nodal_set_numeric(4.0, ZeroKernel(), 10.0)
     assert len(ns) == 1
     assert ns.flags[0] == "suspected-tangential"
+
+
+def test_nodal_numeric_drops_flat_neighbourhood_of_sign_change():
+    # lam = 4, c = 4.75: the third zero sits where the mode has decayed to
+    # about 1e-7 of its sup, so grid points a few steps either side of it
+    # dip below the tangential floor; they belong to the sign change
+    ns = nodal_set_numeric(4.0, ExponentialKernel(4.75, 0.0), 8.0)
+    closed = nodal_set_exp_closed(4.0, 4.75, 0.0, 8.0)
+    assert len(closed) == 3
+    assert ns.flags == ("sign-change",) * 3
+    np.testing.assert_allclose(ns.zeros, closed.zeros, rtol=0, atol=1e-8)
 
 
 def test_linear_kernel_grows_with_cubic_root_rate():
