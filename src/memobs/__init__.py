@@ -41,7 +41,6 @@ from .kernels import (
     UniformGrid,
     ZeroKernel,
     convolution_power,
-    eval_kernel,
     kernel_from_spec,
     kernel_series_K,
 )
@@ -51,7 +50,6 @@ from .modal import (
     closed_form_exp,
     nodal_set_exp_closed,
     nodal_set_numeric,
-    series_solution,
     series_solution_grid,
     solve_modal_richardson,
     solve_modal_volterra,
@@ -103,7 +101,6 @@ __all__ = [
     "ExponentialKernel",
     "TabulatedKernel",
     "kernel_from_spec",
-    "eval_kernel",
     "UniformGrid",
     "KernelGridFunction",
     "convolution_power",
@@ -113,7 +110,6 @@ __all__ = [
     "solve_modal_volterra",
     "solve_modal_richardson",
     "closed_form_exp",
-    "series_solution",
     "series_solution_grid",
     "nodal_set_numeric",
     "nodal_set_exp_closed",

@@ -26,7 +26,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +140,6 @@ class Report:
 def emit_report(
     results: list[Report],
     out_dir,
-    formats=("json", "csv"),
     config_sha: str | None = None,
 ) -> list[Path]:
     """Write the artifacts with stable ordering and float formatting."""
@@ -148,14 +147,14 @@ def emit_report(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for rep in results:
-        if "json" in formats and rep.json_payload is not None:
+        if rep.json_payload is not None:
             payload = rep.json_payload
             if isinstance(payload, dict) and config_sha is not None:
                 payload = {"config_sha256": config_sha, **payload}
             path = out / f"{rep.name}.json"
             path.write_text(_json_text(payload) + "\n", encoding="utf-8")
             written.append(path)
-        if "csv" in formats and rep.csv_header is not None:
+        if rep.csv_header is not None:
             lines = []
             if config_sha is not None:
                 lines.append(f"# config_sha256={config_sha}")
@@ -179,7 +178,6 @@ class ExperimentConfig:
     sha256: str
     out_dir: str
     threads: int
-    sources: dict = dc_field(default_factory=dict)
 
     @classmethod
     def load(cls, command, config_path, out_flag, threads, overrides):
@@ -491,8 +489,7 @@ def _run_constants(cfg):
         or not all(isinstance(k, int) and not isinstance(k, bool) for k in K_list)
     ):
         raise ValidationError("constants.K_list must be a nonempty list of integers")
-    cache = ModalCache()
-    table = constants_table(plan, M, basis, K_list, cache=cache)
+    table = constants_table(plan, M, basis, K_list)
     payload = {
         "command": "constants",
         "m": plan.m,
@@ -670,10 +667,7 @@ def _run_control(cfg):
     verify = _bool(sec, "control", "verify", True)
     y0 = _field_from_spec(basis, sec["y0"], "control.y0")
     y1 = _field_from_spec(basis, sec["y1"], "control.y1")
-    cache = ModalCache()
-    result = impulse_control(
-        y0, y1, plan, T, M, K=K, rank_rtol=rank_rtol, cache=cache
-    )
+    result = impulse_control(y0, y1, plan, T, M, K=K, rank_rtol=rank_rtol)
     payload = {
         "command": "control",
         "T": T,

@@ -8,9 +8,10 @@ lambda_k^2 x_k(t) + M(t) should decay like 1/lambda_k; the residual table
 measures exactly that.
 
 Modal endpoint values are expensive at large lambda, so they are cached.
-Every cache entry records the full resolution policy and is obtained from a
-Richardson pair (n and 2n steps), which cancels the leading h^2 error of the
-product-trapezoidal march.
+The step policy belongs to the cache: it is fixed when the cache is built,
+so an entry is keyed by kernel, lam and time alone.  Every entry comes from
+a Richardson pair (n and 2n steps), which cancels the leading h^2 error of
+the product-trapezoidal march.
 """
 
 from __future__ import annotations
@@ -23,50 +24,35 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import MemoryKernel
-from .modal import solve_modal_richardson
+from .modal import _n_steps, solve_modal_richardson
 from .spectral import SpectralBasis, SpectralField
 
 DEFAULT_HLAM_MAX = 0.25
 DEFAULT_N_MIN = 1024
 
 
-def _n_steps(t: float, lam: float, n_min: int, hlam_max: float) -> int:
-    """Step count of a march to time t: at least n_min, and h lam <= hlam_max."""
-    return max(n_min, math.ceil(t * lam / hlam_max))
-
-
 class ModalCache:
-    """Cache of modal endpoint values keyed by kernel, lam, time, and policy.
+    """Cache of modal endpoint values keyed by kernel, lam and time.
 
-    Values are pairs (x(t), sup |x| on [0, t]) from Richardson-extrapolated
-    solves with n = max(n_min, ceil(t lam / hlam_max)) steps.  A lock guards
-    the entries, so one cache may be used concurrently.
+    The step policy belongs to the cache and is fixed when it is built:
+    every value is a pair (x(t), sup |x| on [0, t]) from a
+    Richardson-extrapolated solve with
+    n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps.  A lock guards the
+    entries, so one cache may be used concurrently.
     """
 
-    def __init__(
-        self,
-        hlam_max: float = DEFAULT_HLAM_MAX,
-        n_min: int = DEFAULT_N_MIN,
-    ):
+    def __init__(self, hlam_max: float = DEFAULT_HLAM_MAX):
         if hlam_max <= 0 or hlam_max > 2:
             raise ValidationError("hlam_max must lie in (0, 2]")
-        if int(n_min) != n_min or n_min < 8:
-            raise ValidationError("n_min must be an integer >= 8")
         self.hlam_max = float(hlam_max)
-        self.n_min = int(n_min)
         self._data: dict[tuple, tuple[float, float]] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def _policy(self, n_min, hlam_max) -> tuple[int, float]:
-        n_min = self.n_min if n_min is None else int(n_min)
-        hlam_max = self.hlam_max if hlam_max is None else float(hlam_max)
-        return n_min, hlam_max
-
     def value_and_sup(
-        self, M: MemoryKernel, lam: float, t: float, n_min=None, hlam_max=None
+        self, M: MemoryKernel, lam: float, t: float
     ) -> tuple[float, float]:
         lam = float(lam)
         t = float(t)
@@ -74,26 +60,24 @@ class ModalCache:
             raise ValidationError("time must be nonnegative")
         if t == 0.0:
             return 1.0, 1.0
-        n_min, hlam_max = self._policy(n_min, hlam_max)
-        key = (M.cache_key(), lam, t, n_min, hlam_max)
+        key = (M.cache_key(), lam, t)
         with self._lock:
             hit = self._data.get(key)
         if hit is not None:
             return hit
-        _, x = solve_modal_richardson(lam, M, t, _n_steps(t, lam, n_min, hlam_max))
+        n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
+        _, x = solve_modal_richardson(lam, M, t, n)
         entry = (float(x[-1]), float(np.max(np.abs(x))))
         with self._lock:
             self._data[key] = entry
         return entry
 
-    def value(self, M, lam, t, n_min=None, hlam_max=None) -> float:
-        return self.value_and_sup(M, lam, t, n_min, hlam_max)[0]
+    def value(self, M, lam, t) -> float:
+        return self.value_and_sup(M, lam, t)[0]
 
-    def values(
-        self, M: MemoryKernel, lams, t: float, n_min=None, hlam_max=None
-    ) -> np.ndarray:
+    def values(self, M: MemoryKernel, lams, t: float) -> np.ndarray:
         """Modal values x(t) for each lam in ``lams``, in order."""
-        return np.asarray([self.value(M, l, t, n_min, hlam_max) for l in lams])
+        return np.asarray([self.value(M, l, t) for l in lams])
 
 
 def propagate(
@@ -143,7 +127,6 @@ def decomposition_residual(
     t: float,
     basis: SpectralBasis,
     ks=None,
-    cache: ModalCache | None = None,
     hlam_max: float = 0.125,
 ) -> ResidualTable:
     """Table of lambda_k^2 x_k(t) + M(t) and the log-log decay slope.
@@ -151,7 +134,8 @@ def decomposition_residual(
     The slope certifies the 1/lambda remainder when it is at most -0.8;
     sup_k lambda_k^2 |x_k(t)| is reported as the numeric smoothing bound.
     Residual magnitudes can sit many orders below lambda_k^2 x_k, so the
-    modal values use a tighter step policy (hlam_max) than the default cache.
+    modal values come from a cache of their own with a tighter step policy
+    (hlam_max) than the default one.
     """
     t = float(t)
     if t <= 1e-9:
@@ -165,9 +149,7 @@ def decomposition_residual(
     lams = basis.eigenvalues[ks - 1]
     if lams.max() / lams.min() < 10.0:
         raise ValidationError("mode range must span at least a decade in lambda")
-    if cache is None:
-        cache = ModalCache()
-    xs = cache.values(M, lams, t, hlam_max=hlam_max)
+    xs = ModalCache(hlam_max=hlam_max).values(M, lams, t)
     Mt = float(M(t))
     residuals = lams**2 * xs + Mt
     nz = np.abs(residuals) > 0

@@ -23,14 +23,19 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .evolution import ModalCache, _n_steps
+from .evolution import ModalCache
 from .kernels import MemoryKernel
-from .modal import _march
+from .modal import _march, _n_steps
 from .regions import ObservationRegion
-from .sampling import SamplingPlan, _plan_gram, _plan_modes
+from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
 from .spectral import SpectralBasis, SpectralField
 
 NOISE_GENERATOR = "numpy.random.Generator(PCG64).standard_normal"
+
+# Step policy of the closed-loop march in simulate_controlled, finer than a
+# default ModalCache: its result is checked against the predicted final state.
+CONTROLLED_N_MIN = 2560
+CONTROLLED_HLAM_MAX = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +128,7 @@ def backward_uniqueness_certificate(
         raise ValidationError("certificate instants must be positive")
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    K = basis.K if K is None else int(K)
-    if not 1 <= K <= basis.K:
-        raise ValidationError(f"K must lie in 1..{basis.K}")
+    K = _resolve_K(basis, K)
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
@@ -364,9 +367,7 @@ def reconstruct_initial(
     plan = data.plan
     if reg < 0:
         raise ValidationError("reg must be nonnegative")
-    K = basis.K if K is None else int(K)
-    if not 1 <= K <= basis.K:
-        raise ValidationError(f"K must lie in 1..{basis.K}")
+    K = _resolve_K(basis, K)
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
@@ -478,9 +479,7 @@ def impulse_control(
         raise ValidationError("y0 and y1 must share one basis")
     if T <= max(plan.times):
         raise ValidationError("control horizon T must exceed every instant")
-    K = basis.K if K is None else int(K)
-    if not 1 <= K <= basis.K:
-        raise ValidationError(f"K must lie in 1..{basis.K}")
+    K = _resolve_K(basis, K)
     if cache is None:
         cache = ModalCache()
     X, Gs = _plan_modes(plan, M, basis, K, cache)
@@ -575,8 +574,6 @@ def simulate_controlled(
     y0: SpectralField,
     result: ImpulseControlResult,
     M: MemoryKernel,
-    n_min: int = 2560,
-    hlam_max: float = 0.1,
 ) -> SpectralField:
     """Forward-simulate the controlled system and return the state at T.
 
@@ -598,14 +595,14 @@ def simulate_controlled(
     finals = np.empty(K)
     for idx in range(K):
         lam = float(lams[idx])
-        n = _jump_grid_size(taus, T, _n_steps(T, lam, n_min, hlam_max))
+        n = _jump_grid_size(
+            taus, T, _n_steps(T, lam, CONTROLLED_N_MIN, CONTROLLED_HLAM_MAX)
+        )
         jumps_c: dict[int, float] = {}
-        jumps_f: dict[int, float] = {}
         for imp in result.impulses:
             node = round(n * imp.tau / T)
-            delta = float(imp.applied[idx])
-            jumps_c[node] = jumps_c.get(node, 0.0) + delta
-            jumps_f[2 * node] = jumps_f.get(2 * node, 0.0) + delta
+            jumps_c[node] = jumps_c.get(node, 0.0) + float(imp.applied[idx])
+        jumps_f = {2 * node: d for node, d in jumps_c.items()}
         x0 = float(y0.coefficients[idx])
         coarse = _march(lam, M, T, n, x0, jumps_c)[1][-1]
         fine = _march(lam, M, T, 2 * n, x0, jumps_f)[1][-1]

@@ -190,14 +190,6 @@ def kernel_from_spec(spec: dict) -> MemoryKernel:
         raise ValidationError(f"bad kernel spec: {exc}") from exc
 
 
-def eval_kernel(M: MemoryKernel, t):
-    """Evaluate M(t) for t >= 0 (and t <= t_max for tabulated kernels)."""
-    tv = np.asarray(t, dtype=float)
-    if np.any(tv < -1e-12):
-        raise ValidationError("kernel argument must be nonnegative")
-    return M(t)
-
-
 @dataclass(frozen=True)
 class UniformGrid:
     """Uniform time grid 0 = t_0 < ... < t_n = T."""

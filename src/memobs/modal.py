@@ -97,6 +97,11 @@ class NodalSet:
         return f"NodalSet({self.zeros.tolist()})"
 
 
+def _n_steps(t: float, lam: float, n_min: int, hlam_max: float) -> int:
+    """Step count of a march to time t: at least n_min, and h lam <= hlam_max."""
+    return max(n_min, math.ceil(t * lam / hlam_max))
+
+
 def _march(
     lam: float,
     M: MemoryKernel,
@@ -265,27 +270,6 @@ def series_solution_grid(
     return E + h * (core - 0.5 * (Kv[:, 0] * E[0] + diag * E))
 
 
-def series_solution(
-    lam: float,
-    M: MemoryKernel,
-    t: float,
-    tol: float = 1e-12,
-    n_steps: int = 2048,
-    kernel_series: KernelGridFunction | None = None,
-) -> float:
-    """Series solution at a single time t > 0."""
-    t = float(t)
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    if t == 0.0:
-        return 1.0
-    grid = kernel_series.grid if kernel_series is not None else UniformGrid(n_steps, t)
-    if kernel_series is not None and abs(grid.T - t) > 1e-12 * max(1.0, t):
-        raise ValidationError("provided kernel series does not end at t")
-    vals = series_solution_grid(lam, M, grid, tol, kernel_series)
-    return float(vals[-1])
-
-
 def _scan_brackets(t: np.ndarray, x: np.ndarray, sup: float):
     """Sign-change brackets, exact zeros and runs of tangential suspects on a
     sampled trajectory.
@@ -337,15 +321,17 @@ def nodal_set_numeric(
         raise ValidationError("resolution must be an integer >= 64")
     T_max = float(T_max)
     lam = float(lam)
-    n_coarse = max(int(resolution), math.ceil(T_max * lam))
-    t_c, x_c = solve_modal_richardson(lam, M, T_max, n_coarse)
+    t_c, x_c = solve_modal_richardson(
+        lam, M, T_max, _n_steps(T_max, lam, int(resolution), 1.0)
+    )
     sup = float(np.max(np.abs(x_c)))
     brackets, exact, suspects = _scan_brackets(t_c, x_c, sup)
     if not brackets and not exact and not suspects:
         return NodalSet([], [])
 
-    n_fine = max(4 * int(resolution), math.ceil(T_max * lam / 0.05))
-    t_f, x_f = solve_modal_richardson(lam, M, T_max, n_fine)
+    t_f, x_f = solve_modal_richardson(
+        lam, M, T_max, _n_steps(T_max, lam, 4 * int(resolution), 0.05)
+    )
     sup = float(np.max(np.abs(x_f)))
     brackets, exact, suspects = _scan_brackets(t_f, x_f, sup)
     spline = CubicSpline(t_f, x_f)

@@ -166,9 +166,7 @@ def test_criterion_04_decomposition_residual(record_criterion):
     """lambda_k^2 x_k(t) + M(t) vanishes with slope <= -0.8 up the spectrum."""
     t0 = time.monotonic()
     basis = SpectralBasis(PI, 32)
-    table = decomposition_residual(
-        ExponentialKernel(1.0, 0.0), 1.0, basis, cache=ModalCache()
-    )
+    table = decomposition_residual(ExponentialKernel(1.0, 0.0), 1.0, basis)
     tail = float(table.lams[-1] ** 2 * table.x_values[-1])
     tail_err = abs(tail - (-1.0))
     elapsed = time.monotonic() - t0

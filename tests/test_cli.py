@@ -224,6 +224,14 @@ def test_exit_codes():
         assert res.returncode == 2 and "numerical failure:" in res.stderr
 
 
+def test_residual_step_policy_out_of_range_exits_1(tmp_path):
+    res = run_cli(
+        "residual", CONFIGS["residual"], tmp_path, "--set", "residual.hlam_max=5"
+    )
+    assert res.returncode == 1 and "error:" in res.stderr
+    assert "hlam_max" in res.stderr
+
+
 def test_reconstruct_round_trips_through_data_file(tmp_path):
     first = run_cli("reconstruct", CONFIGS["reconstruct"], tmp_path / "a")
     assert first.returncode == 0, first.stderr

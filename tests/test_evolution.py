@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memobs import (
     ExponentialKernel,
@@ -10,6 +12,7 @@ from memobs import (
     SpectralField,
     ValidationError,
     ZeroKernel,
+    closed_form_exp,
     decomposition_residual,
     propagate,
 )
@@ -29,9 +32,19 @@ def test_cache_hits_and_policy_keys(cache, exp_kernel):
     n1 = len(c)
     v2 = c.value(exp_kernel, 4.0, 0.7)
     assert v2 == v1 and len(c) == n1
-    # a different step policy is a different entry, never a silent shadow
-    c.value(exp_kernel, 4.0, 0.7, hlam_max=0.5)
-    assert len(c) == n1 + 1
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    lam=st.floats(0.5, 60.0),
+    c=st.floats(0.1, 50.0),
+    alpha=st.floats(-2.0, 1.0),
+    t=st.floats(0.05, 2.0),
+)
+@example(lam=9.0, c=16.0, alpha=-1.0, t=0.5)  # double root: c = (lam + alpha)^2 / 4
+def test_cache_matches_exponential_closed_form(lam, c, alpha, t):
+    val, sup = ModalCache().value_and_sup(ExponentialKernel(c, alpha), lam, t)
+    assert abs(val - closed_form_exp(lam, c, alpha, t)) <= 1e-7 * sup
 
 
 def test_cache_sup_dominates_endpoint(exp_kernel):
@@ -69,9 +82,9 @@ def test_propagate_time_zero_copies():
         propagate(y0, ZeroKernel(), -0.1)
 
 
-def test_decomposition_residual_decays(cache, exp_kernel):
+def test_decomposition_residual_decays(exp_kernel):
     basis = SpectralBasis(math.pi, 16)
-    table = decomposition_residual(exp_kernel, 1.0, basis, cache=cache)
+    table = decomposition_residual(exp_kernel, 1.0, basis)
     assert table.slope <= -0.8
     # residual lambda_k^2 x_k(1) + M(1) collapses toward zero up the spectrum
     assert abs(table.residuals[-1]) < abs(table.residuals[3])

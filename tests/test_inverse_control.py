@@ -269,3 +269,25 @@ class TestControl:
         other = SpectralField(SpectralBasis(1.0, 4), np.zeros(4))
         with pytest.raises(ValidationError):
             impulse_control(zero, other, full_plan([0.5]), 1.0, exp_kernel, cache=cache)
+
+
+@pytest.mark.parametrize("K", [2.5, 3.7])
+@pytest.mark.parametrize("solve", ["certificate", "reconstruction", "control"])
+def test_non_integer_K_is_rejected(solve, K, cache, exp_kernel):
+    basis = SpectralBasis(math.pi, 4)
+    plan = full_plan([0.5])
+    zero = SpectralField(basis, np.zeros(4))
+    data = simulate_observations(zero, plan, exp_kernel, cache=cache)
+    calls = {
+        "certificate": lambda: backward_uniqueness_certificate(
+            [0.5], exp_kernel, basis, K=K, cache=cache
+        ),
+        "reconstruction": lambda: reconstruct_initial(
+            data, exp_kernel, basis, K=K, cache=cache
+        ),
+        "control": lambda: impulse_control(
+            zero, zero, plan, 1.0, exp_kernel, K=K, cache=cache
+        ),
+    }
+    with pytest.raises(ValidationError, match="K must lie"):
+        calls[solve]()

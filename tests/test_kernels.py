@@ -12,7 +12,6 @@ from memobs import (
     ValidationError,
     ZeroKernel,
     convolution_power,
-    eval_kernel,
     kernel_from_spec,
     kernel_series_K,
 )
@@ -81,11 +80,6 @@ def test_tabulated_validation():
         TabulatedKernel([0.1, 1.0, 2.0, 3.0], [1.0] * 4)  # must start at 0
     with pytest.raises(ValidationError):
         TabulatedKernel([0.0, 1.0, 1.0, 3.0], [1.0] * 4)  # not increasing
-
-
-def test_eval_kernel_rejects_negative_time():
-    with pytest.raises(ValidationError):
-        eval_kernel(ZeroKernel(), -0.5)
 
 
 def test_convolution_power_first_is_minus_M():
