@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, flag, integer, items, real
 from .evolution import ModalCache, decomposition_residual, propagate
 from .inverse_control import (
     ObservationData,
@@ -204,14 +204,12 @@ class ExperimentConfig:
         )
         if not isinstance(out_dir, str):
             raise ValidationError("out must be a directory path string")
-        if int(threads) != threads or threads < 1:
-            raise ValidationError("--threads must be a positive integer")
         return cls(
             command=command,
             data=data,
             sha256=sha,
             out_dir=out_dir,
-            threads=int(threads),
+            threads=integer(threads, "--threads", lo=1),
         )
 
 
@@ -249,105 +247,65 @@ def _check_keys(d, path: str, required: set, optional: set = frozenset()) -> dic
     return d
 
 
-def _num(sec, path, key, default=None, positive=False, nonneg=False):
-    if key not in sec:
-        return default
-    v = sec[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{path}.{key} must be a number")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ValidationError(f"{path}.{key} must be finite")
-    if positive and v <= 0:
-        raise ValidationError(f"{path}.{key} must be positive")
-    if nonneg and v < 0:
-        raise ValidationError(f"{path}.{key} must be nonnegative")
-    return v
-
-
-def _int(sec, path, key, default=None, lo=None):
-    if key not in sec:
-        return default
-    v = sec[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(f"{path}.{key} must be an integer")
-    if lo is not None and v < lo:
-        raise ValidationError(f"{path}.{key} must be >= {lo}")
-    return int(v)
-
-
-def _bool(sec, path, key, default):
-    v = sec.get(key, default)
-    if not isinstance(v, bool):
-        raise ValidationError(f"{path}.{key} must be true or false")
-    return v
+def _get(sec, path, key, check, default=None, **bounds):
+    """``sec[key]`` passed through a checker from ``errors``, or ``default``
+    when the key is absent."""
+    return check(sec[key], f"{path}.{key}", **bounds) if key in sec else default
 
 
 def _choice(sec, path, key, allowed, default):
     v = sec.get(key, default)
-    if v not in allowed:
+    if not isinstance(v, str) or v not in allowed:
         raise ValidationError(f"{path}.{key} must be one of {sorted(allowed)}")
     return v
 
 
-def _build_basis(cfg) -> SpectralBasis:
-    sec = _check_keys(cfg["basis"], "basis", {"L", "K"})
-    L = _num(sec, "basis", "L", positive=True)
-    K = _int(sec, "basis", "K", lo=1)
-    return SpectralBasis(L, K)
-
-
-def _build_kernel(cfg):
+def _read(path, reader, *args, **kwargs):
+    """Call a library JSON reader, prefixing its errors with the config path."""
     try:
-        return kernel_from_spec(cfg["kernel"])
+        return reader(*args, **kwargs)
     except ValidationError as exc:
-        raise ValidationError(f"kernel: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _build_plan(cfg, basis: SpectralBasis) -> SamplingPlan:
-    try:
-        return SamplingPlan.from_json(cfg["plan"], L=basis.L)
-    except ValidationError as exc:
-        raise ValidationError(f"plan: {exc}") from exc
+def _check_closed_form(M, path: str) -> None:
+    if not isinstance(M, ExponentialKernel):
+        raise ValidationError(
+            f"{path}.method: the closed form exists only for exponential kernels"
+        )
 
 
 def _field_from_spec(basis: SpectralBasis, spec, path: str) -> SpectralField:
     _check_keys(spec, path, set(), {"mode", "coeffs"})
-    has_mode = "mode" in spec
-    has_coeffs = "coeffs" in spec
-    if has_mode == has_coeffs:
+    if ("mode" in spec) == ("coeffs" in spec):
         raise ValidationError(f'{path} needs exactly one of "mode" or "coeffs"')
-    if has_mode:
-        k = _int(spec, path, "mode", lo=1)
+    if "mode" in spec:
+        k = _get(spec, path, "mode", integer, lo=1)
         if k > basis.K:
             raise ValidationError(f"{path}.mode must be <= K = {basis.K}")
         coeffs = np.zeros(basis.K)
         coeffs[k - 1] = 1.0
-        return SpectralField(basis, coeffs)
-    raw = spec["coeffs"]
-    if not isinstance(raw, list) or len(raw) != basis.K:
-        raise ValidationError(f"{path}.coeffs must be a list of length K = {basis.K}")
-    try:
-        return SpectralField(basis, np.asarray(raw, dtype=float))
-    except (ValidationError, ValueError) as exc:
-        raise ValidationError(f"{path}.coeffs: {exc}") from exc
+    else:
+        coeffs = _get(spec, path, "coeffs", items, each=real)
+        if len(coeffs) != basis.K:
+            raise ValidationError(f"{path}.coeffs must have K = {basis.K} entries")
+    return SpectralField(basis, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # command runners
 
 
-def _run_modal(cfg):
-    M = _build_kernel(cfg)
+def _run_modal(cfg, M):
     sec = _check_keys(
         cfg["modal"], "modal", {"lam", "T"}, {"n_steps", "method", "richardson", "tol"}
     )
-    lam = _num(sec, "modal", "lam", positive=True)
-    T = _num(sec, "modal", "T", positive=True)
-    n_steps = _int(sec, "modal", "n_steps", default=2048, lo=8)
+    lam = _get(sec, "modal", "lam", real, positive=True)
+    T = _get(sec, "modal", "T", real, positive=True)
+    n_steps = _get(sec, "modal", "n_steps", integer, default=2048, lo=8)
     method = _choice(sec, "modal", "method", {"march", "series", "closed"}, "march")
-    richardson = _bool(sec, "modal", "richardson", True)
-    tol = _num(sec, "modal", "tol", default=1e-12, positive=True)
+    richardson = _get(sec, "modal", "richardson", flag, default=True)
+    tol = _get(sec, "modal", "tol", real, default=1e-12, positive=True)
     if method == "march":
         if richardson:
             t, x = solve_modal_richardson(lam, M, T, n_steps)
@@ -359,10 +317,7 @@ def _run_modal(cfg):
         t = grid.nodes()
         x = series_solution_grid(lam, M, grid, tol)
     else:
-        if not isinstance(M, ExponentialKernel):
-            raise ValidationError(
-                "modal.method: the closed form exists only for exponential kernels"
-            )
+        _check_closed_form(M, "modal")
         t = UniformGrid(n_steps, T).nodes()
         x = closed_form_exp(lam, M.c, M.alpha, t)
     payload = {
@@ -379,21 +334,17 @@ def _run_modal(cfg):
     return [Report("modal", payload, ["t", "x"], rows)]
 
 
-def _run_nodal(cfg):
-    M = _build_kernel(cfg)
+def _run_nodal(cfg, M):
     sec = _check_keys(
         cfg["nodal"], "nodal", {"lam", "T_max"}, {"resolution", "refine_tol", "method"}
     )
-    lam = _num(sec, "nodal", "lam", positive=True)
-    T_max = _num(sec, "nodal", "T_max", positive=True)
-    resolution = _int(sec, "nodal", "resolution", default=2048, lo=64)
-    refine_tol = _num(sec, "nodal", "refine_tol", default=1e-10, positive=True)
+    lam = _get(sec, "nodal", "lam", real, positive=True)
+    T_max = _get(sec, "nodal", "T_max", real, positive=True)
+    resolution = _get(sec, "nodal", "resolution", integer, default=2048, lo=64)
+    refine_tol = _get(sec, "nodal", "refine_tol", real, default=1e-10, positive=True)
     method = _choice(sec, "nodal", "method", {"numeric", "closed"}, "numeric")
     if method == "closed":
-        if not isinstance(M, ExponentialKernel):
-            raise ValidationError(
-                "nodal.method: the closed form exists only for exponential kernels"
-            )
+        _check_closed_form(M, "nodal")
         ns = nodal_set_exp_closed(lam, M.c, M.alpha, T_max)
     else:
         ns = nodal_set_numeric(lam, M, T_max, resolution, refine_tol)
@@ -411,11 +362,9 @@ def _run_nodal(cfg):
     return [Report("nodal", payload, ["zero", "flag"], rows)]
 
 
-def _run_propagate(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
+def _run_propagate(cfg, M, basis):
     sec = _check_keys(cfg["propagate"], "propagate", {"t", "y0"})
-    t = _num(sec, "propagate", "t", nonneg=True)
+    t = _get(sec, "propagate", "t", real, nonneg=True)
     y0 = _field_from_spec(basis, sec["y0"], "propagate.y0")
     out = propagate(y0, M, t)
     payload = {
@@ -433,18 +382,11 @@ def _run_propagate(cfg):
     return [Report("propagate", payload, ["k", "lam", "coeff"], rows)]
 
 
-def _run_residual(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
+def _run_residual(cfg, M, basis):
     sec = _check_keys(cfg["residual"], "residual", {"t"}, {"ks", "hlam_max"})
-    t = _num(sec, "residual", "t", positive=True)
-    hlam_max = _num(sec, "residual", "hlam_max", default=0.125, positive=True)
-    ks = sec.get("ks")
-    if ks is not None and (
-        not isinstance(ks, list)
-        or not all(isinstance(k, int) and not isinstance(k, bool) for k in ks)
-    ):
-        raise ValidationError("residual.ks must be a list of integers")
+    t = _get(sec, "residual", "t", real, positive=True)
+    hlam_max = _get(sec, "residual", "hlam_max", real, default=0.125, positive=True)
+    ks = _get(sec, "residual", "ks", items, each=integer, lo=1)
     table = decomposition_residual(M, t, basis, ks=ks, hlam_max=hlam_max)
     payload = {
         "command": "residual",
@@ -456,10 +398,7 @@ def _run_residual(cfg):
     return [Report("residual", payload, ["k", "lam", "x", "residual"], table.rows)]
 
 
-def _run_check_plan(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
-    plan = _build_plan(cfg, basis)
+def _run_check_plan(cfg, M, basis, plan):
     nonvanishing, active = check_kernel_nonvanishing(plan, M)
     verdict = check_geometric_condition(plan, M, basis.L)
     payload = {
@@ -477,18 +416,9 @@ def _run_check_plan(cfg):
     return [Report("plan_check", payload)]
 
 
-def _run_constants(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
-    plan = _build_plan(cfg, basis)
+def _run_constants(cfg, M, basis, plan):
     sec = _check_keys(cfg.get("constants", {}), "constants", set(), {"K_list"})
-    K_list = sec.get("K_list", [basis.K])
-    if (
-        not isinstance(K_list, list)
-        or not K_list
-        or not all(isinstance(k, int) and not isinstance(k, bool) for k in K_list)
-    ):
-        raise ValidationError("constants.K_list must be a nonempty list of integers")
+    K_list = _get(sec, "constants", "K_list", items, [basis.K], each=integer, lo=1)
     table = constants_table(plan, M, basis, K_list)
     payload = {
         "command": "constants",
@@ -522,15 +452,10 @@ def _run_constants(cfg):
     ]
 
 
-def _run_probe(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
-    plan = _build_plan(cfg, basis)
+def _run_probe(cfg, M, basis, plan):
     sec = _check_keys(cfg["probe"], "probe", {"x0", "radii"})
-    x0 = _num(sec, "probe", "x0")
-    radii = sec["radii"]
-    if not isinstance(radii, list) or not radii:
-        raise ValidationError("probe.radii must be a nonempty list of numbers")
+    x0 = _get(sec, "probe", "x0", real)
+    radii = _get(sec, "probe", "radii", items, each=real, positive=True)
     result = probe_upper_bound(plan, M, basis, x0, radii)
     payload = {
         "command": "probe",
@@ -541,15 +466,11 @@ def _run_probe(cfg):
     return [Report("probe", payload, ["radius", "ratio"], result.rows)]
 
 
-def _run_certify(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
+def _run_certify(cfg, M, basis):
     sec = _check_keys(cfg["certify"], "certify", {"times"}, {"K", "tol"})
-    times = sec["times"]
-    if not isinstance(times, list) or not times:
-        raise ValidationError("certify.times must be a nonempty list of numbers")
-    K = _int(sec, "certify", "K", default=basis.K, lo=1)
-    tol = _num(sec, "certify", "tol", default=1e-10, positive=True)
+    times = _get(sec, "certify", "times", items, each=real, positive=True)
+    K = _get(sec, "certify", "K", integer, default=basis.K, lo=1)
+    tol = _get(sec, "certify", "tol", real, default=1e-10, positive=True)
     cert = backward_uniqueness_certificate(times, M, basis, K=K, tol=tol)
     payload = {"command": "certify", **cert.to_json()}
     rows = [
@@ -568,10 +489,7 @@ def _run_certify(cfg):
     return [Report("certificate", payload, header, rows)]
 
 
-def _run_reconstruct(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
-    plan = _build_plan(cfg, basis)
+def _run_reconstruct(cfg, M, basis, plan):
     sec = _check_keys(
         cfg["reconstruct"],
         "reconstruct",
@@ -584,17 +502,17 @@ def _run_reconstruct(cfg):
         raise ValidationError(
             'reconstruct needs exactly one of "y0" or "data_file"'
         )
-    K = _int(sec, "reconstruct", "K", default=basis.K, lo=1)
-    reg = _num(sec, "reconstruct", "reg", default=0.0, nonneg=True)
+    K = _get(sec, "reconstruct", "K", integer, default=basis.K, lo=1)
+    reg = _get(sec, "reconstruct", "reg", real, default=0.0, nonneg=True)
     cache = ModalCache()
     reports = []
     truth = None
     data_sha = None
     if has_y0:
         truth = _field_from_spec(basis, sec["y0"], "reconstruct.y0")
-        spu = _int(sec, "reconstruct", "samples_per_unit", default=64, lo=16)
-        sigma = _num(sec, "reconstruct", "sigma", default=0.0, nonneg=True)
-        seed = _int(sec, "reconstruct", "seed", default=0)
+        spu = _get(sec, "reconstruct", "samples_per_unit", integer, default=64, lo=16)
+        sigma = _get(sec, "reconstruct", "sigma", real, default=0.0, nonneg=True)
+        seed = _get(sec, "reconstruct", "seed", integer, default=0, lo=0)
         data = simulate_observations(truth, plan, M, spu, sigma, seed, cache=cache)
         reports.append(Report("observations", data.to_json()))
     else:
@@ -612,7 +530,9 @@ def _run_reconstruct(cfg):
             raise ValidationError(f"data_file {path} is not valid JSON: {exc}") from exc
         if isinstance(raw, dict):
             raw.pop("config_sha256", None)  # stamp added by the artifact writer
-        data = ObservationData.from_json(raw, L=basis.L)
+        data = _read(
+            "reconstruct.data_file", ObservationData.from_json, raw, L=basis.L
+        )
         if data.plan != plan:
             raise ValidationError("reconstruct.data_file holds a different plan")
     result = reconstruct_initial(data, M, basis, K=K, reg=reg, cache=cache)
@@ -651,20 +571,17 @@ def _run_reconstruct(cfg):
     return reports
 
 
-def _run_control(cfg):
-    basis = _build_basis(cfg)
-    M = _build_kernel(cfg)
-    plan = _build_plan(cfg, basis)
+def _run_control(cfg, M, basis, plan):
     sec = _check_keys(
         cfg["control"],
         "control",
         {"y0", "y1", "T"},
         {"K", "rank_rtol", "verify"},
     )
-    T = _num(sec, "control", "T", positive=True)
-    K = _int(sec, "control", "K", default=basis.K, lo=1)
-    rank_rtol = _num(sec, "control", "rank_rtol", default=1e-10, positive=True)
-    verify = _bool(sec, "control", "verify", True)
+    T = _get(sec, "control", "T", real, positive=True)
+    K = _get(sec, "control", "K", integer, default=basis.K, lo=1)
+    rank_rtol = _get(sec, "control", "rank_rtol", real, default=1e-10, positive=True)
+    verify = _get(sec, "control", "verify", flag, default=True)
     y0 = _field_from_spec(basis, sec["y0"], "control.y0")
     y1 = _field_from_spec(basis, sec["y1"], "control.y1")
     result = impulse_control(y0, y1, plan, T, M, K=K, rank_rtol=rank_rtol)
@@ -730,9 +647,20 @@ def run_command(name: str, config: ExperimentConfig) -> int:
     if name not in _COMMANDS:
         raise ValidationError(f"unknown command {name!r}")
     runner, required, optional = _COMMANDS[name]
-    _check_keys(config.data, "config", required, optional | {"out"})
+    cfg = _check_keys(config.data, "config", required, optional | {"out"})
     t0 = time.perf_counter()
-    reports = runner(config.data)
+    shared = {"M": _read("kernel", kernel_from_spec, cfg["kernel"])}
+    if "basis" in required:
+        sec = _check_keys(cfg["basis"], "basis", {"L", "K"})
+        shared["basis"] = SpectralBasis(
+            _get(sec, "basis", "L", real, positive=True),
+            _get(sec, "basis", "K", integer, lo=1),
+        )
+    if "plan" in required:
+        shared["plan"] = _read(
+            "plan", SamplingPlan.from_json, cfg["plan"], L=shared["basis"].L
+        )
+    reports = runner(cfg, **shared)
     paths = emit_report(reports, config.out_dir, config_sha=config.sha256)
     meta = {
         "command": name,

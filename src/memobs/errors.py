@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that turn
+outside JSON values into numbers.
+
+Every number or flag read from a config, a ``--set`` override or a data file
+passes through ``real``, ``integer``, ``flag`` or ``items``: a real is a
+finite number, an integer is an int, a flag is true or false, and a bool is
+never a number.  Each error names the path of the offending value.
+"""
+
+from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 
 class MemobsError(Exception):
@@ -19,3 +31,40 @@ class StabilityError(NumericalError):
 
 class SeriesDivergenceError(NumericalError):
     """The kernel series failed to reach the requested tolerance."""
+
+
+def real(v, path: str, positive: bool = False, nonneg: bool = False) -> float:
+    """``v`` as a finite float; bools and non-numbers are rejected."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise ValidationError(f"{path} must be a number")
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValidationError(f"{path} must be finite")
+    if positive and v <= 0:
+        raise ValidationError(f"{path} must be positive")
+    if nonneg and v < 0:
+        raise ValidationError(f"{path} must be nonnegative")
+    return v
+
+
+def integer(v, path: str, lo: int | None = None) -> int:
+    """``v`` as an int of at least ``lo``; bools and floats are rejected."""
+    if isinstance(v, bool) or not isinstance(v, Integral):
+        raise ValidationError(f"{path} must be an integer")
+    if lo is not None and v < lo:
+        raise ValidationError(f"{path} must be >= {lo}")
+    return int(v)
+
+
+def flag(v, path: str) -> bool:
+    """``v`` if it is true or false; numbers and strings are rejected."""
+    if not isinstance(v, bool):
+        raise ValidationError(f"{path} must be true or false")
+    return v
+
+
+def items(v, path: str, each, **bounds) -> list:
+    """A nonempty JSON list, every entry passed through the checker ``each``."""
+    if not isinstance(v, list) or not v:
+        raise ValidationError(f"{path} must be a nonempty list")
+    return [each(x, f"{path}[{i}]", **bounds) for i, x in enumerate(v)]

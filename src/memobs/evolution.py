@@ -144,6 +144,9 @@ def decomposition_residual(
         ks = np.arange(1, basis.K + 1)
     else:
         ks = np.asarray(list(ks), dtype=int)
+    bad = [int(k) for k in ks if not 1 <= k <= basis.K]
+    if bad:
+        raise ValidationError(f"ks must lie in 1..{basis.K}, got {bad}")
     if ks.size < 8:
         raise ValidationError("need at least 8 modes for a decay fit")
     lams = basis.eigenvalues[ks - 1]

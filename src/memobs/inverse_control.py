@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, integer, items, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
 from .modal import _march, _n_steps
@@ -142,36 +142,19 @@ def backward_uniqueness_certificate(
     for idx in range(K):
         thr = tol * sups[idx]
         col = values[:, idx]
-        hit = None
-        for j in range(len(times)):
-            if abs(col[j]) > thr:
-                hit = j
-                break
-        if hit is None:
-            j_best = int(np.argmax(np.abs(col)))
-            witnesses.append(
-                ModeWitness(
-                    k=idx + 1,
-                    lam=float(lams[idx]),
-                    witness_index=None,
-                    witness_time=None,
-                    value=float(col[j_best]),
-                    sup=float(sups[idx]),
-                    threshold=thr,
-                )
+        hit = next((j for j in range(len(times)) if abs(col[j]) > thr), None)
+        j = int(np.argmax(np.abs(col))) if hit is None else hit
+        witnesses.append(
+            ModeWitness(
+                k=idx + 1,
+                lam=float(lams[idx]),
+                witness_index=hit,
+                witness_time=None if hit is None else times[hit],
+                value=float(col[j]),
+                sup=float(sups[idx]),
+                threshold=thr,
             )
-        else:
-            witnesses.append(
-                ModeWitness(
-                    k=idx + 1,
-                    lam=float(lams[idx]),
-                    witness_index=hit,
-                    witness_time=times[hit],
-                    value=float(col[hit]),
-                    sup=float(sups[idx]),
-                    threshold=thr,
-                )
-            )
+        )
     return Certificate(K=K, times=tuple(times), tol=tol, modes=tuple(witnesses))
 
 
@@ -225,18 +208,28 @@ class ObservationData:
         unknown = set(data) - required - {"generator"}
         if unknown:
             raise ValidationError(f"unknown observation entries: {sorted(unknown)}")
-        plan = SamplingPlan.from_json(data["plan"], L=L)
+        try:
+            plan = SamplingPlan.from_json(data["plan"], L=L)
+        except ValidationError as exc:
+            raise ValidationError(f"plan: {exc}") from exc
+        if not isinstance(data["blocks"], list) or len(data["blocks"]) != plan.m:
+            raise ValidationError("blocks must be a list with one block per instant")
         blocks = []
-        if len(data["blocks"]) != plan.m:
-            raise ValidationError("one block per plan instant is required")
-        for entry, raw in zip(plan.entries, data["blocks"]):
-            xs = np.asarray(raw["xs"], dtype=float)
-            values = np.asarray(raw["values"], dtype=float)
-            if xs.shape != values.shape or xs.ndim != 1:
-                raise ValidationError("block xs and values must be equal-length lists")
+        for i, (entry, raw) in enumerate(zip(plan.entries, data["blocks"])):
+            path = f"blocks[{i}]"
+            if not isinstance(raw, dict) or set(raw) != {"t", "xs", "values"}:
+                raise ValidationError(
+                    f'{path} must be an object with "t", "xs" and "values"'
+                )
+            if real(raw["t"], f"{path}.t") != entry.t:
+                raise ValidationError(f"{path}.t is not the plan instant {entry.t}")
+            xs = np.asarray(items(raw["xs"], f"{path}.xs", real))
+            values = np.asarray(items(raw["values"], f"{path}.values", real))
+            if xs.shape != values.shape:
+                raise ValidationError(f"{path}: xs and values differ in length")
             blocks.append(
                 ObservationBlock(
-                    t=float(raw["t"]),
+                    t=entry.t,
                     xs=xs,
                     values=values,
                     weights=_segment_weights(xs, entry.region),
@@ -244,8 +237,8 @@ class ObservationData:
             )
         return cls(
             plan=plan,
-            sigma=float(data["sigma"]),
-            seed=int(data["seed"]),
+            sigma=real(data["sigma"], "sigma", nonneg=True),
+            seed=integer(data["seed"], "seed", lo=0),
             blocks=blocks,
             generator=data.get("generator", NOISE_GENERATOR),
         )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import SeriesDivergenceError, ValidationError
+from .errors import SeriesDivergenceError, ValidationError, items, real
 
 MAX_SERIES_TERMS = 64
 
@@ -154,10 +154,14 @@ class TabulatedKernel(MemoryKernel):
 
 _KINDS = {
     "zero": lambda d: ZeroKernel(),
-    "constant": lambda d: ConstantKernel(d["value"]),
+    "constant": lambda d: ConstantKernel(real(d["value"], "value")),
     "linear": lambda d: LinearKernel(),
-    "exponential": lambda d: ExponentialKernel(d["c"], d["alpha"]),
-    "tabulated": lambda d: TabulatedKernel(d["times"], d["values"]),
+    "exponential": lambda d: ExponentialKernel(
+        real(d["c"], "c"), real(d["alpha"], "alpha")
+    ),
+    "tabulated": lambda d: TabulatedKernel(
+        items(d["times"], "times", real), items(d["values"], "values", real)
+    ),
 }
 
 _KIND_FIELDS = {
@@ -174,7 +178,7 @@ def kernel_from_spec(spec: dict) -> MemoryKernel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValidationError('kernel spec must be an object with a "kind" entry')
     kind = spec["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown kernel kind {kind!r}")
     extra = set(spec) - _KIND_FIELDS[kind] - {"kind"}
     if extra:
@@ -182,12 +186,7 @@ def kernel_from_spec(spec: dict) -> MemoryKernel:
     missing = _KIND_FIELDS[kind] - set(spec)
     if missing:
         raise ValidationError(f"kernel {kind!r} missing fields: {sorted(missing)}")
-    try:
-        return _KINDS[kind](spec)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"bad kernel spec: {exc}") from exc
+    return _KINDS[kind](spec)
 
 
 @dataclass(frozen=True)

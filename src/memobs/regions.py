@@ -9,9 +9,10 @@ covering verdicts derived from set complements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, flag, real
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class Interval:
     def __post_init__(self) -> None:
         a = float(self.a)
         b = float(self.b)
-        if not (a == a and b == b) or a in (float("inf"), float("-inf")):
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError("interval endpoints must be finite")
         if not a < b:
             raise ValidationError(f"interval needs a < b, got [{a}, {b}]")
@@ -47,31 +48,33 @@ class Interval:
         return False
 
 
-def _coerce_interval(item) -> Interval:
+def _coerce_interval(item, path: str) -> Interval:
+    """An Interval from [a, b], [a, b, closed_left, closed_right] or an
+    object with those fields; ``path`` names the item in error messages."""
     if isinstance(item, Interval):
         return item
     if isinstance(item, dict):
         unknown = set(item) - {"a", "b", "closed_left", "closed_right"}
         if unknown:
-            raise ValidationError(f"unknown interval fields: {sorted(unknown)}")
+            raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
         try:
             return Interval(
-                float(item["a"]),
-                float(item["b"]),
-                bool(item.get("closed_left", True)),
-                bool(item.get("closed_right", True)),
+                real(item["a"], f"{path}.a"),
+                real(item["b"], f"{path}.b"),
+                flag(item.get("closed_left", True), f"{path}.closed_left"),
+                flag(item.get("closed_right", True), f"{path}.closed_right"),
             )
         except KeyError as exc:
-            raise ValidationError(f"interval object missing field {exc}") from exc
+            raise ValidationError(f"{path}: missing field {exc}") from exc
     try:
         parts = list(item)
     except TypeError as exc:
-        raise ValidationError(f"cannot interpret {item!r} as an interval") from exc
-    if len(parts) == 2:
-        return Interval(float(parts[0]), float(parts[1]))
-    if len(parts) == 4:
-        return Interval(float(parts[0]), float(parts[1]), bool(parts[2]), bool(parts[3]))
-    raise ValidationError(f"interval needs 2 or 4 entries, got {len(parts)}")
+        raise ValidationError(f"{path} is not an interval: {item!r}") from exc
+    if len(parts) not in (2, 4):
+        raise ValidationError(f"{path} needs 2 or 4 entries, got {len(parts)}")
+    a, b = (real(x, f"{path}[{i}]") for i, x in enumerate(parts[:2]))
+    flags = (flag(x, f"{path}[{i}]") for i, x in enumerate(parts[2:], 2))
+    return Interval(a, b, *flags)
 
 
 class ObservationRegion:
@@ -83,7 +86,7 @@ class ObservationRegion:
     """
 
     def __init__(self, intervals=(), L: float | None = None):
-        items = [_coerce_interval(it) for it in intervals]
+        items = [_coerce_interval(it, f"region[{i}]") for i, it in enumerate(intervals)]
         if L is not None:
             L = float(L)
             if L <= 0:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
 from .regions import ObservationRegion, UncoveredSet, complement
@@ -89,17 +89,20 @@ class SamplingPlan:
         unknown = set(data) - {"instants"}
         if unknown:
             raise ValidationError(f"unknown plan entries: {sorted(unknown)}")
+        if not isinstance(data["instants"], list):
+            raise ValidationError("instants must be a list")
         entries = []
         for i, item in enumerate(data["instants"]):
             if not isinstance(item, dict) or set(item) != {"t", "region"}:
                 raise ValidationError(
                     f'instants[{i}] must be an object with "t" and "region"'
                 )
+            t = real(item["t"], f"instants[{i}].t", positive=True)
             try:
                 region = ObservationRegion.from_json(item["region"], L=L)
             except ValidationError as exc:
-                raise ValidationError(f"instants[{i}].region: {exc}") from exc
-            entries.append((item["t"], region))
+                raise ValidationError(f"instants[{i}]: {exc}") from exc
+            entries.append((t, region))
         return cls(entries)
 
     def __eq__(self, other) -> bool:
@@ -383,8 +386,8 @@ def probe_upper_bound(
     decreasing list of ball radii.  Each ratio upper-bounds the sum-of-norms
     observability constant on the truncated space."""
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValidationError("radii must be positive")
+    if not radii or any(not math.isfinite(r) or r <= 0 for r in radii):
+        raise ValidationError("radii must be positive and finite")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly decreasing")
     lams = basis.eigenvalues

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, items, real
 from .regions import ObservationRegion
 
 
@@ -135,14 +135,10 @@ class SpectralField:
     def from_json(cls, data) -> "SpectralField":
         if isinstance(data, str):
             data = json.loads(data)
-        unknown = set(data) - {"L", "K", "coeffs"}
-        if unknown:
-            raise ValidationError(f"unknown field entries: {sorted(unknown)}")
-        try:
-            basis = SpectralBasis(data["L"], data["K"])
-            return cls(basis, data["coeffs"])
-        except KeyError as exc:
-            raise ValidationError(f"field JSON missing {exc}") from exc
+        if not isinstance(data, dict) or set(data) != {"L", "K", "coeffs"}:
+            raise ValidationError('field JSON needs exactly "L", "K" and "coeffs"')
+        basis = SpectralBasis(real(data["L"], "L"), integer(data["K"], "K"))
+        return cls(basis, items(data["coeffs"], "coeffs", real))
 
     def __repr__(self) -> str:
         return f"SpectralField(K={self.basis.K}, L={self.basis.L!r})"

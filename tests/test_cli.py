@@ -6,6 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from memobs import (
+    SamplingPlan,
+    SpectralBasis,
+    SpectralField,
+    kernel_from_spec,
+    simulate_observations,
+)
+from memobs.cli import main
+
 PI = math.pi
 EXP1 = {"kind": "exponential", "c": 1.0, "alpha": 0.0}
 EXP4 = {"kind": "exponential", "c": 4.0, "alpha": 0.0}
@@ -285,3 +294,146 @@ def test_check_plan_verdict(tmp_path):
     doc = json.loads((tmp_path / "plan_check.json").read_text())
     assert doc["verdict"] == "Strong"
     assert doc["kernel_nonvanishing"] is True
+
+
+def _observations_doc():
+    y0 = SpectralField(SpectralBasis(PI, 8), [1.0] + [0.0] * 7)
+    plan = SamplingPlan.from_json(FULL_PLAN, L=PI)
+    return simulate_observations(y0, plan, kernel_from_spec(EXP1), 16).to_json()
+
+
+def _bad(command, overrides, where, tamper=None, name=None):
+    """A malformed input: ``--set`` overrides of the command's test config, or
+    an in-place change ``tamper`` to a valid reconstruct data file; ``where``
+    is the text that must name the offending path."""
+    return pytest.param(command, overrides, tamper, where, id=name)
+
+
+# Malformed values from a config, a --set override or a data file: each must
+# exit 1 with an error line naming its path, never a traceback or exit 0.
+BAD_INPUTS = [
+    _bad("certify", ['certify.times=["a"]'], "certify.times[0]", name="time-string"),
+    _bad("certify", ["certify.times=[null]"], "certify.times[0]", name="time-null"),
+    _bad(
+        "certify", ["certify.times=[true, 0.4]"], "certify.times[0]", name="time-bool"
+    ),
+    _bad("probe", ['probe.radii=["x"]'], "probe.radii[0]", name="radius-string"),
+    _bad("probe", ["probe.radii=[0.2, NaN]"], "probe.radii[1]", name="radius-nan"),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": "abc", "region": [[0, 1]]}]'],
+        "plan: instants[0].t",
+        name="instant-string",
+    ),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": true, "region": [[0, 1]]}]'],
+        "plan: instants[0].t",
+        name="instant-bool",
+    ),
+    _bad("check-plan", ["plan.instants=5"], "plan: instants", name="instants-number"),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": 0.5, "region": [[0.0, "x"]]}]'],
+        "plan: instants[0]: region[0][1]",
+        name="endpoint-string",
+    ),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": 0.5, "region": [[0.0, 1.0, "x", 1]]}]'],
+        "plan: instants[0]: region[0][2]",
+        name="interval-flag-string",
+    ),
+    _bad(
+        "propagate",
+        ["basis.K=4", 'propagate.y0={"coeffs": ["1", 0, 0, 0]}'],
+        "propagate.y0.coeffs[0]",
+        name="coeff-string",
+    ),
+    _bad(
+        "propagate",
+        ["basis.K=4", 'propagate.y0={"coeffs": [true, 0, 0, 0]}'],
+        "propagate.y0.coeffs[0]",
+        name="coeff-bool",
+    ),
+    _bad(
+        "residual",
+        ["residual.ks=[0,1,2,3,4,5,6,7,8,16]"],
+        "residual.ks[0]",
+        name="mode-zero",
+    ),
+    _bad(
+        "residual",
+        ["residual.ks=[1,2,3,4,5,6,7,8,100]"],
+        "ks must lie in 1..16",
+        name="mode-above-K",
+    ),
+    _bad("modal", ['kernel={"kind": []}'], "kernel: unknown", name="kernel-kind-list"),
+    _bad("modal", ["modal.method=[1]"], "modal.method", name="method-list"),
+    _bad(
+        "reconstruct", ["reconstruct.seed=-1"], "reconstruct.seed", name="seed-below-0"
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: seed",
+        tamper=lambda d: d.update(seed="abc"),
+        name="data-seed-string",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: sigma",
+        tamper=lambda d: d.update(sigma="x"),
+        name="data-sigma-string",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: blocks[0]",
+        tamper=lambda d: d["blocks"][0].pop("xs"),
+        name="data-block-without-xs",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: blocks[0]",
+        tamper=lambda d: d["blocks"].__setitem__(0, [1, 2]),
+        name="data-block-not-object",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: blocks[0].t",
+        tamper=lambda d: d["blocks"][0].update(t=123.0),
+        name="data-block-time-off-plan",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: blocks",
+        tamper=lambda d: d.update(blocks=5),
+        name="data-blocks-number",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, overrides, tamper, where", BAD_INPUTS)
+def test_bad_input_exits_1_naming_the_path(
+    command, overrides, tamper, where, tmp_path, capsys
+):
+    if tamper is not None:
+        doc = _observations_doc()
+        tamper(doc)
+        data_file = tmp_path / "observations.json"
+        data_file.write_text(json.dumps(doc), encoding="utf-8")
+        overrides = [f"reconstruct={json.dumps({'data_file': str(data_file)})}"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(CONFIGS[command]), encoding="utf-8")
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    for item in overrides:
+        argv += ["--set", item]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("error:") and where in err, err

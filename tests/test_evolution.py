@@ -102,3 +102,6 @@ def test_decomposition_residual_validation(exp_kernel):
     with pytest.raises(ValidationError):
         # modes 8..11 span less than a decade in lambda
         decomposition_residual(exp_kernel, 1.0, basis, ks=[8, 9, 10, 11] * 2)
+    for bad_k in (0, 17):  # k = 0 would read mode K through index -1
+        with pytest.raises(ValidationError, match="ks must lie in 1..16"):
+            decomposition_residual(exp_kernel, 1.0, basis, ks=[*range(1, 10), bad_k])

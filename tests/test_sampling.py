@@ -227,6 +227,6 @@ class TestProbe:
     def test_radii_validation(self, cache, exp_kernel):
         basis = SpectralBasis(math.pi, 8)
         plan = full_plan([0.5])
-        for bad in ([], [0.1, 0.1], [0.05, 0.1], [0.1, -0.05]):
+        for bad in ([], [0.1, 0.1], [0.05, 0.1], [0.1, -0.05], [0.2, math.nan]):
             with pytest.raises(ValidationError):
                 probe_upper_bound(plan, exp_kernel, basis, 0.8, bad, cache=cache)

@@ -140,6 +140,11 @@ def test_region_merging_and_measure():
         ObservationRegion([[1.0, 0.5]])
     with pytest.raises(ValidationError):
         ObservationRegion([[0.0, 2.0]], L=1.0)
+    with pytest.raises(ValidationError):
+        Interval(0.0, math.inf)
+    for bad in ([0.0, "1"], [0.0, True], [0.0, 1.0, "x", True], [0.0, 1.0, 1, True]):
+        with pytest.raises(ValidationError, match=r"region\[0\]\["):
+            ObservationRegion([bad])
 
 
 def test_open_endpoints_leave_a_point_uncovered():
