@@ -208,6 +208,8 @@ class ObservationData:
         unknown = set(data) - required - {"generator"}
         if unknown:
             raise ValidationError(f"unknown observation entries: {sorted(unknown)}")
+        if data.get("generator", NOISE_GENERATOR) != NOISE_GENERATOR:
+            raise ValidationError(f"generator must be {NOISE_GENERATOR!r}")
         try:
             plan = SamplingPlan.from_json(data["plan"], L=L)
         except ValidationError as exc:
@@ -240,7 +242,6 @@ class ObservationData:
             sigma=real(data["sigma"], "sigma", nonneg=True),
             seed=integer(data["seed"], "seed", lo=0),
             blocks=blocks,
-            generator=data.get("generator", NOISE_GENERATOR),
         )
 
 

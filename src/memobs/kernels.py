@@ -41,9 +41,17 @@ class MemoryKernel:
     def spec_dict(self) -> dict:
         raise NotImplementedError
 
+    def exp_form(self) -> tuple[float, float] | None:
+        """(c, alpha) when M(t) = c exp(alpha t) exactly, else None."""
+        return None
+
     def cache_key(self) -> str:
-        blob = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        # Kernels are immutable, so the hash of the spec is computed once.
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            blob = json.dumps(self.spec_dict(), sort_keys=True, separators=(",", ":"))
+            key = self._cache_key = hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MemoryKernel) and self.spec_dict() == other.spec_dict()
@@ -64,6 +72,9 @@ class ZeroKernel(MemoryKernel):
     def spec_dict(self) -> dict:
         return {"kind": "zero"}
 
+    def exp_form(self) -> tuple[float, float]:
+        return 0.0, 0.0
+
 
 class ConstantKernel(MemoryKernel):
     def __init__(self, value: float):
@@ -79,6 +90,9 @@ class ConstantKernel(MemoryKernel):
 
     def spec_dict(self) -> dict:
         return {"kind": "constant", "value": self.value}
+
+    def exp_form(self) -> tuple[float, float]:
+        return self.value, 0.0
 
 
 class LinearKernel(MemoryKernel):
@@ -112,6 +126,9 @@ class ExponentialKernel(MemoryKernel):
 
     def spec_dict(self) -> dict:
         return {"kind": "exponential", "c": self.c, "alpha": self.alpha}
+
+    def exp_form(self) -> tuple[float, float]:
+        return self.c, self.alpha
 
 
 class TabulatedKernel(MemoryKernel):

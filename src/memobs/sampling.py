@@ -44,11 +44,11 @@ class PlanEntry:
 
 
 class SamplingPlan:
-    """Instants t_j > 0 paired with observation regions."""
+    """Instants t_j > 0 paired with nonempty observation regions."""
 
     def __init__(self, entries):
         items = []
-        for entry in entries:
+        for j, entry in enumerate(entries):
             if isinstance(entry, PlanEntry):
                 t, region = entry.t, entry.region
             else:
@@ -58,6 +58,8 @@ class SamplingPlan:
                 raise ValidationError("sampling instants must be positive")
             if not isinstance(region, ObservationRegion):
                 region = ObservationRegion(region)
+            if region.is_empty:
+                raise ValidationError(f"instants[{j}]: observation region is empty")
             items.append(PlanEntry(t, region))
         if not items:
             raise ValidationError("a sampling plan needs at least one instant")

@@ -415,6 +415,25 @@ BAD_INPUTS = [
         tamper=lambda d: d.update(blocks=5),
         name="data-blocks-number",
     ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: generator",
+        tamper=lambda d: d.update(generator=5),
+        name="data-generator-number",
+    ),
+    _bad(
+        "constants",
+        ['plan.instants=[{"t": 0.5, "region": []}]'],
+        "plan: instants[0]",
+        name="constants-empty-region",
+    ),
+    _bad(
+        "probe",
+        ['plan.instants=[{"t": 0.5, "region": []}]'],
+        "plan: instants[0]",
+        name="probe-empty-region",
+    ),
 ]
 
 

@@ -138,6 +138,10 @@ class TestObservations:
         ragged["blocks"][0]["values"] = ragged["blocks"][0]["values"][:-1]
         with pytest.raises(ValidationError):
             ObservationData.from_json(ragged)
+        for generator in (5, None, "numpy.random.default_rng"):
+            with pytest.raises(ValidationError, match="generator"):
+                ObservationData.from_json({**doc, "generator": generator})
+        assert ObservationData.from_json(doc).generator == data.generator
 
     def test_simulate_validation(self, cache, exp_kernel):
         basis = SpectralBasis(math.pi, 4)

@@ -51,6 +51,31 @@ def test_spec_round_trip():
         np.testing.assert_allclose(back(t), M(t), rtol=1e-15)
 
 
+def test_cache_key_is_fixed_and_shared_by_equal_kernels():
+    # frozen from the spec hash, so memoizing the key never changes it
+    M = ExponentialKernel(2.0, -1.0)
+    assert M.cache_key() == "d7759630e90137f5"
+    assert M.cache_key() == M.cache_key()
+    assert ZeroKernel().cache_key() == "76bfedc338b82151"
+    tab = [0.0, 0.5, 1.0, 2.0], [1.0, 0.5, 0.3, 0.1]
+    pairs = [
+        (ExponentialKernel(2.0, -1.0), M),
+        (TabulatedKernel(*tab), kernel_from_spec(TabulatedKernel(*tab).spec_dict())),
+        (ConstantKernel(-1.0), ConstantKernel(-1.0)),
+    ]
+    for a, b in pairs:
+        assert a == b and a.cache_key() == b.cache_key() and hash(a) == hash(b)
+    assert ExponentialKernel(2.0, -0.5).cache_key() != M.cache_key()
+
+
+def test_exp_form_marks_the_exponential_family():
+    assert ZeroKernel().exp_form() == (0.0, 0.0)
+    assert ConstantKernel(-1.5).exp_form() == (-1.5, 0.0)
+    assert ExponentialKernel(2.0, -1.0).exp_form() == (2.0, -1.0)
+    assert LinearKernel().exp_form() is None
+    assert TabulatedKernel([0.0, 0.5, 1.0, 2.0], [1.0, 0.5, 0.3, 0.1]).exp_form() is None
+
+
 def test_from_spec_validation():
     with pytest.raises(ValidationError):
         kernel_from_spec({"kind": "cubic"})

@@ -9,11 +9,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memobs import (
     ConstantKernel,
     ExponentialKernel,
     LinearKernel,
+    MemoryKernel,
     StabilityError,
     TabulatedKernel,
     UniformGrid,
@@ -26,6 +29,7 @@ from memobs import (
     solve_modal_richardson,
     solve_modal_volterra,
 )
+from memobs import modal
 from memobs.modal import _march
 
 # M(t) = 2 exp(-t), lam = 4: roots -2 and -3, x(t) = 2 exp(-3t) - exp(-2t)
@@ -103,6 +107,93 @@ def test_march_jump_is_superposition(M, lam):
     assert x[-1] == pytest.approx(x0 * free + d * kick, rel=1e-11)
     # before the jump node the trajectory is the jump-free one
     np.testing.assert_array_equal(x[:p], _march(lam, M, T, n, x0)[1][:p])
+
+
+class _LoopOnly(MemoryKernel):
+    """The same M(t) with no exponential form, so it takes the dot-product
+    loop: the reference the banded solve is checked against."""
+
+    def __init__(self, M):
+        self.M = M
+
+    def __call__(self, t):
+        return self.M(t)
+
+    def spec_dict(self) -> dict:
+        return {"kind": "loop-only", "inner": self.M.spec_dict()}
+
+
+def _exp_family(kind, c, alpha):
+    if kind == "exponential":
+        return ExponentialKernel(abs(c) + 0.1, alpha)
+    if kind == "constant":
+        return ConstantKernel(c)
+    return ZeroKernel()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["exponential", "constant", "zero"]),
+    lam=st.floats(0.5, 500.0),
+    c=st.floats(-20.0, 50.0),
+    alpha=st.floats(-3.0, 1.0),
+    T=st.floats(0.1, 3.0),
+    n=st.integers(8, 3 * modal._BLOCK),
+    x0=st.floats(-2.0, 2.0),
+    kicks=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), max_size=2
+    ),
+)
+# A growing kernel on a long march, where the rounding of q compounds most:
+# it needs the per-block restart of the history sum.
+@example(
+    kind="exponential", lam=1.0, c=3.9, alpha=2.0, T=3.0, n=16384, x0=1.0, kicks=[]
+)
+# Jumps at the last node of the first block and the first of the second.
+@example(
+    kind="exponential",
+    lam=9.0,
+    c=2.0,
+    alpha=-1.0,
+    T=1.5,
+    n=2 * modal._BLOCK + 100,
+    x0=0.7,
+    kicks=[
+        ((modal._BLOCK - 1.5) / (2 * modal._BLOCK + 98), -0.45),
+        ((modal._BLOCK - 0.5) / (2 * modal._BLOCK + 98), 1.2),
+    ],
+)
+def test_banded_march_matches_dot_product_march(
+    kind, lam, c, alpha, T, n, x0, kicks
+):
+    M = _exp_family(kind, c, alpha)
+    n = max(n, math.ceil(T * lam / 2.0))
+    jumps = {}
+    for frac, d in kicks:
+        p = 1 + int(frac * (n - 2))
+        jumps[p] = jumps.get(p, 0.0) + d
+    t, x = _march(lam, M, T, n, x0, jumps)
+    t_ref, x_ref = _march(lam, _LoopOnly(M), T, n, x0, jumps)
+    np.testing.assert_array_equal(t, t_ref)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+def test_exponential_family_never_takes_the_loop(monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("exponential-family kernel fell back to the loop")
+
+    monkeypatch.setattr(modal, "_march_loop", no_loop)
+    for M in (ExponentialKernel(2.0, -1.0), ConstantKernel(-1.0), ZeroKernel()):
+        solve_modal_richardson(9.0, M, 1.5, 384)
+        _march(9.0, M, 1.5, 384, 0.7, {144: -0.45})
+    with pytest.raises(AssertionError, match="fell back"):
+        _march(9.0, _LoopOnly(ZeroKernel()), 1.5, 384)
+
+
+def test_march_rejects_jumps_off_the_interior():
+    for p in (0, 384, 400):
+        with pytest.raises(ValidationError):
+            _march(9.0, ZeroKernel(), 1.5, 384, 1.0, {p: 0.5})
 
 
 def test_zero_kernel_march_is_pade_exponential():

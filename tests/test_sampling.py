@@ -53,6 +53,12 @@ class TestPlan:
         with pytest.raises(ValidationError):
             SamplingPlan([(math.inf, FULL)])
 
+    def test_rejects_empty_region(self):
+        with pytest.raises(ValidationError, match=r"instants\[1\]"):
+            SamplingPlan([(0.5, FULL), (0.8, [])])
+        with pytest.raises(ValidationError, match=r"instants\[0\]"):
+            SamplingPlan.from_json({"instants": [{"t": 0.5, "region": []}]})
+
     def test_json_round_trip(self):
         plan = SamplingPlan([(0.5, [[0.0, 1.0]]), (1.25, [[2.0, 3.0]])])
         again = SamplingPlan.from_json(plan.to_json())
