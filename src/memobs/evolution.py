@@ -17,12 +17,11 @@ the product-trapezoidal march.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, real
 from .kernels import MemoryKernel
 from .modal import _n_steps, solve_modal_richardson
 from .spectral import SpectralBasis, SpectralField
@@ -37,8 +36,7 @@ class ModalCache:
     The step policy belongs to the cache and is fixed when it is built:
     every value is a pair (x(t), sup |x| on [0, t]) from a
     Richardson-extrapolated solve with
-    n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps.  A lock guards the
-    entries, so one cache may be used concurrently.
+    n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps.
     """
 
     def __init__(self, hlam_max: float = DEFAULT_HLAM_MAX):
@@ -46,7 +44,6 @@ class ModalCache:
             raise ValidationError("hlam_max must lie in (0, 2]")
         self.hlam_max = float(hlam_max)
         self._data: dict[tuple, tuple[float, float]] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -54,22 +51,18 @@ class ModalCache:
     def value_and_sup(
         self, M: MemoryKernel, lam: float, t: float
     ) -> tuple[float, float]:
-        lam = float(lam)
-        t = float(t)
-        if t < 0:
-            raise ValidationError("time must be nonnegative")
+        lam = real(float(lam), "lam", positive=True)
+        t = real(float(t), "time", nonneg=True)
         if t == 0.0:
             return 1.0, 1.0
         key = (M.cache_key(), lam, t)
-        with self._lock:
-            hit = self._data.get(key)
+        hit = self._data.get(key)
         if hit is not None:
             return hit
         n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
         _, x = solve_modal_richardson(lam, M, t, n)
         entry = (float(x[-1]), float(np.max(np.abs(x))))
-        with self._lock:
-            self._data[key] = entry
+        self._data[key] = entry
         return entry
 
     def value(self, M, lam, t) -> float:

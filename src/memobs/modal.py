@@ -16,9 +16,12 @@ problem to x'' + (lam - alpha) x' + (c - alpha lam) x = 0.
 A march of n steps costs O(n) for kernels of the form c exp(alpha t) (the
 exponential, constant and zero kernels): their history sum obeys a two-term
 recurrence, so the trajectory comes from banded triangular solves.  Other
-kernels (linear, tabulated) take an O(n^2) loop with one history dot product
-per step.  The loop computes the same scheme, so it stays as the reference
-the banded solve is tested against.
+kernels (linear, tabulated) cost O(n log^2 n): the scheme is a lower
+triangular Toeplitz system, solved by divide and conquer with FFT history
+updates.  Both solve the scheme exactly, not an approximation of the kernel.
+The O(n^2) loop with one history dot product per step computes the same
+scheme; no production path calls it, and it stays as the reference both fast
+solves are tested against.
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically by sign-change scanning plus
@@ -32,10 +35,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, rfft
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dtbtrs, dtrtrs
 
-from .errors import NumericalError, StabilityError, ValidationError
+from .errors import NumericalError, StabilityError, ValidationError, real
 from .kernels import (
     KernelGridFunction,
     MemoryKernel,
@@ -50,6 +55,10 @@ SUSPECTED_TANGENTIAL = "suspected-tangential"
 # Steps per banded solve in _march_banded; the drift of its history
 # recurrence grows with this, the per-block overhead shrinks.
 _BLOCK = 1024
+
+# Steps per leaf of _march_dc, solved densely; across leaves the history
+# moves by FFT convolutions.
+_LEAF = 256
 
 
 @dataclass
@@ -135,16 +144,13 @@ def _march(
 
     A kernel with an exponential form M(t) = c exp(alpha t) (exponential,
     constant and zero kernels) takes the O(n) banded solves of
-    ``_march_banded``; every other kernel takes the O(n^2) dot-product loop
-    of ``_march_loop``.  Both compute the same scheme, so the loop is also
-    the oracle the banded solve is tested against.
+    ``_march_banded``; every other kernel (linear, tabulated) takes the
+    O(n log^2 n) divide-and-conquer solve of ``_march_dc``.  Both compute
+    the same scheme as the O(n^2) dot-product loop ``_march_loop``, which no
+    production path calls: it is the oracle the tests check both against.
     """
-    lam = float(lam)
-    T = float(T)
-    if lam <= 0:
-        raise ValidationError("lam must be positive")
-    if T <= 0:
-        raise ValidationError("horizon T must be positive")
+    lam = real(float(lam), "lam", positive=True)
+    T = real(float(T), "horizon T", positive=True)
     if int(n_steps) != n_steps or n_steps < 8:
         raise ValidationError("n_steps must be an integer >= 8")
     n = int(n_steps)
@@ -165,7 +171,7 @@ def _march(
         raise StabilityError("implicit step is singular; refine the grid")
     form = M.exp_form()
     if form is None:
-        x = _march_loop(lam, Mg, h, denom, x0, jumps)
+        x = _march_dc(lam, Mg, h, denom, x0, jumps)
     else:
         x = _march_banded(lam, Mg, h, denom, x0, jumps, *form)
     if not np.all(np.isfinite(x)):
@@ -285,6 +291,104 @@ def _march_banded(lam, Mg, h, denom, x0, jumps, c, alpha) -> np.ndarray:
     for p, d in jumps.items():
         x[p] += d
     return x
+
+
+def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
+    """The march as a lower-triangular Toeplitz solve, by divide and conquer.
+
+    With the x_0 terms on the right-hand side, step i of ``_march_loop`` is
+    row i + 1 of a Toeplitz system in x_1..x_n whose symbol is denom at lag
+    0, -fac + (h^2/4) M(0) + (h^2/2) M(t_1) at lag 1 and
+    (h^2/2)(M(t_d) + M(t_{d-1})) at lag d >= 2 (Hairer, Lubich & Schlichte,
+    SIAM J. Sci. Stat. Comput. 6, 1985).  Leaves of _LEAF rows are solved
+    densely against one Toeplitz block.  After leaf k the last 2^l leaves,
+    l the number of trailing zero bits of k + 1, subtract their history
+    from the next 2^l by one FFT convolution, so every pair of leaves is
+    coupled exactly once, in O(n log^2 n).
+
+    FFT rounding is relative to the largest term of the whole convolution.
+    So only the (h^2/2) M part a_d of the symbol goes through the FFT: -fac
+    is near 1 where the rest is O(h^2), and fac x_{lo-1} is added to leaf
+    row lo exactly.  And where a_d grows, the large late lags would swamp
+    the small early rows: an update with lags up to L is weighted by
+    exp(-g d) on lag d and exp(-g j) on source value j, with
+    g = log(|a_L| / |a_1|) / (L - 1) from the symbol alone, and its output
+    is multiplied back.  A decaying symbol gives g = 0 and no weights.
+
+    A jump d at node p only moves right-hand sides, weighted as the loop
+    weights each limit: row p + 1 gains fac d - (h^2/2) M(t_1) d / 2 and
+    row r >= p + 2 gains -a_{r-p} d / 2, since the history uses the mean of
+    the two one-sided limits.
+    """
+    n = Mg.size - 1
+    fac = 1.0 - 0.5 * h * lam
+    hh2 = 0.5 * h * h
+    # conv[d]: the (h^2/2) M part of the symbol at lag d >= 1.
+    conv = np.empty(n + 1)
+    conv[0] = 0.0
+    conv[1] = 0.5 * hh2 * Mg[0] + hh2 * Mg[1]
+    conv[2:] = hh2 * (Mg[2:] + Mg[1:-1])
+    # b[r - 1] is the right-hand side of row r; y = x[1:] solves for x_1..x_n.
+    b = -0.5 * hh2 * x0 * (Mg[:-1] + Mg[1:])
+    b[0] += (fac + 0.5 * hh2 * Mg[0]) * x0
+    for p, d in jumps.items():
+        b[p] += (fac - 0.5 * hh2 * Mg[1]) * d
+        b[p + 1 :] -= 0.5 * d * conv[2 : n - p + 1]
+    m = min(_LEAF, n)
+    sym = conv[:m].copy()
+    sym[0] = denom
+    sym[1] -= fac
+    block = np.asfortranarray(toeplitz(sym, np.zeros(m)))
+    x = np.empty(n + 1)
+    x[0] = x0
+    y = x[1:]
+    updates: dict[int, tuple] = {}
+    for lo in range(0, n, _LEAF):
+        hi = min(lo + _LEAF, n)
+        if lo:
+            b[lo] += fac * y[lo - 1]
+        y[lo:hi], info = dtrtrs(block[: hi - lo, : hi - lo], b[lo:hi], lower=1)
+        if info != 0:
+            raise StabilityError(f"Toeplitz modal solve failed (LAPACK info {info})")
+        if hi == n:
+            break
+        k = lo // _LEAF + 1
+        width = (k & -k) * _LEAF
+        if width not in updates:
+            updates[width] = _history_update(conv, width)
+        spectrum, w_in, w_out = updates[width]
+        stop = min(hi + width, n)
+        src = y[hi - width : hi]
+        prod = rfft(src if w_in is None else src * w_in, 2 * width)
+        prod *= spectrum
+        hist = irfft(prod)[width - 1 : width - 1 + stop - hi]
+        b[hi:stop] -= hist if w_out is None else hist * w_out[: stop - hi]
+    for p, d in jumps.items():
+        x[p] += d
+    return x
+
+
+def _history_update(conv, width):
+    """The spectrum and weights of a ``_march_dc`` history update from
+    ``width`` source rows onto the next ``width``: lags 1..2 width - 1,
+    zero beyond the march.  Returns the rfft of the weighted lags (lag d at
+    index d - 1), the weights of the source rows and those of the output
+    rows, whose lag from the first source row is width..2 width - 1; no
+    weights (None) when g = 0."""
+    n = conv.size - 1
+    lags = np.zeros(2 * width)
+    top = min(2 * width - 1, n)
+    lags[:top] = conv[1 : top + 1]
+    g = 0.0
+    if conv[1] != 0.0 and conv[top] != 0.0:
+        rise = math.log(abs(conv[top])) - math.log(abs(conv[1]))
+        g = max(0.0, rise / (top - 1))
+    if g == 0.0:
+        return rfft(lags), None, None
+    lags[:top] *= np.exp(-g * np.arange(1, top + 1))
+    w_in = np.exp(-g * np.arange(width))
+    w_out = np.exp(g * np.arange(width, 2 * width))
+    return rfft(lags), w_in, w_out
 
 
 def solve_modal_volterra(
@@ -432,8 +536,8 @@ def nodal_set_numeric(
     """
     if int(resolution) != resolution or resolution < 64:
         raise ValidationError("resolution must be an integer >= 64")
-    T_max = float(T_max)
-    lam = float(lam)
+    T_max = real(float(T_max), "T_max", positive=True)
+    lam = real(float(lam), "lam", positive=True)
     t_c, x_c = solve_modal_richardson(
         lam, M, T_max, _n_steps(T_max, lam, int(resolution), 1.0)
     )

@@ -16,16 +16,21 @@ from memobs import (
     ConstantKernel,
     ExponentialKernel,
     LinearKernel,
-    MemoryKernel,
+    ModalCache,
+    SamplingPlan,
+    SpectralBasis,
+    SpectralField,
     StabilityError,
     TabulatedKernel,
     UniformGrid,
     ValidationError,
     ZeroKernel,
     closed_form_exp,
+    impulse_control,
     nodal_set_exp_closed,
     nodal_set_numeric,
     series_solution_grid,
+    simulate_controlled,
     solve_modal_richardson,
     solve_modal_volterra,
 )
@@ -109,18 +114,22 @@ def test_march_jump_is_superposition(M, lam):
     np.testing.assert_array_equal(x[:p], _march(lam, M, T, n, x0)[1][:p])
 
 
-class _LoopOnly(MemoryKernel):
-    """The same M(t) with no exponential form, so it takes the dot-product
-    loop: the reference the banded solve is checked against."""
+def _loop(lam, M, T, n, x0=1.0, jumps=None):
+    """The dot-product march on the same samples and step as ``_march``: the
+    oracle both fast solves are checked against."""
+    t = np.linspace(0.0, T, n + 1)
+    Mg = np.asarray(M(t), dtype=float)
+    h = T / n
+    denom = 1.0 + 0.5 * h * lam + 0.25 * h * h * Mg[0]
+    return t, modal._march_loop(lam, Mg, h, denom, x0, jumps or {})
 
-    def __init__(self, M):
-        self.M = M
 
-    def __call__(self, t):
-        return self.M(t)
-
-    def spec_dict(self) -> dict:
-        return {"kind": "loop-only", "inner": self.M.spec_dict()}
+def _jumps(kicks, n):
+    jumps = {}
+    for frac, d in kicks:
+        p = 1 + int(frac * (n - 2))
+        jumps[p] = jumps.get(p, 0.0) + d
+    return jumps
 
 
 def _exp_family(kind, c, alpha):
@@ -168,26 +177,136 @@ def test_banded_march_matches_dot_product_march(
 ):
     M = _exp_family(kind, c, alpha)
     n = max(n, math.ceil(T * lam / 2.0))
-    jumps = {}
-    for frac, d in kicks:
-        p = 1 + int(frac * (n - 2))
-        jumps[p] = jumps.get(p, 0.0) + d
+    jumps = _jumps(kicks, n)
     t, x = _march(lam, M, T, n, x0, jumps)
-    t_ref, x_ref = _march(lam, _LoopOnly(M), T, n, x0, jumps)
+    t_ref, x_ref = _loop(lam, M, T, n, x0, jumps)
     np.testing.assert_array_equal(t, t_ref)
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
 
-def test_exponential_family_never_takes_the_loop(monkeypatch):
+def _dc_kernel(kind, c, alpha, T):
+    """A kernel with no exponential form, so ``_march`` takes ``_march_dc``."""
+    if kind == "linear":
+        return LinearKernel()
+    grid = np.linspace(0.0, T, 65)
+    if kind == "tabulated":
+        return TabulatedKernel(grid, c * np.cos((2.0 - alpha) * grid))
+    return TabulatedKernel(grid, c * np.exp(alpha * grid))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "tabulated", "tabulated-exp"]),
+    lam=st.floats(0.5, 500.0),
+    c=st.floats(-20.0, 50.0),
+    alpha=st.floats(-3.0, 1.0),
+    T=st.floats(0.1, 3.0),
+    n=st.integers(8, 9 * modal._LEAF),
+    x0=st.floats(-2.0, 2.0),
+    kicks=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), max_size=2
+    ),
+)
+# Sampled growing kernels on a long horizon: the FFT history updates need
+# their exponential weights here.
+@example(
+    kind="tabulated-exp", lam=9.0, c=4.0, alpha=2.0, T=8.0, n=4096, x0=1.0, kicks=[]
+)
+@example(
+    kind="tabulated-exp", lam=0.5, c=4.0, alpha=2.0, T=8.0, n=4096, x0=1.0, kicks=[]
+)
+# Jumps at the last node of the first leaf and the first of the second.
+@example(
+    kind="tabulated",
+    lam=9.0,
+    c=1.5,
+    alpha=1.0,
+    T=1.5,
+    n=4 * modal._LEAF + 100,
+    x0=0.7,
+    kicks=[
+        ((modal._LEAF - 1.5) / (4 * modal._LEAF + 98), -0.45),
+        ((modal._LEAF - 0.5) / (4 * modal._LEAF + 98), 1.2),
+    ],
+)
+def test_dc_march_matches_dot_product_march(kind, lam, c, alpha, T, n, x0, kicks):
+    M = _dc_kernel(kind, c, alpha, T)
+    n = max(n, math.ceil(T * lam / 2.0))
+    jumps = _jumps(kicks, n)
+    t, x = _march(lam, M, T, n, x0, jumps)
+    t_ref, x_ref = _loop(lam, M, T, n, x0, jumps)
+    np.testing.assert_array_equal(t, t_ref)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    path=st.sampled_from(["banded", "dc", "loop"]),
+    # a scale far below 1 would push the scaled march into subnormals
+    a=st.floats(-100.0, 100.0).filter(lambda a: abs(a) >= 1e-3),
+    lam=st.floats(0.5, 500.0),
+    T=st.floats(0.1, 3.0),
+    n=st.integers(8, 5 * modal._LEAF),
+    frac=st.floats(0.0, 1.0),
+    d=st.floats(-3.0, 3.0),
+)
+def test_march_is_linear_in_initial_value_and_jumps(path, a, lam, T, n, frac, d):
+    n = max(n, math.ceil(T * lam / 2.0))
+    x0 = 0.7
+    p = 1 + int(frac * (n - 2))
+    grid = np.linspace(0.0, T, 33)
+    if path == "banded":
+        M = ExponentialKernel(2.0, -1.0)
+    else:
+        M = TabulatedKernel(grid, 1.5 * np.cos(grid))
+    march = _loop if path == "loop" else _march
+    x = march(lam, M, T, n, x0, {p: d})[1]
+    xa = march(lam, M, T, n, a * x0, {p: a * d})[1]
+    assert np.max(np.abs(xa - a * x)) <= 1e-13 * abs(a) * np.max(np.abs(x))
+
+
+def test_no_production_path_takes_the_loop(monkeypatch):
     def no_loop(*args):
-        raise AssertionError("exponential-family kernel fell back to the loop")
+        raise AssertionError("a production path reached the dot-product loop")
 
     monkeypatch.setattr(modal, "_march_loop", no_loop)
-    for M in (ExponentialKernel(2.0, -1.0), ConstantKernel(-1.0), ZeroKernel()):
+    grid = np.linspace(0.0, 2.0, 41)
+    tab = TabulatedKernel(grid, 2.0 * np.exp(-grid))
+    for M in (
+        ExponentialKernel(2.0, -1.0),
+        ConstantKernel(-1.0),
+        ZeroKernel(),
+        LinearKernel(),
+        tab,
+    ):
         solve_modal_richardson(9.0, M, 1.5, 384)
         _march(9.0, M, 1.5, 384, 0.7, {144: -0.45})
-    with pytest.raises(AssertionError, match="fell back"):
-        _march(9.0, _LoopOnly(ZeroKernel()), 1.5, 384)
+    basis = SpectralBasis(math.pi, 3)
+    plan = SamplingPlan([(0.3, [[0.0, 2.0]]), (0.6, [[1.0, math.pi]])])
+    y0 = SpectralField(basis, [0.5, -0.25, 0.1])
+    y1 = SpectralField(basis, [1.0, 0.2, 0.0])
+    res = impulse_control(y0, y1, plan, 1.0, tab, cache=ModalCache())
+    simulate_controlled(y0, res, tab)
+    nodal_set_numeric(4.0, tab, 2.0)
+
+
+def test_non_finite_inputs_are_rejected():
+    M = ExponentialKernel(2.0, -1.0)
+    tab = TabulatedKernel(TAB_GRID, 1.5 * np.cos(TAB_GRID))
+    cache = ModalCache()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            cache.value_and_sup(M, 4.0, bad)
+        with pytest.raises(ValidationError):
+            cache.value_and_sup(tab, bad, 1.0)
+        with pytest.raises(ValidationError):
+            solve_modal_volterra(bad, M, 1.0, 64)
+        with pytest.raises(ValidationError):
+            solve_modal_volterra(1.0, M, bad, 64)
+        with pytest.raises(ValidationError):
+            nodal_set_numeric(4.0, M, bad)
+        with pytest.raises(ValidationError):
+            nodal_set_numeric(bad, M, 1.0)
 
 
 def test_march_rejects_jumps_off_the_interior():
