@@ -45,7 +45,6 @@ from .kernels import (
     kernel_series_K,
 )
 from .modal import (
-    ModalTrajectory,
     NodalSet,
     closed_form_exp,
     nodal_set_exp_closed,
@@ -105,7 +104,6 @@ __all__ = [
     "KernelGridFunction",
     "convolution_power",
     "kernel_series_K",
-    "ModalTrajectory",
     "NodalSet",
     "solve_modal_volterra",
     "solve_modal_richardson",

@@ -310,8 +310,7 @@ def _run_modal(cfg, M):
         if richardson:
             t, x = solve_modal_richardson(lam, M, T, n_steps)
         else:
-            traj = solve_modal_volterra(lam, M, T, n_steps)
-            t, x = traj.t, traj.x
+            t, x = solve_modal_volterra(lam, M, T, n_steps)
     elif method == "series":
         grid = UniformGrid(n_steps, T)
         t = grid.nodes()

@@ -65,12 +65,9 @@ class ModalCache:
         self._data[key] = entry
         return entry
 
-    def value(self, M, lam, t) -> float:
-        return self.value_and_sup(M, lam, t)[0]
-
     def values(self, M: MemoryKernel, lams, t: float) -> np.ndarray:
         """Modal values x(t) for each lam in ``lams``, in order."""
-        return np.asarray([self.value(M, l, t) for l in lams])
+        return np.asarray([self.value_and_sup(M, l, t)[0] for l in lams])
 
 
 def propagate(

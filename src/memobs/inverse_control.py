@@ -25,7 +25,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, integer, items, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
-from .modal import _march, _n_steps
+from .modal import _n_steps, solve_modal_richardson
 from .regions import ObservationRegion
 from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
 from .spectral import SpectralBasis, SpectralField
@@ -36,6 +36,10 @@ NOISE_GENERATOR = "numpy.random.Generator(PCG64).standard_normal"
 # default ModalCache: its result is checked against the predicted final state.
 CONTROLLED_N_MIN = 2560
 CONTROLLED_HLAM_MAX = 0.1
+
+# impulse_control calls the target reachable when the part of it outside the
+# Gram's kept range is at most this times max(|target|, 1).
+REACH_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +345,6 @@ def reconstruct_initial(
     basis: SpectralBasis,
     K: int | None = None,
     reg: float = 0.0,
-    plan: SamplingPlan | None = None,
     cache: ModalCache | None = None,
 ) -> ReconstructionResult:
     """Least-squares recovery of the initial coefficients from sampled data.
@@ -356,9 +359,6 @@ def reconstruct_initial(
     balanced (lambda_k^2 x_k is O(1) across modes).  The reported condition
     number is that of the solved, regularized system.
     """
-    if plan is not None and plan != data.plan:
-        raise ValidationError("plan disagrees with the one stored in the data")
-    plan = data.plan
     if reg < 0:
         raise ValidationError("reg must be nonnegative")
     K = _resolve_K(basis, K)
@@ -369,7 +369,7 @@ def reconstruct_initial(
     rhs = np.zeros(K)
     data_sq = 0.0
     designs = []
-    for entry, block in zip(plan.entries, data.blocks):
+    for entry, block in zip(data.plan.entries, data.blocks):
         scale = lams**2 * cache.values(M, lams, entry.t)
         B = basis.modes_at(block.xs)[:, :K] * scale[None, :]
         Bw = B * block.weights[:, None]
@@ -452,7 +452,6 @@ def impulse_control(
     M: MemoryKernel,
     K: int | None = None,
     rank_rtol: float = 1e-10,
-    reach_rtol: float = 1e-8,
     cache: ModalCache | None = None,
 ) -> ImpulseControlResult:
     """Steer y0 to y1 at time T with impulses at the mirrored instants.
@@ -500,7 +499,7 @@ def impulse_control(
     reached = target - (Vk @ (Vk.T @ target))
     reach_residual = float(np.linalg.norm(reached))
     target_scale = max(float(np.linalg.norm(target)), 1e-300)
-    target_reachable = reach_residual <= reach_rtol * max(target_scale, 1.0)
+    target_reachable = reach_residual <= REACH_RTOL * max(target_scale, 1.0)
     if unreachable:
         notes.append(
             f"modes {list(unreachable)} vanish at every instant and cannot be steered"
@@ -592,14 +591,11 @@ def simulate_controlled(
         n = _jump_grid_size(
             taus, T, _n_steps(T, lam, CONTROLLED_N_MIN, CONTROLLED_HLAM_MAX)
         )
-        jumps_c: dict[int, float] = {}
+        jumps: dict[int, float] = {}
         for imp in result.impulses:
             node = round(n * imp.tau / T)
-            jumps_c[node] = jumps_c.get(node, 0.0) + float(imp.applied[idx])
-        jumps_f = {2 * node: d for node, d in jumps_c.items()}
+            jumps[node] = jumps.get(node, 0.0) + float(imp.applied[idx])
         x0 = float(y0.coefficients[idx])
-        coarse = _march(lam, M, T, n, x0, jumps_c)[1][-1]
-        fine = _march(lam, M, T, 2 * n, x0, jumps_f)[1][-1]
-        finals[idx] = (4.0 * fine - coarse) / 3.0
+        finals[idx] = solve_modal_richardson(lam, M, T, n, x0, jumps)[1][-1]
     sub = basis if K == basis.K else SpectralBasis(basis.L, K)
     return SpectralField(sub, finals)

@@ -281,13 +281,12 @@ def kernel_series_K(
     M: MemoryKernel,
     grid: UniformGrid,
     tol: float = 1e-12,
-    max_terms: int = MAX_SERIES_TERMS,
 ) -> KernelGridFunction:
     """Partial sums of K_M(t, s) on the grid triangle t >= s.
 
     Terms are added until a rigorous bound on the next term's sup norm,
     max_j |s_j**m / m!| * max_i |(-M)^{*m}(tau_i)|, falls below ``tol``.  If
-    ``max_terms`` terms do not reach the tolerance the result carries
+    ``MAX_SERIES_TERMS`` terms do not reach the tolerance the result carries
     ``converged=False``; the series is entire in s for smooth kernels, so
     non-convergence signals an overly coarse grid or an extreme kernel.
     """
@@ -308,7 +307,7 @@ def kernel_series_K(
     s_pow = s_nodes.copy()  # s**m / m! at m = 1
     converged = False
     terms = 0
-    for m in range(1, max_terms + 1):
+    for m in range(1, MAX_SERIES_TERMS + 1):
         term_bound = float(np.max(np.abs(s_pow)) * np.max(np.abs(conv)))
         K += s_pow[None, :] * np.where(lower, conv[Dc], 0.0)
         terms = m

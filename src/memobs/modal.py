@@ -6,7 +6,10 @@ integro-differential problem
     x'(t) + lam x(t) + int_0^t M(t - s) x(s) ds = 0,     x(0) = 1.
 
 Three independent solution paths are provided: a second-order implicit
-product-trapezoidal march, the series representation
+product-trapezoidal march (``solve_modal_volterra``, or
+``solve_modal_richardson`` for its n/2n extrapolation; both take an initial
+value x0 and state jumps and return the grid t and the values x), the series
+representation
 
     x(t) = exp(-lam t) + int_0^t K_M(t, s) exp(-lam s) ds,
 
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -59,30 +61,6 @@ _BLOCK = 1024
 # Steps per leaf of _march_dc, solved densely; across leaves the history
 # moves by FFT convolutions.
 _LEAF = 256
-
-
-@dataclass
-class ModalTrajectory:
-    """Values of one modal solution on a uniform grid."""
-
-    lam: float
-    kernel: MemoryKernel
-    t: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.x[0] != 1.0:
-            raise ValidationError("modal trajectory must start at x(0) = 1")
-        if not np.all(np.isfinite(self.x)):
-            raise NumericalError("modal trajectory produced non-finite values")
-
-    @property
-    def h(self) -> float:
-        return float(self.t[1] - self.t[0])
-
-    @property
-    def T(self) -> float:
-        return float(self.t[-1])
 
 
 class NodalSet:
@@ -124,7 +102,7 @@ def _n_steps(t: float, lam: float, n_min: int, hlam_max: float) -> int:
     return max(n_min, math.ceil(t * lam / hlam_max))
 
 
-def _march(
+def solve_modal_volterra(
     lam: float,
     M: MemoryKernel,
     T: float,
@@ -132,15 +110,26 @@ def _march(
     x0: float = 1.0,
     jumps: dict[int, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Product-trapezoidal march of x(0) = x0 with optional state jumps.
+    """March x(0) = x0 with the implicit product-trapezoidal scheme.
+
+    Returns (t, x) on the uniform grid of ``n_steps`` steps over [0, T].
+    Both the derivative and the history integral are discretized by the
+    trapezoid rule.  With I_i the trapezoidal history at t_i and J_{i+1} its
+    part not involving x_{i+1}, each step solves the scalar linear equation
+
+        x_{i+1} (1 + h lam / 2 + h^2 M(0) / 4)
+            = x_i (1 - h lam / 2) - (h/2)(I_i + J_{i+1}),
+
+    which is second-order accurate with a clean h^2 error expansion, so
+    Richardson extrapolation over grid halving is effective.  Steps with
+    h lam > 2 are rejected: the memoryless damping factor would change sign.
 
     ``jumps`` maps interior grid nodes p to increments d: the state jumps
-    from its left limit x(t_p-) to x(t_p+) = x(t_p-) + d.  The march runs
-    segment by segment between jump nodes and returns the right limits.  At
-    a jump node the history quadrature uses the mean of the two one-sided
-    limits, which reproduces the exact split trapezoid on the two adjacent
-    subintervals, so the h^2 error expansion stays clean piecewise and
-    Richardson extrapolation over grid halving remains valid.
+    from its left limit x(t_p-) to x(t_p+) = x(t_p-) + d, and x holds the
+    right limits.  At a jump node the history quadrature uses the mean of
+    the two one-sided limits, which reproduces the exact split trapezoid on
+    the two adjacent subintervals, so the h^2 error expansion stays clean
+    piecewise and Richardson extrapolation remains valid.
 
     A kernel with an exponential form M(t) = c exp(alpha t) (exponential,
     constant and zero kernels) takes the O(n) banded solves of
@@ -177,6 +166,28 @@ def _march(
     if not np.all(np.isfinite(x)):
         raise NumericalError("modal trajectory produced non-finite values")
     return t, x
+
+
+def solve_modal_richardson(
+    lam: float,
+    M: MemoryKernel,
+    T: float,
+    n_steps: int,
+    x0: float = 1.0,
+    jumps: dict[int, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """March on n and 2n steps and extrapolate the shared nodes.
+
+    ``jumps`` are given on the n-step grid; the 2n-step march takes them at
+    the doubled nodes.  Returns (t, x) on the n-step grid with the leading
+    h^2 error cancelled.
+    """
+    jumps = jumps or {}
+    t, coarse = solve_modal_volterra(lam, M, T, n_steps, x0, jumps)
+    fine = solve_modal_volterra(
+        lam, M, T, 2 * int(n_steps), x0, {2 * p: d for p, d in jumps.items()}
+    )[1]
+    return t, (4.0 * fine[::2] - coarse) / 3.0
 
 
 def _march_loop(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
@@ -391,39 +402,6 @@ def _history_update(conv, width):
     return rfft(lags), w_in, w_out
 
 
-def solve_modal_volterra(
-    lam: float, M: MemoryKernel, T: float, n_steps: int
-) -> ModalTrajectory:
-    """March the modal equation with the implicit product-trapezoidal scheme.
-
-    Both the derivative and the history integral are discretized by the
-    trapezoid rule.  With I_i the trapezoidal history at t_i and J_{i+1} its
-    part not involving x_{i+1}, each step solves the scalar linear equation
-
-        x_{i+1} (1 + h lam / 2 + h^2 M(0) / 4)
-            = x_i (1 - h lam / 2) - (h/2)(I_i + J_{i+1}),
-
-    which is second-order accurate with a clean h^2 error expansion, so
-    Richardson extrapolation over grid halving is effective.  Steps with
-    h lam > 2 are rejected: the memoryless damping factor would change sign.
-    """
-    t, x = _march(lam, M, T, n_steps)
-    return ModalTrajectory(float(lam), M, t, x)
-
-
-def solve_modal_richardson(
-    lam: float, M: MemoryKernel, T: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve on n and 2n steps and extrapolate the shared nodes.
-
-    Returns (t, x) on the n-step grid with the leading h^2 error cancelled.
-    """
-    coarse = solve_modal_volterra(lam, M, T, n_steps)
-    fine = solve_modal_volterra(lam, M, T, 2 * int(n_steps))
-    x = (4.0 * fine.x[::2] - coarse.x) / 3.0
-    return coarse.t, x
-
-
 def closed_form_exp(lam: float, c: float, alpha: float, t):
     """Closed-form modal solution for M(t) = c exp(alpha t), c > 0.
 
@@ -437,9 +415,9 @@ def closed_form_exp(lam: float, c: float, alpha: float, t):
     For s < 0 the same formula is evaluated in complex arithmetic and the
     real part returned; the imaginary residual is checked against 1e-12.
     """
-    lam = float(lam)
-    c = float(c)
-    alpha = float(alpha)
+    lam = real(float(lam), "lam")
+    c = real(float(c), "c")
+    alpha = real(float(alpha), "alpha")
     if c <= 0:
         raise ValidationError("closed form requires c > 0")
     tv = np.asarray(t, dtype=float)
@@ -469,9 +447,7 @@ def series_solution_grid(
 ) -> np.ndarray:
     """Series solution exp(-lam t) + int_0^t K_M(t, s) exp(-lam s) ds on all
     grid nodes, with the s-integral by the trapezoid rule."""
-    lam = float(lam)
-    if lam <= 0:
-        raise ValidationError("lam must be positive")
+    lam = real(float(lam), "lam", positive=True)
     if kernel_series is None:
         kernel_series = kernel_series_K(M, grid, tol)
     elif kernel_series.grid != grid:
@@ -612,14 +588,12 @@ def nodal_set_exp_closed(
     * s < 0: the ladder (2 / sqrt(-s)) (arccot((lam + alpha) / sqrt(-s))
       + l pi), l = 0, 1, 2, ...
     """
-    lam = float(lam)
-    c = float(c)
-    alpha = float(alpha)
-    T_max = float(T_max)
+    lam = real(float(lam), "lam")
+    c = real(float(c), "c")
+    alpha = real(float(alpha), "alpha")
+    T_max = real(float(T_max), "T_max", positive=True)
     if c <= 0:
         raise ValidationError("closed-form nodal set requires c > 0")
-    if T_max <= 0:
-        raise ValidationError("T_max must be positive")
     s = (lam + alpha) ** 2 - 4.0 * c
     zeros: list[float] = []
     if abs(s) <= 1e-12:

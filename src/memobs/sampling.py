@@ -312,12 +312,7 @@ def observability_constants(
     extremization of a^T Q a over unit H^{-4} spheres into this symmetric
     eigenproblem.
     """
-    K = _resolve_K(basis, K)
-    if K < 2:
-        raise ValidationError("observability constants need K >= 2")
-    X, Gs = _plan_modes(plan, M, basis, K, cache)
-    S = _plan_gram(basis.eigenvalues[:K] ** 2 * X, Gs)
-    return _constants_from_S(S, plan.m, K)
+    return constants_table(plan, M, basis, [K], cache)[0]
 
 
 def constants_table(

@@ -84,7 +84,7 @@ def test_criterion_01_modal_oracle_triangle(record_criterion):
     for name, M in kernels.items():
         series_K = kernel_series_K(M, grid, 1e-12)
         for lam in LAMS:
-            march = solve_modal_volterra(lam, M, 2.0, 8192).x[::8]
+            march = solve_modal_volterra(lam, M, 2.0, 8192)[1][::8]
             series = series_solution_grid(lam, M, grid, 1e-12, kernel_series=series_K)
             exact = closed[name](lam)
             for a, b in ((march, series), (march, exact), (series, exact)):

@@ -28,9 +28,9 @@ def test_cache_at_time_zero():
 
 def test_cache_hits_and_policy_keys(cache, exp_kernel):
     c = ModalCache()
-    v1 = c.value(exp_kernel, 4.0, 0.7)
+    v1 = c.value_and_sup(exp_kernel, 4.0, 0.7)
     n1 = len(c)
-    v2 = c.value(exp_kernel, 4.0, 0.7)
+    v2 = c.value_and_sup(exp_kernel, 4.0, 0.7)
     assert v2 == v1 and len(c) == n1
 
 

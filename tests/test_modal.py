@@ -5,7 +5,9 @@ ODEs, so every frozen value below comes from the characteristic roots
 evaluated at 40 digits (mpmath), not from any code path under test.
 """
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,8 +36,7 @@ from memobs import (
     solve_modal_richardson,
     solve_modal_volterra,
 )
-from memobs import modal
-from memobs.modal import _march
+from memobs import cli, modal
 
 # M(t) = 2 exp(-t), lam = 4: roots -2 and -3, x(t) = 2 exp(-3t) - exp(-2t)
 X_EXP21_LAM4_T1 = -0.035761146500884806
@@ -61,9 +62,9 @@ CUBIC_LAM1_IMAG = 0.79255199251544785
 
 
 def test_march_hits_frozen_exponential_values():
-    traj = solve_modal_volterra(4.0, ExponentialKernel(2.0, -1.0), 1.0, 4096)
-    assert traj.x[-1] == pytest.approx(X_EXP21_LAM4_T1, abs=2e-8)
-    assert traj.x[1024] == pytest.approx(X_EXP21_LAM4_T025, abs=1e-7)
+    _, x = solve_modal_volterra(4.0, ExponentialKernel(2.0, -1.0), 1.0, 4096)
+    assert x[-1] == pytest.approx(X_EXP21_LAM4_T1, abs=2e-8)
+    assert x[1024] == pytest.approx(X_EXP21_LAM4_T025, abs=1e-7)
 
 
 def test_richardson_reaches_rounding_level():
@@ -72,17 +73,17 @@ def test_richardson_reaches_rounding_level():
 
 
 def test_march_constant_kernel_frozen():
-    traj = solve_modal_volterra(1.0, ConstantKernel(-1.0), 2.0, 8192)
-    assert traj.x[4096] == pytest.approx(X_CONSTM1_LAM1_T1, abs=1e-7)
-    assert traj.x[-1] == pytest.approx(X_CONSTM1_LAM1_T2, abs=1e-7)
+    _, x = solve_modal_volterra(1.0, ConstantKernel(-1.0), 2.0, 8192)
+    assert x[4096] == pytest.approx(X_CONSTM1_LAM1_T1, abs=1e-7)
+    assert x[-1] == pytest.approx(X_CONSTM1_LAM1_T2, abs=1e-7)
 
 
 def test_march_is_second_order():
     M = ExponentialKernel(4.0, 0.0)
     errs = []
     for n in (256, 512, 1024):
-        traj = solve_modal_volterra(1.0, M, 1.0, n)
-        errs.append(abs(traj.x[-1] - X_EXP40_LAM1_T1))
+        _, x = solve_modal_volterra(1.0, M, 1.0, n)
+        errs.append(abs(x[-1] - X_EXP40_LAM1_T1))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
@@ -106,16 +107,19 @@ def test_march_jump_is_superposition(M, lam):
     # its node, exactly as a fresh march starting there: one jump d at node p
     # gives x0 x_n(T) + d x_{n-p}((n-p) h) on the same step h.
     T, n, p, x0, d = 1.5, 384, 144, 0.7, -0.45
-    _, x = _march(lam, M, T, n, x0, {p: d})
-    free = solve_modal_volterra(lam, M, T, n).x[-1]
-    kick = solve_modal_volterra(lam, M, T * (n - p) / n, n - p).x[-1]
+    _, x = solve_modal_volterra(lam, M, T, n, x0, {p: d})
+    free = solve_modal_volterra(lam, M, T, n)[1][-1]
+    kick = solve_modal_volterra(lam, M, T * (n - p) / n, n - p)[1][-1]
     assert x[-1] == pytest.approx(x0 * free + d * kick, rel=1e-11)
     # before the jump node the trajectory is the jump-free one
-    np.testing.assert_array_equal(x[:p], _march(lam, M, T, n, x0)[1][:p])
+    np.testing.assert_array_equal(
+        x[:p], solve_modal_volterra(lam, M, T, n, x0)[1][:p]
+    )
 
 
 def _loop(lam, M, T, n, x0=1.0, jumps=None):
-    """The dot-product march on the same samples and step as ``_march``: the
+    """The dot-product march on the same samples and step as
+    ``solve_modal_volterra``: the
     oracle both fast solves are checked against."""
     t = np.linspace(0.0, T, n + 1)
     Mg = np.asarray(M(t), dtype=float)
@@ -147,16 +151,27 @@ def _exp_family(kind, c, alpha):
     c=st.floats(-20.0, 50.0),
     alpha=st.floats(-3.0, 1.0),
     T=st.floats(0.1, 3.0),
-    n=st.integers(8, 3 * modal._BLOCK),
     x0=st.floats(-2.0, 2.0),
     kicks=st.lists(
         st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), max_size=2
     ),
+    # n = blocks * _BLOCK - offset.  Drawn last, and as a block count and the
+    # fill of the last block, so the examples spread over distinct n.
+    blocks=st.integers(1, 3),
+    offset=st.integers(0, modal._BLOCK - 8),
 )
 # A growing kernel on a long march, where the rounding of q compounds most:
 # it needs the per-block restart of the history sum.
 @example(
-    kind="exponential", lam=1.0, c=3.9, alpha=2.0, T=3.0, n=16384, x0=1.0, kicks=[]
+    kind="exponential",
+    lam=1.0,
+    c=3.9,
+    alpha=2.0,
+    T=3.0,
+    blocks=16,
+    offset=0,
+    x0=1.0,
+    kicks=[],
 )
 # Jumps at the last node of the first block and the first of the second.
 @example(
@@ -165,7 +180,8 @@ def _exp_family(kind, c, alpha):
     c=2.0,
     alpha=-1.0,
     T=1.5,
-    n=2 * modal._BLOCK + 100,
+    blocks=3,
+    offset=modal._BLOCK - 100,
     x0=0.7,
     kicks=[
         ((modal._BLOCK - 1.5) / (2 * modal._BLOCK + 98), -0.45),
@@ -173,19 +189,19 @@ def _exp_family(kind, c, alpha):
     ],
 )
 def test_banded_march_matches_dot_product_march(
-    kind, lam, c, alpha, T, n, x0, kicks
+    kind, lam, c, alpha, T, blocks, offset, x0, kicks
 ):
     M = _exp_family(kind, c, alpha)
-    n = max(n, math.ceil(T * lam / 2.0))
+    n = max(blocks * modal._BLOCK - offset, math.ceil(T * lam / 2.0))
     jumps = _jumps(kicks, n)
-    t, x = _march(lam, M, T, n, x0, jumps)
+    t, x = solve_modal_volterra(lam, M, T, n, x0, jumps)
     t_ref, x_ref = _loop(lam, M, T, n, x0, jumps)
     np.testing.assert_array_equal(t, t_ref)
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
 
 def _dc_kernel(kind, c, alpha, T):
-    """A kernel with no exponential form, so ``_march`` takes ``_march_dc``."""
+    """A kernel with no exponential form, so the march takes ``_march_dc``."""
     if kind == "linear":
         return LinearKernel()
     grid = np.linspace(0.0, T, 65)
@@ -201,19 +217,37 @@ def _dc_kernel(kind, c, alpha, T):
     c=st.floats(-20.0, 50.0),
     alpha=st.floats(-3.0, 1.0),
     T=st.floats(0.1, 3.0),
-    n=st.integers(8, 9 * modal._LEAF),
     x0=st.floats(-2.0, 2.0),
     kicks=st.lists(
         st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), max_size=2
     ),
+    # n = leaves * _LEAF - offset, drawn as for the banded march
+    leaves=st.integers(1, 9),
+    offset=st.integers(0, modal._LEAF - 8),
 )
 # Sampled growing kernels on a long horizon: the FFT history updates need
 # their exponential weights here.
 @example(
-    kind="tabulated-exp", lam=9.0, c=4.0, alpha=2.0, T=8.0, n=4096, x0=1.0, kicks=[]
+    kind="tabulated-exp",
+    lam=9.0,
+    c=4.0,
+    alpha=2.0,
+    T=8.0,
+    leaves=16,
+    offset=0,
+    x0=1.0,
+    kicks=[],
 )
 @example(
-    kind="tabulated-exp", lam=0.5, c=4.0, alpha=2.0, T=8.0, n=4096, x0=1.0, kicks=[]
+    kind="tabulated-exp",
+    lam=0.5,
+    c=4.0,
+    alpha=2.0,
+    T=8.0,
+    leaves=16,
+    offset=0,
+    x0=1.0,
+    kicks=[],
 )
 # Jumps at the last node of the first leaf and the first of the second.
 @example(
@@ -222,18 +256,21 @@ def _dc_kernel(kind, c, alpha, T):
     c=1.5,
     alpha=1.0,
     T=1.5,
-    n=4 * modal._LEAF + 100,
+    leaves=5,
+    offset=modal._LEAF - 100,
     x0=0.7,
     kicks=[
         ((modal._LEAF - 1.5) / (4 * modal._LEAF + 98), -0.45),
         ((modal._LEAF - 0.5) / (4 * modal._LEAF + 98), 1.2),
     ],
 )
-def test_dc_march_matches_dot_product_march(kind, lam, c, alpha, T, n, x0, kicks):
+def test_dc_march_matches_dot_product_march(
+    kind, lam, c, alpha, T, leaves, offset, x0, kicks
+):
     M = _dc_kernel(kind, c, alpha, T)
-    n = max(n, math.ceil(T * lam / 2.0))
+    n = max(leaves * modal._LEAF - offset, math.ceil(T * lam / 2.0))
     jumps = _jumps(kicks, n)
-    t, x = _march(lam, M, T, n, x0, jumps)
+    t, x = solve_modal_volterra(lam, M, T, n, x0, jumps)
     t_ref, x_ref = _loop(lam, M, T, n, x0, jumps)
     np.testing.assert_array_equal(t, t_ref)
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
@@ -259,7 +296,7 @@ def test_march_is_linear_in_initial_value_and_jumps(path, a, lam, T, n, frac, d)
         M = ExponentialKernel(2.0, -1.0)
     else:
         M = TabulatedKernel(grid, 1.5 * np.cos(grid))
-    march = _loop if path == "loop" else _march
+    march = _loop if path == "loop" else solve_modal_volterra
     x = march(lam, M, T, n, x0, {p: d})[1]
     xa = march(lam, M, T, n, a * x0, {p: a * d})[1]
     assert np.max(np.abs(xa - a * x)) <= 1e-13 * abs(a) * np.max(np.abs(x))
@@ -280,7 +317,7 @@ def test_no_production_path_takes_the_loop(monkeypatch):
         tab,
     ):
         solve_modal_richardson(9.0, M, 1.5, 384)
-        _march(9.0, M, 1.5, 384, 0.7, {144: -0.45})
+        solve_modal_volterra(9.0, M, 1.5, 384, 0.7, {144: -0.45})
     basis = SpectralBasis(math.pi, 3)
     plan = SamplingPlan([(0.3, [[0.0, 2.0]]), (0.6, [[1.0, math.pi]])])
     y0 = SpectralField(basis, [0.5, -0.25, 0.1])
@@ -288,6 +325,59 @@ def test_no_production_path_takes_the_loop(monkeypatch):
     res = impulse_control(y0, y1, plan, 1.0, tab, cache=ModalCache())
     simulate_controlled(y0, res, tab)
     nodal_set_numeric(4.0, tab, 2.0)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [ExponentialKernel(2.0, -1.0), TabulatedKernel(TAB_GRID, 1.5 * np.cos(TAB_GRID))],
+    ids=["exponential", "tabulated"],
+)
+def test_every_march_enters_through_solve_modal_volterra(M, monkeypatch, tmp_path):
+    # Counting calls into the public entry and into the two solves it picks
+    # between shows that no caller marches around the entry.
+    counts = {"entry": 0, "solve": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    entry = counted(modal.solve_modal_volterra, "entry")
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("memobs") and hasattr(mod, "solve_modal_volterra"):
+            monkeypatch.setattr(mod, "solve_modal_volterra", entry)
+    monkeypatch.setattr(modal, "_march_banded", counted(modal._march_banded, "solve"))
+    monkeypatch.setattr(modal, "_march_dc", counted(modal._march_dc, "solve"))
+
+    basis = SpectralBasis(math.pi, 3)
+    plan = SamplingPlan([(0.3, [[0.0, 2.0]]), (0.6, [[1.0, math.pi]])])
+    y0 = SpectralField(basis, [0.5, -0.25, 0.1])
+    y1 = SpectralField(basis, [1.0, 0.2, 0.0])
+
+    def control():
+        simulate_controlled(y0, impulse_control(y0, y1, plan, 1.0, M), M)
+
+    def cli_modal():
+        for richardson in (True, False):
+            section = {"lam": 4.0, "T": 1.0, "n_steps": 256, "richardson": richardson}
+            cfg = {"kernel": M.spec_dict(), "modal": section}
+            path = tmp_path / "modal.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            argv = ["modal", "--config", str(path), "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 0
+
+    runs = {
+        "cache": lambda: ModalCache().value_and_sup(M, 9.0, 0.7),
+        "nodal": lambda: nodal_set_numeric(4.0, M, 1.5),
+        "control": control,
+        "cli": cli_modal,
+    }
+    for name, run in runs.items():
+        counts.update(entry=0, solve=0)
+        run()
+        assert counts["entry"] == counts["solve"] > 0, (name, counts)
 
 
 def test_non_finite_inputs_are_rejected():
@@ -307,20 +397,31 @@ def test_non_finite_inputs_are_rejected():
             nodal_set_numeric(4.0, M, bad)
         with pytest.raises(ValidationError):
             nodal_set_numeric(bad, M, 1.0)
+        # the closed forms and the series take the same checks; an infinite
+        # or NaN horizon would otherwise extend the closed ladder forever
+        for lam_c_alpha in ((bad, 4.0, 0.0), (1.0, bad, 0.0), (1.0, 4.0, bad)):
+            with pytest.raises(ValidationError):
+                closed_form_exp(*lam_c_alpha, 1.0)
+            with pytest.raises(ValidationError):
+                nodal_set_exp_closed(*lam_c_alpha, 1.0)
+        with pytest.raises(ValidationError):
+            nodal_set_exp_closed(1.0, 4.0, 0.0, bad)
+        with pytest.raises(ValidationError):
+            series_solution_grid(bad, ConstantKernel(-1.0), UniformGrid(64, 1.0))
 
 
 def test_march_rejects_jumps_off_the_interior():
     for p in (0, 384, 400):
         with pytest.raises(ValidationError):
-            _march(9.0, ZeroKernel(), 1.5, 384, 1.0, {p: 0.5})
+            solve_modal_volterra(9.0, ZeroKernel(), 1.5, 384, 1.0, {p: 0.5})
 
 
 def test_zero_kernel_march_is_pade_exponential():
     # with no memory the step is the (1,1) Pade approximant of exp(-h lam)
-    traj = solve_modal_volterra(2.0, ZeroKernel(), 1.0, 64)
+    _, x = solve_modal_volterra(2.0, ZeroKernel(), 1.0, 64)
     h = 1.0 / 64
     step = (1.0 - h) / (1.0 + h)
-    np.testing.assert_allclose(traj.x, step ** np.arange(65), rtol=1e-13)
+    np.testing.assert_allclose(x, step ** np.arange(65), rtol=1e-13)
 
 
 def test_stability_guard():
@@ -413,7 +514,7 @@ def test_linear_kernel_grows_with_cubic_root_rate():
     """M(t) = t feeds energy back: the slow characteristic pair sits at
     Re z = +0.2328, so zeros recur every pi/Im z and the envelope grows."""
     T = 12.0
-    traj = solve_modal_volterra(1.0, LinearKernel(), T, 8192)
+    _, x = solve_modal_volterra(1.0, LinearKernel(), T, 8192)
     ns = nodal_set_numeric(1.0, LinearKernel(), T)
     spac = np.diff(ns.zeros)
     assert len(ns) >= 3
@@ -421,8 +522,8 @@ def test_linear_kernel_grows_with_cubic_root_rate():
     # gaps settle onto the asymptotic half-period pi / Im z
     np.testing.assert_allclose(spac[-1], math.pi / CUBIC_LAM1_IMAG, rtol=1e-3)
     # growing envelope: the tail maximum dominates the early maximum
-    n = len(traj.x)
-    assert np.abs(traj.x[3 * n // 4 :]).max() > 2.0 * np.abs(traj.x[: n // 4]).max()
+    n = len(x)
+    assert np.abs(x[3 * n // 4 :]).max() > 2.0 * np.abs(x[: n // 4]).max()
 
 
 def test_nodal_validation():
