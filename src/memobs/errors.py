@@ -1,10 +1,11 @@
 """Exception types shared across the package, and the checks that turn
-outside JSON values into numbers.
+outside values into numbers.
 
-Every number or flag read from a config, a ``--set`` override or a data file
-passes through ``real``, ``integer``, ``flag`` or ``items``: a real is a
-finite number, an integer is an int, a flag is true or false, and a bool is
-never a number.  Each error names the path of the offending value.
+Every number or flag read from a config, a ``--set`` override or a data
+file, and every number a caller passes to a library entry, passes through
+``real``, ``integer``, ``flag`` or ``items``: a real is a finite number, an
+integer is an int, a flag is true or false, and a bool is never a number.
+Each error names the path or parameter of the offending value.
 """
 
 from __future__ import annotations

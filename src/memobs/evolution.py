@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, real
+from .errors import ValidationError, integer, real
 from .kernels import MemoryKernel
 from .modal import _n_steps, solve_modal_richardson
 from .spectral import SpectralBasis, SpectralField
@@ -40,9 +40,9 @@ class ModalCache:
     """
 
     def __init__(self, hlam_max: float = DEFAULT_HLAM_MAX):
-        if hlam_max <= 0 or hlam_max > 2:
+        self.hlam_max = real(hlam_max, "hlam_max", positive=True)
+        if self.hlam_max > 2:
             raise ValidationError("hlam_max must lie in (0, 2]")
-        self.hlam_max = float(hlam_max)
         self._data: dict[tuple, tuple[float, float]] = {}
 
     def __len__(self) -> int:
@@ -51,8 +51,8 @@ class ModalCache:
     def value_and_sup(
         self, M: MemoryKernel, lam: float, t: float
     ) -> tuple[float, float]:
-        lam = real(float(lam), "lam", positive=True)
-        t = real(float(t), "time", nonneg=True)
+        lam = real(lam, "lam", positive=True)
+        t = real(t, "t", nonneg=True)
         if t == 0.0:
             return 1.0, 1.0
         key = (M.cache_key(), lam, t)
@@ -77,9 +77,7 @@ def propagate(
     cache: ModalCache | None = None,
 ) -> SpectralField:
     """Coefficient-wise evolution a_k -> a_k x_k(t); t = 0 returns y0's data."""
-    t = float(t)
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
+    t = real(t, "t", nonneg=True)
     if t == 0.0:
         return SpectralField(y0.basis, y0.coefficients)
     if cache is None:
@@ -127,13 +125,13 @@ def decomposition_residual(
     modal values come from a cache of their own with a tighter step policy
     (hlam_max) than the default one.
     """
-    t = float(t)
+    t = real(t, "t")
     if t <= 1e-9:
         raise ValidationError("t is below the resolvable step of the modal solve")
     if ks is None:
         ks = np.arange(1, basis.K + 1)
     else:
-        ks = np.asarray(list(ks), dtype=int)
+        ks = np.asarray([integer(k, f"ks[{i}]") for i, k in enumerate(ks)], int)
     bad = [int(k) for k in ks if not 1 <= k <= basis.K]
     if bad:
         raise ValidationError(f"ks must lie in 1..{basis.K}, got {bad}")

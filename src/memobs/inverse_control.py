@@ -127,11 +127,8 @@ def backward_uniqueness_certificate(
     cutoff would spuriously fail every high mode.  A finite-K check only;
     it asserts nothing about the modes beyond K.
     """
-    times = [float(t) for t in times]
-    if not times or any(not math.isfinite(t) or t <= 0 for t in times):
-        raise ValidationError("certificate instants must be positive")
-    if tol <= 0:
-        raise ValidationError("tol must be positive")
+    times = items(list(times), "times", real, positive=True)
+    tol = real(tol, "tol", positive=True)
     K = _resolve_K(basis, K)
     if cache is None:
         cache = ModalCache()
@@ -290,14 +287,13 @@ def simulate_observations(
     region intervals.  Gaussian noise (std sigma) is added from the seeded
     generator in block order; with sigma = 0 the generator is never drawn,
     so noiseless data is independent of the seed."""
-    if int(samples_per_unit) != samples_per_unit or samples_per_unit < 16:
-        raise ValidationError("samples_per_unit must be an integer >= 16")
-    if sigma < 0:
-        raise ValidationError("sigma must be nonnegative")
+    samples_per_unit = integer(samples_per_unit, "samples_per_unit", lo=16)
+    sigma = real(sigma, "sigma", nonneg=True)
+    seed = integer(seed, "seed", lo=0)
     if cache is None:
         cache = ModalCache()
     basis = y0.basis
-    rng = np.random.default_rng(int(seed)) if sigma > 0 else None
+    rng = np.random.default_rng(seed) if sigma > 0 else None
     blocks = []
     for entry in plan.entries:
         coeffs = y0.coefficients * cache.values(M, basis.eigenvalues, entry.t)
@@ -317,9 +313,7 @@ def simulate_observations(
                 weights=_segment_weights(xs, entry.region),
             )
         )
-    return ObservationData(
-        plan=plan, sigma=float(sigma), seed=int(seed), blocks=blocks
-    )
+    return ObservationData(plan=plan, sigma=sigma, seed=seed, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +353,7 @@ def reconstruct_initial(
     balanced (lambda_k^2 x_k is O(1) across modes).  The reported condition
     number is that of the solved, regularized system.
     """
-    if reg < 0:
-        raise ValidationError("reg must be nonnegative")
+    reg = real(reg, "reg", nonneg=True)
     K = _resolve_K(basis, K)
     if cache is None:
         cache = ModalCache()
@@ -466,7 +459,8 @@ def impulse_control(
     they are reported, and the returned controls realize the minimum-norm
     solution on the reachable part.
     """
-    T = float(T)
+    T = real(T, "T", positive=True)
+    rank_rtol = real(rank_rtol, "rank_rtol", positive=True)
     basis = y0.basis
     if y1.basis.L != basis.L or y1.basis.K != basis.K:
         raise ValidationError("y0 and y1 must share one basis")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import SeriesDivergenceError, ValidationError, items, real
+from .errors import SeriesDivergenceError, ValidationError, integer, items, real
 
 MAX_SERIES_TERMS = 64
 
@@ -78,10 +78,7 @@ class ZeroKernel(MemoryKernel):
 
 class ConstantKernel(MemoryKernel):
     def __init__(self, value: float):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValidationError("constant kernel value must be finite")
-        self.value = value
+        self.value = real(value, "value")
 
     def __call__(self, t):
         tv = np.asarray(t, dtype=float)
@@ -110,14 +107,8 @@ class ExponentialKernel(MemoryKernel):
     """M(t) = c exp(alpha t) with c > 0."""
 
     def __init__(self, c: float, alpha: float):
-        c = float(c)
-        alpha = float(alpha)
-        if not math.isfinite(c) or c <= 0:
-            raise ValidationError("exponential kernel requires c > 0")
-        if not math.isfinite(alpha):
-            raise ValidationError("alpha must be finite")
-        self.c = c
-        self.alpha = alpha
+        self.c = real(c, "c", positive=True)
+        self.alpha = real(alpha, "alpha")
 
     def __call__(self, t):
         tv = np.asarray(t, dtype=float)
@@ -171,11 +162,9 @@ class TabulatedKernel(MemoryKernel):
 
 _KINDS = {
     "zero": lambda d: ZeroKernel(),
-    "constant": lambda d: ConstantKernel(real(d["value"], "value")),
+    "constant": lambda d: ConstantKernel(d["value"]),
     "linear": lambda d: LinearKernel(),
-    "exponential": lambda d: ExponentialKernel(
-        real(d["c"], "c"), real(d["alpha"], "alpha")
-    ),
+    "exponential": lambda d: ExponentialKernel(d["c"], d["alpha"]),
     "tabulated": lambda d: TabulatedKernel(
         items(d["times"], "times", real), items(d["values"], "values", real)
     ),
@@ -214,12 +203,8 @@ class UniformGrid:
     T: float
 
     def __post_init__(self):
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
-            raise ValidationError("n_steps must be a positive integer")
-        if not math.isfinite(self.T) or self.T <= 0:
-            raise ValidationError("grid horizon T must be positive")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "n_steps", integer(self.n_steps, "n_steps", lo=1))
+        object.__setattr__(self, "T", real(self.T, "T", positive=True))
 
     @property
     def h(self) -> float:
@@ -262,11 +247,10 @@ def convolution_power(M: MemoryKernel, j: int, grid: UniformGrid) -> KernelGridF
     trapezoidal product integral (f*g)(tau_i) = h (sum_r f_{i-r} g_r
     - (f_i g_0 + f_0 g_i)/2), which is second-order accurate.
     """
-    if int(j) != j or j < 1:
-        raise ValidationError("convolution power index must be a positive integer")
+    j = integer(j, "j", lo=1)
     f = -_kernel_samples(M, grid)
     cur = f.copy()
-    for _ in range(int(j) - 1):
+    for _ in range(j - 1):
         cur = _conv_step(f, cur, grid.h)
     return KernelGridFunction(grid, cur)
 
@@ -290,8 +274,7 @@ def kernel_series_K(
     ``converged=False``; the series is entire in s for smooth kernels, so
     non-convergence signals an overly coarse grid or an extreme kernel.
     """
-    if tol <= 0:
-        raise ValidationError("series tolerance must be positive")
+    tol = real(tol, "tol", positive=True)
     n = grid.n_steps
     h = grid.h
     s_nodes = grid.nodes()

@@ -42,7 +42,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtbtrs, dtrtrs
 
-from .errors import NumericalError, StabilityError, ValidationError, real
+from .errors import NumericalError, StabilityError, ValidationError, integer, real
 from .kernels import (
     KernelGridFunction,
     MemoryKernel,
@@ -138,12 +138,14 @@ def solve_modal_volterra(
     the same scheme as the O(n^2) dot-product loop ``_march_loop``, which no
     production path calls: it is the oracle the tests check both against.
     """
-    lam = real(float(lam), "lam", positive=True)
-    T = real(float(T), "horizon T", positive=True)
-    if int(n_steps) != n_steps or n_steps < 8:
-        raise ValidationError("n_steps must be an integer >= 8")
-    n = int(n_steps)
-    jumps = jumps or {}
+    lam = real(lam, "lam", positive=True)
+    T = real(T, "T", positive=True)
+    n = integer(n_steps, "n_steps", lo=8)
+    x0 = real(x0, "x0")
+    jumps = {
+        integer(p, "jump node"): real(d, f"jumps[{p}]")
+        for p, d in (jumps or {}).items()
+    }
     if any(not 0 < p < n for p in jumps):
         raise ValidationError("jump nodes must be interior grid nodes")
     h = T / n
@@ -185,7 +187,7 @@ def solve_modal_richardson(
     jumps = jumps or {}
     t, coarse = solve_modal_volterra(lam, M, T, n_steps, x0, jumps)
     fine = solve_modal_volterra(
-        lam, M, T, 2 * int(n_steps), x0, {2 * p: d for p, d in jumps.items()}
+        lam, M, T, 2 * n_steps, x0, {2 * p: d for p, d in jumps.items()}
     )[1]
     return t, (4.0 * fine[::2] - coarse) / 3.0
 
@@ -415,11 +417,9 @@ def closed_form_exp(lam: float, c: float, alpha: float, t):
     For s < 0 the same formula is evaluated in complex arithmetic and the
     real part returned; the imaginary residual is checked against 1e-12.
     """
-    lam = real(float(lam), "lam")
-    c = real(float(c), "c")
-    alpha = real(float(alpha), "alpha")
-    if c <= 0:
-        raise ValidationError("closed form requires c > 0")
+    lam = real(lam, "lam")
+    c = real(c, "c", positive=True)
+    alpha = real(alpha, "alpha")
     tv = np.asarray(t, dtype=float)
     s = (lam + alpha) ** 2 - 4.0 * c
     if abs(s) <= 1e-12:
@@ -447,7 +447,7 @@ def series_solution_grid(
 ) -> np.ndarray:
     """Series solution exp(-lam t) + int_0^t K_M(t, s) exp(-lam s) ds on all
     grid nodes, with the s-integral by the trapezoid rule."""
-    lam = real(float(lam), "lam", positive=True)
+    lam = real(lam, "lam", positive=True)
     if kernel_series is None:
         kernel_series = kernel_series_K(M, grid, tol)
     elif kernel_series.grid != grid:
@@ -506,16 +506,17 @@ def nodal_set_numeric(
 
     A Richardson-extrapolated trajectory is scanned for sign changes; each
     bracket is then refined by bisection on a cubic interpolant of a finer
-    re-solved trajectory down to an absolute width of ``refine_tol``.  Grid
+    re-solved trajectory down to an absolute width of ``refine_tol``, or to
+    adjacent floats when ``refine_tol`` is below their spacing.  Grid
     points where |x| dips below 1e-9 of the trajectory sup without a sign
     change are reported as suspected tangential zeros and never refined.
     """
-    if int(resolution) != resolution or resolution < 64:
-        raise ValidationError("resolution must be an integer >= 64")
-    T_max = real(float(T_max), "T_max", positive=True)
-    lam = real(float(lam), "lam", positive=True)
+    resolution = integer(resolution, "resolution", lo=64)
+    T_max = real(T_max, "T_max", positive=True)
+    lam = real(lam, "lam", positive=True)
+    refine_tol = real(refine_tol, "refine_tol", positive=True)
     t_c, x_c = solve_modal_richardson(
-        lam, M, T_max, _n_steps(T_max, lam, int(resolution), 1.0)
+        lam, M, T_max, _n_steps(T_max, lam, resolution, 1.0)
     )
     sup = float(np.max(np.abs(x_c)))
     brackets, exact, suspects = _scan_brackets(t_c, x_c, sup)
@@ -523,7 +524,7 @@ def nodal_set_numeric(
         return NodalSet([], [])
 
     t_f, x_f = solve_modal_richardson(
-        lam, M, T_max, _n_steps(T_max, lam, 4 * int(resolution), 0.05)
+        lam, M, T_max, _n_steps(T_max, lam, 4 * resolution, 0.05)
     )
     sup = float(np.max(np.abs(x_f)))
     brackets, exact, suspects = _scan_brackets(t_f, x_f, sup)
@@ -543,6 +544,8 @@ def nodal_set_numeric(
             continue
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # adjacent floats: no narrower bracket
+                break
             fmid = float(spline(mid))
             if fmid == 0.0:
                 lo = hi = mid
@@ -588,12 +591,10 @@ def nodal_set_exp_closed(
     * s < 0: the ladder (2 / sqrt(-s)) (arccot((lam + alpha) / sqrt(-s))
       + l pi), l = 0, 1, 2, ...
     """
-    lam = real(float(lam), "lam")
-    c = real(float(c), "c")
-    alpha = real(float(alpha), "alpha")
-    T_max = real(float(T_max), "T_max", positive=True)
-    if c <= 0:
-        raise ValidationError("closed-form nodal set requires c > 0")
+    lam = real(lam, "lam")
+    c = real(c, "c", positive=True)
+    alpha = real(alpha, "alpha")
+    T_max = real(T_max, "T_max", positive=True)
     s = (lam + alpha) ** 2 - 4.0 * c
     zeros: list[float] = []
     if abs(s) <= 1e-12:

@@ -9,7 +9,6 @@ covering verdicts derived from set complements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ValidationError, flag, real
@@ -25,10 +24,8 @@ class Interval:
     closed_right: bool = True
 
     def __post_init__(self) -> None:
-        a = float(self.a)
-        b = float(self.b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValidationError("interval endpoints must be finite")
+        a = real(self.a, "a")
+        b = real(self.b, "b")
         if not a < b:
             raise ValidationError(f"interval needs a < b, got [{a}, {b}]")
         object.__setattr__(self, "a", a)
@@ -39,6 +36,7 @@ class Interval:
         return self.b - self.a
 
     def contains(self, x: float) -> bool:
+        x = real(x, "x")
         if self.a < x < self.b:
             return True
         if x == self.a:
@@ -88,9 +86,7 @@ class ObservationRegion:
     def __init__(self, intervals=(), L: float | None = None):
         items = [_coerce_interval(it, f"region[{i}]") for i, it in enumerate(intervals)]
         if L is not None:
-            L = float(L)
-            if L <= 0:
-                raise ValidationError("domain length must be positive")
+            L = real(L, "L", positive=True)
             for it in items:
                 if it.a < -1e-12 or it.b > L + 1e-12:
                     raise ValidationError(
@@ -107,6 +103,7 @@ class ObservationRegion:
         return not self.intervals
 
     def contains(self, x: float) -> bool:
+        x = real(x, "x")
         return any(it.contains(x) for it in self.intervals)
 
     def union(self, other: "ObservationRegion") -> "ObservationRegion":
@@ -194,9 +191,7 @@ class UncoveredSet:
 
 def complement(region: ObservationRegion, L: float) -> UncoveredSet:
     """Uncovered part of [0, L] relative to ``region``."""
-    L = float(L)
-    if L <= 0:
-        raise ValidationError("domain length must be positive")
+    L = real(L, "L", positive=True)
     gaps: list[tuple[float, float, bool, bool]] = []
     points: list[float] = []
     cursor = 0.0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, real
+from .errors import NumericalError, ValidationError, integer, items, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
 from .regions import ObservationRegion, UncoveredSet, complement
@@ -53,9 +53,7 @@ class SamplingPlan:
                 t, region = entry.t, entry.region
             else:
                 t, region = entry
-            t = float(t)
-            if not math.isfinite(t) or t <= 0:
-                raise ValidationError("sampling instants must be positive")
+            t = real(t, f"instants[{j}].t", positive=True)
             if not isinstance(region, ObservationRegion):
                 region = ObservationRegion(region)
             if region.is_empty:
@@ -99,12 +97,11 @@ class SamplingPlan:
                 raise ValidationError(
                     f'instants[{i}] must be an object with "t" and "region"'
                 )
-            t = real(item["t"], f"instants[{i}].t", positive=True)
             try:
                 region = ObservationRegion.from_json(item["region"], L=L)
             except ValidationError as exc:
                 raise ValidationError(f"instants[{i}]: {exc}") from exc
-            entries.append((t, region))
+            entries.append((item["t"], region))
         return cls(entries)
 
     def __eq__(self, other) -> bool:
@@ -203,7 +200,7 @@ def observation_gram(
 def _resolve_K(basis: SpectralBasis, K: int | None) -> int:
     if K is None:
         return basis.K
-    if int(K) != K or not 1 <= K <= basis.K:
+    if integer(K, "K", lo=1) > basis.K:
         raise ValidationError(f"K must lie in 1..{basis.K}")
     return int(K)
 
@@ -280,8 +277,6 @@ def _constants_from_S(S: np.ndarray, m: int, K: int) -> ObservabilityConstants:
         nu = min(nu, 1.0)
         mu_min = nu * diag_min
         mu_min_upper = diag_min
-    if notes:
-        warnings.warn(notes[-1], RuntimeWarning, stacklevel=3)
     c_min = math.sqrt(mu_min)
     c_max = math.sqrt(mu_max)
     return ObservabilityConstants(
@@ -312,7 +307,7 @@ def observability_constants(
     extremization of a^T Q a over unit H^{-4} spheres into this symmetric
     eigenproblem.
     """
-    return constants_table(plan, M, basis, [K], cache)[0]
+    return _warned(_constants(plan, M, basis, [K], cache))[0]
 
 
 def constants_table(
@@ -327,12 +322,25 @@ def constants_table(
     Leading submatrices of S reuse identical modal values, so the K-trend is
     free of resolution differences.
     """
+    return _warned(_constants(plan, M, basis, K_list, cache))
+
+
+def _constants(plan, M, basis, K_list, cache) -> list[ObservabilityConstants]:
     Ks = sorted({_resolve_K(basis, K) for K in K_list})
-    if Ks[0] < 2:
+    if not Ks or Ks[0] < 2:
         raise ValidationError("observability constants need K >= 2")
     X, Gs = _plan_modes(plan, M, basis, Ks[-1], cache)
     S = _plan_gram(basis.eigenvalues[: Ks[-1]] ** 2 * X, Gs)
     return [_constants_from_S(S[:K, :K], plan.m, K) for K in Ks]
+
+
+def _warned(table: list[ObservabilityConstants]) -> list[ObservabilityConstants]:
+    """``table``, after a RuntimeWarning for each entry with notes; called
+    from a public entry, so the warning points at that entry's caller."""
+    for c in table:
+        if c.warnings:
+            warnings.warn(c.warnings[-1], RuntimeWarning, stacklevel=3)
+    return table
 
 
 @dataclass
@@ -353,10 +361,8 @@ def probe_coefficients(basis: SpectralBasis, x0: float, r: float) -> np.ndarray:
     image phi is the normalized indicator of B(x0, r) intersected with the
     domain.  The sine transform of an interval indicator is closed form."""
     L = basis.L
-    x0 = float(x0)
-    r = float(r)
-    if r <= 0:
-        raise ValidationError("probe radius must be positive")
+    x0 = real(x0, "x0")
+    r = real(r, "r", positive=True)
     p = max(0.0, x0 - r)
     q = min(L, x0 + r)
     if q <= p:
@@ -382,9 +388,8 @@ def probe_upper_bound(
     """Ratios sum_j ||chi_{omega_j} y(t_j; probe)|| / ||probe||_{H^{-4}} for a
     decreasing list of ball radii.  Each ratio upper-bounds the sum-of-norms
     observability constant on the truncated space."""
-    radii = [float(r) for r in radii]
-    if not radii or any(not math.isfinite(r) or r <= 0 for r in radii):
-        raise ValidationError("radii must be positive and finite")
+    x0 = real(x0, "x0")
+    radii = items(list(radii), "radii", real, positive=True)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValidationError("radii must be strictly decreasing")
     lams = basis.eigenvalues
@@ -398,4 +403,4 @@ def probe_upper_bound(
             v = a * X[j]
             num += math.sqrt(max(float(v @ Gs[j] @ v), 0.0))
         ratios.append(num / denom)
-    return ProbeResult(x0=float(x0), radii=tuple(radii), ratios=tuple(ratios))
+    return ProbeResult(x0=x0, radii=tuple(radii), ratios=tuple(ratios))

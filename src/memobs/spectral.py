@@ -34,15 +34,10 @@ class SpectralBasis:
     """
 
     def __init__(self, L: float, K: int):
-        L = float(L)
-        if not math.isfinite(L) or L <= 0:
-            raise ValidationError("L must be a positive finite real")
-        if int(K) != K or K < 1:
-            raise ValidationError("K must be a positive integer")
-        self.L = L
-        self.K = int(K)
+        self.L = real(L, "L", positive=True)
+        self.K = integer(K, "K", lo=1)
         k = np.arange(1, self.K + 1)
-        self.eigenvalues = (k * np.pi / L) ** 2
+        self.eigenvalues = (k * np.pi / self.L) ** 2
 
     def eigenfunction(self, k: int):
         """Callable evaluating e_k on [0, L]."""
@@ -68,7 +63,7 @@ class SpectralBasis:
         return math.sqrt(2.0 / self.L) * np.sin(np.outer(xv, k) * np.pi / self.L)
 
     def _check_index(self, k: int) -> None:
-        if int(k) != k or not 1 <= k <= self.K:
+        if integer(k, "mode index k", lo=1) > self.K:
             raise ValidationError(f"mode index {k} outside 1..{self.K}")
 
     def __eq__(self, other) -> bool:
@@ -119,7 +114,7 @@ class SpectralField:
         return SpectralField(self.basis, self.coefficients - other.coefficients)
 
     def __rmul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.basis, float(scalar) * self.coefficients)
+        return SpectralField(self.basis, real(scalar, "scalar") * self.coefficients)
 
     def to_json(self) -> dict:
         return {
@@ -137,7 +132,7 @@ class SpectralField:
             data = json.loads(data)
         if not isinstance(data, dict) or set(data) != {"L", "K", "coeffs"}:
             raise ValidationError('field JSON needs exactly "L", "K" and "coeffs"')
-        basis = SpectralBasis(real(data["L"], "L"), integer(data["K"], "K"))
+        basis = SpectralBasis(data["L"], data["K"])
         return cls(basis, items(data["coeffs"], "coeffs", real))
 
     def __repr__(self) -> str:
@@ -148,7 +143,7 @@ def hs_norm(field: SpectralField, s: float) -> float:
     """H^s norm sqrt(sum a_k**2 lambda_k**s)."""
     a = field.coefficients
     lam = field.basis.eigenvalues
-    return float(np.sqrt(np.sum(a * a * lam ** float(s))))
+    return float(np.sqrt(np.sum(a * a * lam ** real(s, "s"))))
 
 
 def eval_field(field: SpectralField, x):

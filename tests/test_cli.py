@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memobs import (
     SamplingPlan,
@@ -456,3 +461,54 @@ def test_bad_input_exits_1_naming_the_path(
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("error:") and where in err, err
+
+
+def _numbers(node, prefix=""):
+    """(dotted path, value) of every number in a config outside lists."""
+    for key, v in node.items():
+        if isinstance(v, dict):
+            yield from _numbers(v, f"{prefix}{key}.")
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield f"{prefix}{key}", v
+
+
+# (command, path, integer field) for every number --set can reach in CONFIGS.
+NUMBER_PATHS = sorted(
+    (command, path, type(v) is int)
+    for command, cfg in CONFIGS.items()
+    for path, v in _numbers(cfg)
+)
+# Fields that take any sign, and those that take 0; every other is positive.
+SIGNED = {"kernel.alpha", "kernel.value", "probe.x0"}
+ZERO_OK = {"propagate.t", "reconstruct.sigma", "reconstruct.seed", "reconstruct.reg"}
+
+
+def _bad_numbers(path, is_int):
+    """JSON texts that are not a valid value of the field at ``path``."""
+    bad = ["NaN", "Infinity", "true", '"1"', "null"]
+    if is_int:
+        bad.append("2.5")
+    if path not in SIGNED:
+        bad += ["-1"] if path in ZERO_OK else ["0", "-1"]
+    return bad
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    case=st.sampled_from(NUMBER_PATHS).flatmap(
+        lambda c: st.tuples(st.just(c), st.sampled_from(_bad_numbers(*c[1:])))
+    )
+)
+def test_bad_number_at_any_config_path_exits_1(case):
+    (command, path, _), raw = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(err):
+        cfg_path = Path(d) / "config.json"
+        cfg_path.write_text(json.dumps(CONFIGS[command]), encoding="utf-8")
+        argv = [command, "--config", str(cfg_path), "--out", d]
+        code = main(argv + ["--set", f"{path}={raw}"])
+    # kernel errors come from the kernel reader, prefixed "kernel: "
+    where = path.replace("kernel.", "kernel: ")
+    msg = err.getvalue()
+    assert code == 1, msg
+    assert msg.startswith("error:") and where in msg, msg

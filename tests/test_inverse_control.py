@@ -284,5 +284,5 @@ def test_non_integer_K_is_rejected(solve, K, cache, exp_kernel):
             zero, zero, plan, 1.0, exp_kernel, K=K, cache=cache
         ),
     }
-    with pytest.raises(ValidationError, match="K must lie"):
+    with pytest.raises(ValidationError, match="K must be an integer"):
         calls[solve]()

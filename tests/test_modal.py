@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from memobs import (
@@ -416,12 +416,38 @@ def test_march_rejects_jumps_off_the_interior():
             solve_modal_volterra(9.0, ZeroKernel(), 1.5, 384, 1.0, {p: 0.5})
 
 
-def test_zero_kernel_march_is_pade_exponential():
-    # with no memory the step is the (1,1) Pade approximant of exp(-h lam)
-    _, x = solve_modal_volterra(2.0, ZeroKernel(), 1.0, 64)
-    h = 1.0 / 64
-    step = (1.0 - h) / (1.0 + h)
-    np.testing.assert_allclose(x, step ** np.arange(65), rtol=1e-13)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    lam=st.floats(0.5, 5000.0),
+    T=st.floats(0.1, 5.0),
+    n=st.integers(8, 3 * modal._BLOCK),
+)
+@example(lam=2.0, T=1.0, n=64)
+@example(lam=16.0, T=1.0, n=8)  # h lam = 2: r = 0
+@example(lam=1000.0, T=1.0, n=501)  # r^i underflows
+def test_zero_kernel_march_is_pade_exponential(lam, T, n):
+    """With no memory a step is the (1,1) Pade approximant of exp(-h lam):
+    x_i = r^i, r = (1 - h lam/2) / (1 + h lam/2), for h lam <= 2.
+
+    A step of the march rounds twice (fac x_i, then the division by denom),
+    so x_i = r^i (1 + d) with |d| <= 2 i u, u = 2^-53.  The reference
+    r^i carries the rounding of r, i-fold, and that of the power, (i + 1) u.
+    Below the normal range a rounding is absolute, at most half the
+    smallest subnormal s.  Hence |x_i - r^i| <= (3 i + 4) u r^i
+    + (2 i + 2) s, with one u of slack per step for second-order terms.
+    """
+    n = max(n, math.ceil(T * lam / 2.0))
+    h = T / n
+    assume(h * lam <= 2.0)
+    _, x = solve_modal_volterra(lam, ZeroKernel(), T, n)
+    # fac and denom exactly as the march forms them
+    fac = 1.0 - 0.5 * h * lam
+    denom = 1.0 + 0.5 * h * lam
+    i = np.arange(n + 1)
+    ref = (fac / denom) ** i
+    u = np.finfo(float).eps / 2
+    s = np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(x - ref) <= (3 * i + 4) * u * ref + (2 * i + 2) * s)
 
 
 def test_stability_guard():
@@ -524,6 +550,13 @@ def test_linear_kernel_grows_with_cubic_root_rate():
     # growing envelope: the tail maximum dominates the early maximum
     n = len(x)
     assert np.abs(x[3 * n // 4 :]).max() > 2.0 * np.abs(x[: n // 4]).max()
+
+
+def test_nodal_numeric_stops_at_adjacent_floats():
+    # a refine_tol below the float spacing at the zero ends the bisection at
+    # adjacent floats; it used to bisect forever
+    ns = nodal_set_numeric(4.0, ExponentialKernel(4.0, 0.0), 6.0, refine_tol=1e-300)
+    np.testing.assert_allclose(ns.zeros, [0.5], rtol=0, atol=1e-9)
 
 
 def test_nodal_validation():

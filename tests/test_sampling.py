@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ class TestConstants:
         assert c.c_min == 0.0 and c.mu_min == 0.0
         assert c.warnings
 
+    def test_clamp_warning_points_at_the_caller(self, cache):
+        # one instant over a sliver: the scaled form is numerically singular
+        plan = SamplingPlan([(0.5, [[0.0, 0.02]])])
+        basis = SpectralBasis(math.pi, 8)
+        for entry in (
+            lambda: observability_constants(plan, ZeroKernel(), basis, cache=cache),
+            lambda: constants_table(plan, ZeroKernel(), basis, [4, 8], cache),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                entry()
+            assert caught
+            for w in caught:
+                assert w.category is RuntimeWarning
+                assert w.filename == __file__
+
     def test_bracket_relations(self, cache, exp_kernel):
         basis = SpectralBasis(math.pi, 8)
         plan = SamplingPlan([(0.5, [[0.2, 1.3]]), (0.9, [[1.1, 2.8]])])
@@ -198,6 +215,8 @@ class TestConstants:
         basis = SpectralBasis(math.pi, 8)
         with pytest.raises(ValidationError):
             observability_constants(full_plan([0.5]), exp_kernel, basis, K=1, cache=cache)
+        with pytest.raises(ValidationError):
+            constants_table(full_plan([0.5]), exp_kernel, basis, [], cache=cache)
 
 
 class TestProbe:
