@@ -26,16 +26,17 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .errors import NumericalError, ValidationError, flag, integer, items, real
+from .errors import NumericalError, ValidationError, flag, integer, items, obj, real
 from .evolution import ModalCache, decomposition_residual, propagate
 from .inverse_control import (
+    ModeWitness,
     ObservationData,
     backward_uniqueness_certificate,
     impulse_control,
@@ -79,37 +80,37 @@ def _fmt_float(v: float) -> str:
     return "%.17g" % v
 
 
-def _json_text(obj, indent: int = 0) -> str:
+def _json_text(value, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
+    if value is None:
         return "null"
-    if obj is True:
+    if value is True:
         return "true"
-    if obj is False:
+    if value is False:
         return "false"
-    if isinstance(obj, (np.floating, float)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(value, (np.floating, float)):
+        return _fmt_float(float(value))
+    if isinstance(value, (np.integer, int)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if not value:
             return "[]"
-        items = ",\n".join(inner + _json_text(v, indent + 1) for v in obj)
+        items = ",\n".join(inner + _json_text(v, indent + 1) for v in value)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
+    if isinstance(value, dict):
+        if not value:
             return "{}"
         items = ",\n".join(
             f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
-            for k, v in obj.items()
+            for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
-    raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
+    raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
 
 
 def _csv_cell(v) -> str:
@@ -171,24 +172,29 @@ def emit_report(
 # config handling
 
 
+def _read_json(path, what: str):
+    """The bytes of the JSON file ``path`` and their parsed value; ``what``
+    names the file in error messages."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return blob, json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
-    command: str
     data: dict
     sha256: str
     out_dir: str
     threads: int
 
     @classmethod
-    def load(cls, command, config_path, out_flag, threads, overrides):
-        try:
-            text = Path(config_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {config_path}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {config_path} is not valid JSON: {exc}") from exc
+    def load(cls, config_path, out_flag, threads, overrides):
+        _, data = _read_json(config_path, "config")
         if not isinstance(data, dict):
             raise ValidationError("config root must be a JSON object")
         for item in overrides or []:
@@ -205,7 +211,6 @@ class ExperimentConfig:
         if not isinstance(out_dir, str):
             raise ValidationError("out must be a directory path string")
         return cls(
-            command=command,
             data=data,
             sha256=sha,
             out_dir=out_dir,
@@ -233,18 +238,6 @@ def _apply_override(data: dict, item: str) -> None:
             raise ValidationError(f"--set path {key!r} crosses a non-object value")
         node = nxt
     node[parts[-1]] = value
-
-
-def _check_keys(d, path: str, required: set, optional: set = frozenset()) -> dict:
-    if not isinstance(d, dict):
-        raise ValidationError(f"{path} must be a JSON object")
-    missing = required - d.keys()
-    if missing:
-        raise ValidationError(f"{path}: missing required fields {sorted(missing)}")
-    unknown = d.keys() - required - optional
-    if unknown:
-        raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
-    return d
 
 
 def _get(sec, path, key, check, default=None, **bounds):
@@ -276,7 +269,7 @@ def _check_closed_form(M, path: str) -> None:
 
 
 def _field_from_spec(basis: SpectralBasis, spec, path: str) -> SpectralField:
-    _check_keys(spec, path, set(), {"mode", "coeffs"})
+    obj(spec, path, optional={"mode", "coeffs"})
     if ("mode" in spec) == ("coeffs" in spec):
         raise ValidationError(f'{path} needs exactly one of "mode" or "coeffs"')
     if "mode" in spec:
@@ -297,7 +290,7 @@ def _field_from_spec(basis: SpectralBasis, spec, path: str) -> SpectralField:
 
 
 def _run_modal(cfg, M):
-    sec = _check_keys(
+    sec = obj(
         cfg["modal"], "modal", {"lam", "T"}, {"n_steps", "method", "richardson", "tol"}
     )
     lam = _get(sec, "modal", "lam", real, positive=True)
@@ -334,7 +327,7 @@ def _run_modal(cfg, M):
 
 
 def _run_nodal(cfg, M):
-    sec = _check_keys(
+    sec = obj(
         cfg["nodal"], "nodal", {"lam", "T_max"}, {"resolution", "refine_tol", "method"}
     )
     lam = _get(sec, "nodal", "lam", real, positive=True)
@@ -354,15 +347,13 @@ def _run_nodal(cfg, M):
         "T_max": T_max,
         "method": method,
         "count": len(ns),
-        "zeros": ns.zeros.tolist(),
-        "flags": list(ns.flags),
+        **ns.to_json(),
     }
-    rows = list(zip(ns.zeros.tolist(), ns.flags))
-    return [Report("nodal", payload, ["zero", "flag"], rows)]
+    return [Report("nodal", payload, ["zero", "flag"], list(ns))]
 
 
 def _run_propagate(cfg, M, basis):
-    sec = _check_keys(cfg["propagate"], "propagate", {"t", "y0"})
+    sec = obj(cfg["propagate"], "propagate", {"t", "y0"})
     t = _get(sec, "propagate", "t", real, nonneg=True)
     y0 = _field_from_spec(basis, sec["y0"], "propagate.y0")
     out = propagate(y0, M, t)
@@ -382,7 +373,7 @@ def _run_propagate(cfg, M, basis):
 
 
 def _run_residual(cfg, M, basis):
-    sec = _check_keys(cfg["residual"], "residual", {"t"}, {"ks", "hlam_max"})
+    sec = obj(cfg["residual"], "residual", {"t"}, {"ks", "hlam_max"})
     t = _get(sec, "residual", "t", real, positive=True)
     hlam_max = _get(sec, "residual", "hlam_max", real, default=0.125, positive=True)
     ks = _get(sec, "residual", "ks", items, each=integer, lo=1)
@@ -416,84 +407,42 @@ def _run_check_plan(cfg, M, basis, plan):
 
 
 def _run_constants(cfg, M, basis, plan):
-    sec = _check_keys(cfg.get("constants", {}), "constants", set(), {"K_list"})
+    sec = obj(cfg.get("constants", {}), "constants", optional={"K_list"})
     K_list = _get(sec, "constants", "K_list", items, [basis.K], each=integer, lo=1)
     table = constants_table(plan, M, basis, K_list)
-    payload = {
-        "command": "constants",
-        "m": plan.m,
-        "entries": [
-            {
-                "K": c.K,
-                "c_min": c.c_min,
-                "c_max": c.c_max,
-                "lower_bracket": c.lower_bracket,
-                "upper_bracket": c.upper_bracket,
-                "mu_min": c.mu_min,
-                "mu_min_upper": c.mu_min_upper,
-                "mu_max": c.mu_max,
-                "clamped": c.clamped,
-                "warnings": list(c.warnings),
-            }
-            for c in table
-        ],
-    }
-    rows = [
-        (c.K, c.c_min, c.c_max, c.lower_bracket, c.upper_bracket) for c in table
-    ]
-    return [
-        Report(
-            "constants",
-            payload,
-            ["K", "c_min", "c_max", "lower_bracket", "upper_bracket"],
-            rows,
-        )
-    ]
+    entries = [asdict(c) for c in table]
+    payload = {"command": "constants", "m": plan.m, "entries": entries}
+    header = ["K", "c_min", "c_max", "lower_bracket", "upper_bracket"]
+    rows = [[e[h] for h in header] for e in entries]
+    return [Report("constants", payload, header, rows)]
 
 
 def _run_probe(cfg, M, basis, plan):
-    sec = _check_keys(cfg["probe"], "probe", {"x0", "radii"})
+    sec = obj(cfg["probe"], "probe", {"x0", "radii"})
     x0 = _get(sec, "probe", "x0", real)
     radii = _get(sec, "probe", "radii", items, each=real, positive=True)
     result = probe_upper_bound(plan, M, basis, x0, radii)
-    payload = {
-        "command": "probe",
-        "x0": result.x0,
-        "radii": list(result.radii),
-        "ratios": list(result.ratios),
-    }
+    payload = {"command": "probe", **asdict(result)}
     return [Report("probe", payload, ["radius", "ratio"], result.rows)]
 
 
 def _run_certify(cfg, M, basis):
-    sec = _check_keys(cfg["certify"], "certify", {"times"}, {"K", "tol"})
+    sec = obj(cfg["certify"], "certify", {"times"}, {"K", "tol"})
     times = _get(sec, "certify", "times", items, each=real, positive=True)
     K = _get(sec, "certify", "K", integer, default=basis.K, lo=1)
     tol = _get(sec, "certify", "tol", real, default=1e-10, positive=True)
     cert = backward_uniqueness_certificate(times, M, basis, K=K, tol=tol)
     payload = {"command": "certify", **cert.to_json()}
-    rows = [
-        (
-            w.k,
-            w.lam,
-            w.witness_index,
-            w.witness_time,
-            w.value,
-            w.sup,
-            w.threshold,
-        )
-        for w in cert.modes
-    ]
-    header = ["k", "lam", "witness_index", "witness_time", "value", "sup", "threshold"]
+    header = [f.name for f in fields(ModeWitness)]
+    rows = [astuple(w) for w in cert.modes]
     return [Report("certificate", payload, header, rows)]
 
 
 def _run_reconstruct(cfg, M, basis, plan):
-    sec = _check_keys(
+    sec = obj(
         cfg["reconstruct"],
         "reconstruct",
-        set(),
-        {"y0", "data_file", "samples_per_unit", "sigma", "seed", "K", "reg"},
+        optional={"y0", "data_file", "samples_per_unit", "sigma", "seed", "K", "reg"},
     )
     has_y0 = "y0" in sec
     has_file = "data_file" in sec
@@ -518,15 +467,8 @@ def _run_reconstruct(cfg, M, basis, plan):
         path = sec["data_file"]
         if not isinstance(path, str):
             raise ValidationError("reconstruct.data_file must be a path string")
-        try:
-            blob = Path(path).read_bytes()
-        except OSError as exc:
-            raise ValidationError(f"cannot read data_file {path}: {exc}") from exc
+        blob, raw = _read_json(path, "data_file")
         data_sha = hashlib.sha256(blob).hexdigest()
-        try:
-            raw = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"data_file {path} is not valid JSON: {exc}") from exc
         if isinstance(raw, dict):
             raw.pop("config_sha256", None)  # stamp added by the artifact writer
         data = _read(
@@ -571,11 +513,8 @@ def _run_reconstruct(cfg, M, basis, plan):
 
 
 def _run_control(cfg, M, basis, plan):
-    sec = _check_keys(
-        cfg["control"],
-        "control",
-        {"y0", "y1", "T"},
-        {"K", "rank_rtol", "verify"},
+    sec = obj(
+        cfg["control"], "control", {"y0", "y1", "T"}, {"K", "rank_rtol", "verify"}
     )
     T = _get(sec, "control", "T", real, positive=True)
     K = _get(sec, "control", "K", integer, default=basis.K, lo=1)
@@ -646,11 +585,11 @@ def run_command(name: str, config: ExperimentConfig) -> int:
     if name not in _COMMANDS:
         raise ValidationError(f"unknown command {name!r}")
     runner, required, optional = _COMMANDS[name]
-    cfg = _check_keys(config.data, "config", required, optional | {"out"})
+    cfg = obj(config.data, "config", required, optional | {"out"})
     t0 = time.perf_counter()
     shared = {"M": _read("kernel", kernel_from_spec, cfg["kernel"])}
     if "basis" in required:
-        sec = _check_keys(cfg["basis"], "basis", {"L", "K"})
+        sec = obj(cfg["basis"], "basis", {"L", "K"})
         shared["basis"] = SpectralBasis(
             _get(sec, "basis", "L", real, positive=True),
             _get(sec, "basis", "K", integer, lo=1),
@@ -710,9 +649,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        config = ExperimentConfig.load(
-            ns.command, ns.config, ns.out, ns.threads, ns.set
-        )
+        config = ExperimentConfig.load(ns.config, ns.out, ns.threads, ns.set)
         return run_command(ns.command, config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

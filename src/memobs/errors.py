@@ -1,11 +1,13 @@
 """Exception types shared across the package, and the checks that turn
-outside values into numbers.
+outside values into numbers and objects.
 
 Every number or flag read from a config, a ``--set`` override or a data
 file, and every number a caller passes to a library entry, passes through
 ``real``, ``integer``, ``flag`` or ``items``: a real is a finite number, an
 integer is an int, a flag is true or false, and a bool is never a number.
-Each error names the path or parameter of the offending value.
+Every JSON object a reader takes passes through ``obj``, which checks that
+it is an object with all of its required keys and no unknown one.  Each
+error names the path or parameter of the offending value.
 """
 
 from __future__ import annotations
@@ -69,3 +71,17 @@ def items(v, path: str, each, **bounds) -> list:
     if not isinstance(v, list) or not v:
         raise ValidationError(f"{path} must be a nonempty list")
     return [each(x, f"{path}[{i}]", **bounds) for i, x in enumerate(v)]
+
+
+def obj(v, path: str, required=frozenset(), optional=frozenset()) -> dict:
+    """``v`` if it is a JSON object with every key of ``required`` and no key
+    outside ``required`` and ``optional``."""
+    if not isinstance(v, dict):
+        raise ValidationError(f"{path} must be a JSON object")
+    missing = required - v.keys()
+    if missing:
+        raise ValidationError(f"{path}: missing required fields {sorted(missing)}")
+    unknown = v.keys() - required - optional
+    if unknown:
+        raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
+    return v

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, integer, items, real
+from .errors import NumericalError, ValidationError, integer, items, obj, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
 from .modal import _n_steps, solve_modal_richardson
@@ -97,18 +97,7 @@ class Certificate:
             "verdict": self.verdict,
             "certified": self.certified,
             "failing_modes": list(self.failing_modes),
-            "modes": [
-                {
-                    "k": w.k,
-                    "lam": w.lam,
-                    "witness_index": w.witness_index,
-                    "witness_time": w.witness_time,
-                    "value": w.value,
-                    "sup": w.sup,
-                    "threshold": w.threshold,
-                }
-                for w in self.modes
-            ],
+            "modes": [asdict(w) for w in self.modes],
         }
 
 
@@ -204,11 +193,7 @@ class ObservationData:
     @classmethod
     def from_json(cls, data, L: float | None = None) -> "ObservationData":
         required = {"plan", "sigma", "seed", "blocks"}
-        if not isinstance(data, dict) or not required <= set(data):
-            raise ValidationError(f"observation data needs entries {sorted(required)}")
-        unknown = set(data) - required - {"generator"}
-        if unknown:
-            raise ValidationError(f"unknown observation entries: {sorted(unknown)}")
+        obj(data, "observation data", required, {"generator"})
         if data.get("generator", NOISE_GENERATOR) != NOISE_GENERATOR:
             raise ValidationError(f"generator must be {NOISE_GENERATOR!r}")
         try:
@@ -220,10 +205,7 @@ class ObservationData:
         blocks = []
         for i, (entry, raw) in enumerate(zip(plan.entries, data["blocks"])):
             path = f"blocks[{i}]"
-            if not isinstance(raw, dict) or set(raw) != {"t", "xs", "values"}:
-                raise ValidationError(
-                    f'{path} must be an object with "t", "xs" and "values"'
-                )
+            obj(raw, path, {"t", "xs", "values"})
             if real(raw["t"], f"{path}.t") != entry.t:
                 raise ValidationError(f"{path}.t is not the plan instant {entry.t}")
             xs = np.asarray(items(raw["xs"], f"{path}.xs", real))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import SeriesDivergenceError, ValidationError, integer, items, real
+from .errors import SeriesDivergenceError, ValidationError, integer, items, obj, real
 
 MAX_SERIES_TERMS = 64
 
@@ -145,7 +145,7 @@ class TabulatedKernel(MemoryKernel):
 
     def __call__(self, t):
         tv = np.asarray(t, dtype=float)
-        if np.any(tv < -1e-12) or np.any(tv > self.t_max * (1 + 1e-12) + 1e-12):
+        if not np.all((tv >= -1e-12) & (tv <= self.t_max * (1 + 1e-12) + 1e-12)):
             raise ValidationError(
                 f"evaluation outside the tabulated range [0, {self.t_max}]"
             )
@@ -160,39 +160,29 @@ class TabulatedKernel(MemoryKernel):
         }
 
 
+# kind: (fields besides "kind", builder from the spec)
 _KINDS = {
-    "zero": lambda d: ZeroKernel(),
-    "constant": lambda d: ConstantKernel(d["value"]),
-    "linear": lambda d: LinearKernel(),
-    "exponential": lambda d: ExponentialKernel(d["c"], d["alpha"]),
-    "tabulated": lambda d: TabulatedKernel(
-        items(d["times"], "times", real), items(d["values"], "values", real)
+    "zero": ((), lambda d: ZeroKernel()),
+    "constant": (("value",), lambda d: ConstantKernel(d["value"])),
+    "linear": ((), lambda d: LinearKernel()),
+    "exponential": (("c", "alpha"), lambda d: ExponentialKernel(d["c"], d["alpha"])),
+    "tabulated": (
+        ("times", "values"),
+        lambda d: TabulatedKernel(
+            items(d["times"], "times", real), items(d["values"], "values", real)
+        ),
     ),
 }
-
-_KIND_FIELDS = {
-    "zero": set(),
-    "constant": {"value"},
-    "linear": set(),
-    "exponential": {"c", "alpha"},
-    "tabulated": {"times", "values"},
-}
+_SPEC_FIELDS = {name for fields, _ in _KINDS.values() for name in fields}
 
 
 def kernel_from_spec(spec: dict) -> MemoryKernel:
     """Build a kernel from its JSON specification, e.g. {"kind": "linear"}."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError('kernel spec must be an object with a "kind" entry')
-    kind = spec["kind"]
+    kind = obj(spec, "kernel spec", {"kind"}, _SPEC_FIELDS)["kind"]
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown kernel kind {kind!r}")
-    extra = set(spec) - _KIND_FIELDS[kind] - {"kind"}
-    if extra:
-        raise ValidationError(f"unknown kernel fields for {kind!r}: {sorted(extra)}")
-    missing = _KIND_FIELDS[kind] - set(spec)
-    if missing:
-        raise ValidationError(f"kernel {kind!r} missing fields: {sorted(missing)}")
-    return _KINDS[kind](spec)
+    fields, build = _KINDS[kind]
+    return build(obj(spec, "kernel spec", {"kind", *fields}))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError, flag, real
+from .errors import ValidationError, flag, obj, real
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,13 @@ def _coerce_interval(item, path: str) -> Interval:
     if isinstance(item, Interval):
         return item
     if isinstance(item, dict):
-        unknown = set(item) - {"a", "b", "closed_left", "closed_right"}
-        if unknown:
-            raise ValidationError(f"{path}: unknown fields {sorted(unknown)}")
-        try:
-            return Interval(
-                real(item["a"], f"{path}.a"),
-                real(item["b"], f"{path}.b"),
-                flag(item.get("closed_left", True), f"{path}.closed_left"),
-                flag(item.get("closed_right", True), f"{path}.closed_right"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{path}: missing field {exc}") from exc
+        obj(item, path, {"a", "b"}, {"closed_left", "closed_right"})
+        return Interval(
+            real(item["a"], f"{path}.a"),
+            real(item["b"], f"{path}.b"),
+            flag(item.get("closed_left", True), f"{path}.closed_left"),
+            flag(item.get("closed_right", True), f"{path}.closed_right"),
+        )
     try:
         parts = list(item)
     except TypeError as exc:

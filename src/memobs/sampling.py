@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, integer, items, real
+from .errors import NumericalError, ValidationError, integer, items, obj, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
 from .regions import ObservationRegion, UncoveredSet, complement
@@ -84,19 +84,12 @@ class SamplingPlan:
 
     @classmethod
     def from_json(cls, data, L: float | None = None) -> "SamplingPlan":
-        if not isinstance(data, dict) or "instants" not in data:
-            raise ValidationError('plan must be an object with an "instants" list')
-        unknown = set(data) - {"instants"}
-        if unknown:
-            raise ValidationError(f"unknown plan entries: {sorted(unknown)}")
+        obj(data, "plan", {"instants"})
         if not isinstance(data["instants"], list):
             raise ValidationError("instants must be a list")
         entries = []
         for i, item in enumerate(data["instants"]):
-            if not isinstance(item, dict) or set(item) != {"t", "region"}:
-                raise ValidationError(
-                    f'instants[{i}] must be an object with "t" and "region"'
-                )
+            obj(item, f"instants[{i}]", {"t", "region"})
             try:
                 region = ObservationRegion.from_json(item["region"], L=L)
             except ValidationError as exc:

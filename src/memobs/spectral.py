@@ -13,12 +13,11 @@ the observability algebra built on top of them.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-from .errors import ValidationError, integer, items, real
+from .errors import ValidationError, integer, items, obj, real
 from .regions import ObservationRegion
 
 
@@ -47,7 +46,7 @@ class SpectralBasis:
 
         def e_k(x):
             xv = np.asarray(x, dtype=float)
-            if np.any(xv < -1e-12) or np.any(xv > L + 1e-12):
+            if not np.all((xv >= -1e-12) & (xv <= L + 1e-12)):
                 raise ValidationError(f"argument outside [0, {L}]")
             out = amp * np.sin(k * np.pi * xv / L)
             return float(out) if np.isscalar(x) else out
@@ -57,7 +56,7 @@ class SpectralBasis:
     def modes_at(self, x) -> np.ndarray:
         """Matrix of e_k(x_i), shape (len(x), K)."""
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xv < -1e-12) or np.any(xv > self.L + 1e-12):
+        if not np.all((xv >= -1e-12) & (xv <= self.L + 1e-12)):
             raise ValidationError(f"argument outside [0, {self.L}]")
         k = np.arange(1, self.K + 1)
         return math.sqrt(2.0 / self.L) * np.sin(np.outer(xv, k) * np.pi / self.L)
@@ -123,15 +122,9 @@ class SpectralField:
             "coeffs": [float(a) for a in self.coefficients],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
     @classmethod
     def from_json(cls, data) -> "SpectralField":
-        if isinstance(data, str):
-            data = json.loads(data)
-        if not isinstance(data, dict) or set(data) != {"L", "K", "coeffs"}:
-            raise ValidationError('field JSON needs exactly "L", "K" and "coeffs"')
+        obj(data, "field", {"L", "K", "coeffs"})
         basis = SpectralBasis(data["L"], data["K"])
         return cls(basis, items(data["coeffs"], "coeffs", real))
 

@@ -161,13 +161,123 @@ def test_constants_artifacts_and_sha(tmp_path):
     assert [e["K"] for e in doc["entries"]] == [4, 8]
     lines = (tmp_path / "constants.csv").read_text().splitlines()
     assert lines[0] == f"# config_sha256={doc['config_sha256']}"
-    assert lines[1] == "K,c_min,c_max,lower_bracket,upper_bracket"
     assert len(lines) == 4
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["command"] == "constants"
     assert meta["config_sha256"] == doc["config_sha256"]
     assert "constants.json" in meta["artifacts"]
     assert meta["timings"]["total_s"] >= 0.0
+
+
+# The frozen layout of every artifact of the CONFIGS runs: for each file,
+# the key order of a JSON document (top level, then one item of each list of
+# records) or the CSV header.  Records are rendered from their dataclass
+# fields, so reordering a field shows here.
+LAYOUTS = {
+    "modal": {
+        "modal.json": [
+            "config_sha256", "command", "kernel", "lam", "T", "n_steps", "method",
+            "x_final", "sup_abs",
+        ],
+        "modal.csv": ["t", "x"],
+    },
+    "nodal": {
+        "nodal.json": [
+            "config_sha256", "command", "kernel", "lam", "T_max", "method", "count",
+            "zeros", "flags",
+        ],
+        "nodal.csv": ["zero", "flag"],
+    },
+    "propagate": {
+        "propagate.json": [
+            "config_sha256", "command", "t", "K", "L", "l2_norm", "h_minus4_norm",
+        ],
+        "propagate.csv": ["k", "lam", "coeff"],
+    },
+    "residual": {
+        "residual.json": [
+            "config_sha256", "command", "t", "kernel_at_t", "slope", "sup_lambda2_x",
+        ],
+        "residual.csv": ["k", "lam", "x", "residual"],
+    },
+    "check-plan": {
+        "plan_check.json": [
+            "config_sha256", "command", "m", "times", "kernel_nonvanishing",
+            "active_instants", "verdict", "uncovered_intervals", "uncovered_points",
+        ],
+    },
+    "constants": {
+        "constants.json": ["config_sha256", "command", "m", "entries"],
+        "constants.json:entries": [
+            "K", "c_min", "c_max", "lower_bracket", "upper_bracket", "mu_min",
+            "mu_min_upper", "mu_max", "clamped", "warnings",
+        ],
+        "constants.csv": ["K", "c_min", "c_max", "lower_bracket", "upper_bracket"],
+    },
+    "probe": {
+        "probe.json": ["config_sha256", "command", "x0", "radii", "ratios"],
+        "probe.csv": ["radius", "ratio"],
+    },
+    "certify": {
+        "certificate.json": [
+            "config_sha256", "command", "K", "times", "tol", "verdict", "certified",
+            "failing_modes", "modes",
+        ],
+        "certificate.json:modes": [
+            "k", "lam", "witness_index", "witness_time", "value", "sup", "threshold",
+        ],
+        "certificate.csv": [
+            "k", "lam", "witness_index", "witness_time", "value", "sup", "threshold",
+        ],
+    },
+    "reconstruct": {
+        "observations.json": [
+            "config_sha256", "plan", "sigma", "seed", "generator", "blocks",
+        ],
+        "observations.json:blocks": ["t", "xs", "values"],
+        "reconstruction.json": [
+            "config_sha256", "command", "K", "reg", "sigma", "seed", "condition",
+            "residual", "data_norm", "relative_h_minus4_error", "relative_l2_error",
+        ],
+        "reconstruction.csv": ["k", "lam", "recovered", "true"],
+    },
+    "control": {
+        "control.json": [
+            "config_sha256", "command", "T", "K", "energy", "cost", "duality_gap",
+            "rank", "unreachable_modes", "reach_residual", "target_reachable",
+            "notes", "achieved", "simulated", "closed_loop_error_l2",
+        ],
+        "control.csv": ["j", "tau", "t", "k", "profile", "applied"],
+    },
+}
+
+
+def _layout(out_dir):
+    """The LAYOUTS entry that the artifacts in ``out_dir`` have."""
+    found = {}
+    for p in sorted(Path(out_dir).iterdir()):
+        if p.suffix == ".csv":
+            found[p.name] = p.read_text().splitlines()[1].split(",")
+        elif p.suffix == ".json" and p.name != "run_meta.json":
+            doc = json.loads(p.read_text())
+            found[p.name] = list(doc)
+            for key, v in doc.items():
+                if isinstance(v, list) and v and isinstance(v[0], dict):
+                    layouts = {tuple(item) for item in v}
+                    assert len(layouts) == 1, (p.name, key, layouts)
+                    found[f"{p.name}:{key}"] = list(layouts.pop())
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_artifact_layout_is_frozen(command, tmp_path, capsys):
+    assert sorted(LAYOUTS) == sorted(CONFIGS)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(CONFIGS[command]), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert _layout(out) == LAYOUTS[command]
 
 
 def test_set_override_changes_config_hash(tmp_path):
@@ -212,6 +322,16 @@ def test_exit_codes():
             text=True,
         )
         assert res.returncode == 1 and "error:" in res.stderr
+
+        # a config that is not UTF-8 is read through the same JSON reader
+        latin = Path(d) / "latin.json"
+        latin.write_bytes(b'{"kernel": "\xff"}')
+        res = subprocess.run(
+            [sys.executable, "-m", "memobs", "modal", "--config", str(latin)],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 1 and "is not valid JSON" in res.stderr
 
         # schema violation: stray section
         bad = dict(CONFIGS["modal"])
@@ -309,8 +429,9 @@ def _observations_doc():
 
 def _bad(command, overrides, where, tamper=None, name=None):
     """A malformed input: ``--set`` overrides of the command's test config, or
-    an in-place change ``tamper`` to a valid reconstruct data file; ``where``
-    is the text that must name the offending path."""
+    an in-place change ``tamper`` to a valid reconstruct data file (a value
+    that is not callable replaces the whole file); ``where`` is the text that
+    must name the offending path."""
     return pytest.param(command, overrides, tamper, where, id=name)
 
 
@@ -439,6 +560,118 @@ BAD_INPUTS = [
         "plan: instants[0]",
         name="probe-empty-region",
     ),
+    # Objects: one that is not an object, one missing a required key and one
+    # with an unknown key, at each kind of object a config or data file holds.
+    _bad("probe", ["probe=5"], "probe must be a JSON object", name="section-number"),
+    _bad(
+        "probe",
+        ['probe={"x0": 1.5}'],
+        "probe: missing required fields ['radii']",
+        name="section-missing",
+    ),
+    _bad(
+        "probe", ["probe.r=1"], "probe: unknown fields ['r']", name="section-unknown"
+    ),
+    _bad(
+        "modal", ["kernel=5"], "kernel: kernel spec must be a JSON object",
+        name="kernel-number",
+    ),
+    _bad(
+        "modal",
+        ['kernel={"c": 1.0, "alpha": 0.0}'],
+        "kernel: kernel spec: missing required fields ['kind']",
+        name="kernel-without-kind",
+    ),
+    _bad(
+        "modal",
+        ['kernel={"kind": "exponential", "c": 1.0}'],
+        "kernel: kernel spec: missing required fields ['alpha']",
+        name="kernel-missing",
+    ),
+    _bad(
+        "modal",
+        ["kernel.value=1"],
+        "kernel: kernel spec: unknown fields ['value']",
+        name="kernel-unknown",
+    ),
+    _bad(
+        "check-plan",
+        ["plan.instants=[5]"],
+        "plan: instants[0] must be a JSON object",
+        name="instant-number",
+    ),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": 0.5}]'],
+        "plan: instants[0]: missing required fields ['region']",
+        name="instant-missing",
+    ),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": 0.5, "region": [[0, 1]], "w": 1}]'],
+        "plan: instants[0]: unknown fields ['w']",
+        name="instant-unknown",
+    ),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": 0.5, "region": [5]}]'],
+        "plan: instants[0]: region[0] is not an interval",
+        name="interval-number",
+    ),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": 0.5, "region": [{"a": 0.0}]}]'],
+        "plan: instants[0]: region[0]: missing required fields ['b']",
+        name="interval-missing",
+    ),
+    _bad(
+        "check-plan",
+        ['plan.instants=[{"t": 0.5, "region": [{"a": 0, "b": 1, "open": true}]}]'],
+        "plan: instants[0]: region[0]: unknown fields ['open']",
+        name="interval-unknown",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: observation data must be a JSON object",
+        tamper=[1, 2],
+        name="data-not-object",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: observation data: missing required fields ['sigma']",
+        tamper=lambda d: d.pop("sigma"),
+        name="data-missing",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: observation data: unknown fields ['w']",
+        tamper=lambda d: d.update(w=1),
+        name="data-unknown",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: blocks[0] must be a JSON object",
+        tamper=lambda d: d["blocks"].__setitem__(0, 5),
+        name="data-block-number",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: blocks[0]: missing required fields ['values']",
+        tamper=lambda d: d["blocks"][0].pop("values"),
+        name="data-block-missing",
+    ),
+    _bad(
+        "reconstruct",
+        [],
+        "data_file: blocks[0]: unknown fields ['w']",
+        tamper=lambda d: d["blocks"][0].update(w=1),
+        name="data-block-unknown",
+    ),
 ]
 
 
@@ -448,7 +681,10 @@ def test_bad_input_exits_1_naming_the_path(
 ):
     if tamper is not None:
         doc = _observations_doc()
-        tamper(doc)
+        if callable(tamper):
+            tamper(doc)
+        else:
+            doc = tamper
         data_file = tmp_path / "observations.json"
         data_file.write_text(json.dumps(doc), encoding="utf-8")
         overrides = [f"reconstruct={json.dumps({'data_file': str(data_file)})}"]

@@ -105,6 +105,10 @@ def test_tabulated_validation():
         TabulatedKernel([0.1, 1.0, 2.0, 3.0], [1.0] * 4)  # must start at 0
     with pytest.raises(ValidationError):
         TabulatedKernel([0.0, 1.0, 1.0, 3.0], [1.0] * 4)  # not increasing
+    M = TabulatedKernel([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.0, 1.0])
+    for bad in (math.nan, [0.5, math.nan], 3.5):
+        with pytest.raises(ValidationError):
+            M(bad)
 
 
 def test_convolution_power_first_is_minus_M():

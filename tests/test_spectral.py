@@ -55,6 +55,13 @@ def test_basis_validation():
         basis.eigenfunction(4)
     with pytest.raises(ValidationError):
         basis.eigenfunction(1)(1.5)  # outside [0, L]
+    for bad in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValidationError):
+            basis.eigenfunction(1)(bad)
+        with pytest.raises(ValidationError):
+            basis.modes_at(bad)
+        with pytest.raises(ValidationError):
+            eval_field(SpectralField(basis, [1.0, 0.0, 0.0]), bad)
 
 
 def test_field_arithmetic_and_validation():
@@ -97,11 +104,14 @@ def test_eval_field_matches_sum():
 def test_field_json_round_trip():
     basis = SpectralBasis(2.0, 3)
     f = SpectralField(basis, [0.1, -0.2, 0.3])
-    g = SpectralField.from_json(f.dumps())
+    g = SpectralField.from_json(f.to_json())
     assert g.basis == basis
     np.testing.assert_array_equal(g.coefficients, f.coefficients)
     with pytest.raises(ValidationError):
         SpectralField.from_json({"L": 2.0, "K": 3, "coeffs": [1, 2, 3], "x": 1})
+    # readers take parsed JSON only; a string is not an object
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        SpectralField.from_json("{")
 
 
 def test_overlap_full_domain_is_identity():
