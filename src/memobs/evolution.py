@@ -11,7 +11,8 @@ Modal endpoint values are expensive at large lambda, so they are cached.
 The step policy belongs to the cache: it is fixed when the cache is built,
 so an entry is keyed by kernel, lam and time alone.  Every entry comes from
 a Richardson pair (n and 2n steps), which cancels the leading h^2 error of
-the product-trapezoidal march.
+the product-trapezoidal march; the modes of one lookup that share a step
+count are marched as one batch.
 """
 
 from __future__ import annotations
@@ -51,23 +52,34 @@ class ModalCache:
     def value_and_sup(
         self, M: MemoryKernel, lam: float, t: float
     ) -> tuple[float, float]:
-        lam = real(lam, "lam", positive=True)
-        t = real(t, "t", nonneg=True)
-        if t == 0.0:
-            return 1.0, 1.0
-        key = (M.cache_key(), lam, t)
-        hit = self._data.get(key)
-        if hit is not None:
-            return hit
-        n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
-        _, x = solve_modal_richardson(lam, M, t, n)
-        entry = (float(x[-1]), float(np.max(np.abs(x))))
-        self._data[key] = entry
-        return entry
+        return self._entries(M, [lam], t)[0]
 
     def values(self, M: MemoryKernel, lams, t: float) -> np.ndarray:
         """Modal values x(t) for each lam in ``lams``, in order."""
-        return np.asarray([self.value_and_sup(M, l, t)[0] for l in lams])
+        return np.asarray([value for value, _ in self._entries(M, lams, t)])
+
+    def _entries(self, M: MemoryKernel, lams, t: float) -> list[tuple[float, float]]:
+        """(x(t), sup |x| on [0, t]) for each lam in ``lams``, in order.
+
+        The lams not yet cached are marched together: one Richardson pair
+        per step count, each row bit-identical to a march of its own.
+        """
+        lams = [real(lam, "lam", positive=True) for lam in lams]
+        t = real(t, "t", nonneg=True)
+        if t == 0.0:
+            return [(1.0, 1.0)] * len(lams)
+        kernel = M.cache_key()
+        groups: dict[int, list[float]] = {}
+        for lam in dict.fromkeys(lams):
+            if (kernel, lam, t) not in self._data:
+                n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
+                groups.setdefault(n, []).append(lam)
+        for n, group in groups.items():
+            _, x = solve_modal_richardson(group, M, t, n)
+            sups = np.max(np.abs(x), axis=1)
+            for lam, value, sup in zip(group, x[:, -1], sups):
+                self._data[(kernel, lam, t)] = (float(value), float(sup))
+        return [self._data[(kernel, lam, t)] for lam in lams]
 
 
 def propagate(

@@ -122,9 +122,7 @@ def backward_uniqueness_certificate(
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
-    pairs = np.asarray(
-        [[cache.value_and_sup(M, float(lam), t) for lam in lams] for t in times]
-    )  # shape (m, K, 2)
+    pairs = np.asarray([cache._entries(M, lams, t) for t in times])  # (m, K, 2)
     values = pairs[:, :, 0]
     sups = pairs[:, :, 1].max(axis=0)  # sup over [0, max t_j]
 
@@ -165,7 +163,8 @@ class ObservationData:
     """Sampled field values on each plan region, with quadrature weights.
 
     Weights are not serialized; they are rebuilt from the point layout, so a
-    round trip through JSON reproduces the reconstruction exactly.
+    round trip through JSON reproduces the reconstruction exactly.  ``sigma``
+    and ``seed`` are checked when the record is built, whoever builds it.
     """
 
     plan: SamplingPlan
@@ -173,6 +172,10 @@ class ObservationData:
     seed: int
     blocks: list[ObservationBlock]
     generator: str = NOISE_GENERATOR
+
+    def __post_init__(self):
+        self.sigma = real(self.sigma, "sigma", nonneg=True)
+        self.seed = integer(self.seed, "seed", lo=0)
 
     def to_json(self) -> dict:
         return {
@@ -220,12 +223,7 @@ class ObservationData:
                     weights=_segment_weights(xs, entry.region),
                 )
             )
-        return cls(
-            plan=plan,
-            sigma=real(data["sigma"], "sigma", nonneg=True),
-            seed=integer(data["seed"], "seed", lo=0),
-            blocks=blocks,
-        )
+        return cls(plan=plan, sigma=data["sigma"], seed=data["seed"], blocks=blocks)
 
 
 def _segment_weights(xs: np.ndarray, region: ObservationRegion) -> np.ndarray:
@@ -270,13 +268,11 @@ def simulate_observations(
     generator in block order; with sigma = 0 the generator is never drawn,
     so noiseless data is independent of the seed."""
     samples_per_unit = integer(samples_per_unit, "samples_per_unit", lo=16)
-    sigma = real(sigma, "sigma", nonneg=True)
-    seed = integer(seed, "seed", lo=0)
+    data = ObservationData(plan=plan, sigma=sigma, seed=seed, blocks=[])
     if cache is None:
         cache = ModalCache()
     basis = y0.basis
-    rng = np.random.default_rng(seed) if sigma > 0 else None
-    blocks = []
+    rng = np.random.default_rng(data.seed) if data.sigma > 0 else None
     for entry in plan.entries:
         coeffs = y0.coefficients * cache.values(M, basis.eigenvalues, entry.t)
         xs_parts = []
@@ -286,8 +282,8 @@ def simulate_observations(
         xs = np.concatenate(xs_parts)
         values = basis.modes_at(xs) @ coeffs
         if rng is not None:
-            values = values + sigma * rng.standard_normal(values.size)
-        blocks.append(
+            values = values + data.sigma * rng.standard_normal(values.size)
+        data.blocks.append(
             ObservationBlock(
                 t=entry.t,
                 xs=xs,
@@ -295,7 +291,7 @@ def simulate_observations(
                 weights=_segment_weights(xs, entry.region),
             )
         )
-    return ObservationData(plan=plan, sigma=sigma, seed=seed, blocks=blocks)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -561,17 +557,21 @@ def simulate_controlled(
     if any(not 0.0 < tau < T for tau in taus):
         raise ValidationError("impulse times must be interior to (0, T)")
     lams = basis.eigenvalues[:K]
-    finals = np.empty(K)
-    for idx in range(K):
-        lam = float(lams[idx])
+    # The modes that share a jump grid are marched as one batch.
+    grids: dict[int, list[int]] = {}
+    for idx, lam in enumerate(lams.tolist()):
         n = _jump_grid_size(
             taus, T, _n_steps(T, lam, CONTROLLED_N_MIN, CONTROLLED_HLAM_MAX)
         )
-        jumps: dict[int, float] = {}
+        grids.setdefault(n, []).append(idx)
+    finals = np.empty(K)
+    for n, modes in grids.items():
+        jumps: dict[int, np.ndarray] = {}
         for imp in result.impulses:
             node = round(n * imp.tau / T)
-            jumps[node] = jumps.get(node, 0.0) + float(imp.applied[idx])
-        x0 = float(y0.coefficients[idx])
-        finals[idx] = solve_modal_richardson(lam, M, T, n, x0, jumps)[1][-1]
+            jumps[node] = jumps.get(node, 0.0) + imp.applied[modes]
+        x0 = y0.coefficients[modes]
+        x = solve_modal_richardson(lams[modes], M, T, n, x0, jumps)[1]
+        finals[modes] = x[:, -1]
     sub = basis if K == basis.K else SpectralBasis(basis.L, K)
     return SpectralField(sub, finals)

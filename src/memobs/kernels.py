@@ -30,6 +30,15 @@ from .errors import SeriesDivergenceError, ValidationError, integer, items, obj,
 MAX_SERIES_TERMS = 64
 
 
+def _points(t) -> np.ndarray:
+    """Evaluation points as a float array; a NaN or infinite point is
+    rejected, as ``real`` rejects a non-finite number."""
+    tv = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(tv)):
+        raise ValidationError("kernel evaluation points must be finite")
+    return tv
+
+
 class MemoryKernel:
     """Base class for memory kernels; subclasses are immutable."""
 
@@ -65,7 +74,7 @@ class MemoryKernel:
 
 class ZeroKernel(MemoryKernel):
     def __call__(self, t):
-        tv = np.asarray(t, dtype=float)
+        tv = _points(t)
         out = np.zeros_like(tv)
         return float(out) if np.isscalar(t) else out
 
@@ -81,7 +90,7 @@ class ConstantKernel(MemoryKernel):
         self.value = real(value, "value")
 
     def __call__(self, t):
-        tv = np.asarray(t, dtype=float)
+        tv = _points(t)
         out = np.full_like(tv, self.value)
         return float(out) if np.isscalar(t) else out
 
@@ -96,7 +105,7 @@ class LinearKernel(MemoryKernel):
     """M(t) = t."""
 
     def __call__(self, t):
-        tv = np.asarray(t, dtype=float)
+        tv = _points(t)
         return float(tv) if np.isscalar(t) else tv.copy()
 
     def spec_dict(self) -> dict:
@@ -111,7 +120,7 @@ class ExponentialKernel(MemoryKernel):
         self.alpha = real(alpha, "alpha")
 
     def __call__(self, t):
-        tv = np.asarray(t, dtype=float)
+        tv = _points(t)
         out = self.c * np.exp(self.alpha * tv)
         return float(out) if np.isscalar(t) else out
 
@@ -144,7 +153,7 @@ class TabulatedKernel(MemoryKernel):
         self._spline = CubicSpline(times, values, bc_type="natural")
 
     def __call__(self, t):
-        tv = np.asarray(t, dtype=float)
+        tv = _points(t)
         if not np.all((tv >= -1e-12) & (tv <= self.t_max * (1 + 1e-12) + 1e-12)):
             raise ValidationError(
                 f"evaluation outside the tabulated range [0, {self.t_max}]"

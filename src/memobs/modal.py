@@ -26,6 +26,16 @@ The O(n^2) loop with one history dot product per step computes the same
 scheme; no production path calls it, and it stays as the reference both fast
 solves are tested against.
 
+Both entries march a batch: ``lam`` may be a 1-D sequence, with ``x0`` and
+each jump increment a number or one entry per lam, and x then has one row
+per lam, each bit-identical to the call for that lam alone.  The grid, the
+kernel samples and, for the divide-and-conquer solve, the history spectra,
+weights and leaf block are computed once per batch, and each history update
+is one FFT over all rows; only the leaf solves and the banded solves run
+row by row.  Modes that share a grid (the modes of one instant, or of one
+jump grid) are marched this way, which removes the per-call work of a
+march that does not depend on lam.
+
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically by sign-change scanning plus
 bisection, and in closed form for exponential kernels.
@@ -102,13 +112,28 @@ def _n_steps(t: float, lam: float, n_min: int, hlam_max: float) -> int:
     return max(n_min, math.ceil(t * lam / hlam_max))
 
 
+def _is_row(v) -> bool:
+    """Whether ``v`` is a 1-D sequence (one entry per row of a batch)."""
+    return isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim == 1
+
+
+def _column(v, path: str, rows: int, **bounds) -> np.ndarray:
+    """``v`` as ``rows`` floats: a number repeats, a 1-D sequence must hold
+    exactly ``rows`` numbers; each passes through ``real``."""
+    if not _is_row(v):
+        return np.full(rows, real(v, path, **bounds))
+    if len(v) != rows:
+        raise ValidationError(f"{path} needs one entry per lam ({rows}), got {len(v)}")
+    return np.array([real(x, f"{path}[{i}]", **bounds) for i, x in enumerate(v)])
+
+
 def solve_modal_volterra(
-    lam: float,
+    lam,
     M: MemoryKernel,
     T: float,
     n_steps: int,
-    x0: float = 1.0,
-    jumps: dict[int, float] | None = None,
+    x0=1.0,
+    jumps: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """March x(0) = x0 with the implicit product-trapezoidal scheme.
 
@@ -131,6 +156,14 @@ def solve_modal_volterra(
     the two adjacent subintervals, so the h^2 error expansion stays clean
     piecewise and Richardson extrapolation remains valid.
 
+    ``lam`` may be a 1-D sequence: every lam is then marched on the one
+    grid, ``x0`` and each jump increment may be a number (shared) or a
+    sequence with one entry per lam, and x has one row per lam.  Each row
+    is bit-identical to the call with that row's lam, x0 and increments.
+    A batch samples M once, and the divide-and-conquer solve also shares
+    its history spectra, weights and leaf block and runs each history
+    update as one FFT over all rows.
+
     A kernel with an exponential form M(t) = c exp(alpha t) (exponential,
     constant and zero kernels) takes the O(n) banded solves of
     ``_march_banded``; every other kernel (linear, tabulated) takes the
@@ -138,27 +171,32 @@ def solve_modal_volterra(
     the same scheme as the O(n^2) dot-product loop ``_march_loop``, which no
     production path calls: it is the oracle the tests check both against.
     """
-    lam = real(lam, "lam", positive=True)
+    batch = _is_row(lam)
+    lam = _column(lam, "lam", len(lam) if batch else 1, positive=True)
+    if lam.size == 0:
+        raise ValidationError("lam must not be empty")
     T = real(T, "T", positive=True)
     n = integer(n_steps, "n_steps", lo=8)
-    x0 = real(x0, "x0")
+    x0 = _column(x0, "x0", lam.size)
     jumps = {
-        integer(p, "jump node"): real(d, f"jumps[{p}]")
+        integer(p, "jump node"): _column(d, f"jumps[{p}]", lam.size)
         for p, d in (jumps or {}).items()
     }
     if any(not 0 < p < n for p in jumps):
         raise ValidationError("jump nodes must be interior grid nodes")
     h = T / n
-    if h * lam > 2.0:
+    lam_max = float(lam.max())
+    if h * lam_max > 2.0:
         raise StabilityError(
-            f"h*lam = {h * lam:.3g} > 2; raise n_steps above {math.ceil(T * lam / 2)}"
+            f"h*lam = {h * lam_max:.3g} > 2; "
+            f"raise n_steps above {math.ceil(T * lam_max / 2)}"
         )
     t = np.linspace(0.0, T, n + 1)
     Mg = np.asarray(M(t), dtype=float)
     if not np.all(np.isfinite(Mg)):
         raise NumericalError("kernel produced non-finite samples")
     denom = 1.0 + 0.5 * h * lam + 0.25 * h * h * Mg[0]
-    if abs(denom) < 1e-14:
+    if np.any(np.abs(denom) < 1e-14):
         raise StabilityError("implicit step is singular; refine the grid")
     form = M.exp_form()
     if form is None:
@@ -167,29 +205,30 @@ def solve_modal_volterra(
         x = _march_banded(lam, Mg, h, denom, x0, jumps, *form)
     if not np.all(np.isfinite(x)):
         raise NumericalError("modal trajectory produced non-finite values")
-    return t, x
+    return t, x if batch else x[0]
 
 
 def solve_modal_richardson(
-    lam: float,
+    lam,
     M: MemoryKernel,
     T: float,
     n_steps: int,
-    x0: float = 1.0,
-    jumps: dict[int, float] | None = None,
+    x0=1.0,
+    jumps: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """March on n and 2n steps and extrapolate the shared nodes.
 
     ``jumps`` are given on the n-step grid; the 2n-step march takes them at
     the doubled nodes.  Returns (t, x) on the n-step grid with the leading
-    h^2 error cancelled.
+    h^2 error cancelled; a sequence of lam gives one row per lam, as for
+    ``solve_modal_volterra``.
     """
     jumps = jumps or {}
     t, coarse = solve_modal_volterra(lam, M, T, n_steps, x0, jumps)
     fine = solve_modal_volterra(
         lam, M, T, 2 * n_steps, x0, {2 * p: d for p, d in jumps.items()}
     )[1]
-    return t, (4.0 * fine[::2] - coarse) / 3.0
+    return t, (4.0 * fine[..., ::2] - coarse) / 3.0
 
 
 def _march_loop(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
@@ -256,53 +295,60 @@ def _march_banded(lam, Mg, h, denom, x0, jumps, c, alpha) -> np.ndarray:
     from the samples: the previous block's B nodes by a dot product with
     M(t_1..t_B), plus the older history H_{k0-1-B} times exp(alpha h B).
     That bounds the drift by about B eps whatever n is, still in O(n).
+
+    ``lam``, ``denom``, ``x0`` and each jump increment hold one entry per
+    row; every row is solved on its own, and the band entries that do not
+    depend on lam are set once.
     """
     n = Mg.size - 1
     q = math.exp(alpha * h)
-    fac = 1.0 - 0.5 * h * lam
     hh2 = 0.5 * h * h
     # Lower band storage: ab[d, j] is the entry d rows below the diagonal in
-    # column j.  Even columns are H_k, odd columns x_{k+1}.
+    # column j.  Even columns are H_k, odd columns x_{k+1}.  Rows 0 and 2 of
+    # the odd columns depend on lam and are set per row.
     ab = np.zeros((4, 2 * n), order="F")
     ab[0, 0::2] = 1.0
-    ab[0, 1::2] = denom
     ab[1, 0::2] = hh2  # row x_{k+1}, column H_k
     ab[1, 1 : 2 * n - 2 : 2] = -q * c  # row H_k, column x_k
     ab[2, 0 : 2 * n - 2 : 2] = -q  # row H_k, column H_{k-1}
-    ab[2, 1 : 2 * n - 2 : 2] = 0.5 * hh2 * Mg[0] - fac  # row x_{k+1}, column x_k
     ab[3, 0 : 2 * n - 2 : 2] = hh2  # row x_{k+1}, column H_{k-1}
-    rhs = np.zeros((2 * n, 1))
-    rhs[1::2, 0] = -0.5 * hh2 * x0 * (Mg[:-1] + Mg[1:])
-    rhs[1, 0] += (fac + 0.5 * hh2 * Mg[0]) * x0
-    for p, d in jumps.items():
-        rhs[2 * p, 0] += 0.5 * q * c * d
-        rhs[2 * p + 1, 0] += fac * d
-    # x holds left limits while solving; xh is the history's view of the
-    # trajectory, with the mean of the two limits at each jump node.
-    x = np.empty(n + 1)
-    x[0] = x0
-    xh = x.copy()
-    H = 0.0
-    for k0 in range(0, n, _BLOCK):
-        k1 = min(k0 + _BLOCK, n)
-        b = rhs[2 * k0 : 2 * k1]
-        if k0:
-            lo = max(1, k0 - _BLOCK)
-            H = math.exp(alpha * h * _BLOCK) * H + float(
-                np.dot(Mg[1 : k0 - lo + 1], xh[k0 - 1 : lo - 1 : -1])
-            )
-            b[0, 0] -= ab[1, 2 * k0 - 1] * x[k0] + ab[2, 2 * k0 - 2] * H
-            b[1, 0] -= ab[2, 2 * k0 - 1] * x[k0] + ab[3, 2 * k0 - 2] * H
-        sol, info = dtbtrs(ab[:, 2 * k0 : 2 * k1], b, uplo="L", overwrite_b=1)
-        if info != 0:
-            raise StabilityError(f"banded modal solve failed (LAPACK info {info})")
-        x[k0 + 1 : k1 + 1] = sol[1::2, 0]
-        xh[k0 + 1 : k1 + 1] = x[k0 + 1 : k1 + 1]
+    x = np.empty((lam.size, n + 1))
+    for r in range(lam.size):
+        fac = 1.0 - 0.5 * h * lam[r]
+        ab[0, 1::2] = denom[r]
+        ab[2, 1 : 2 * n - 2 : 2] = 0.5 * hh2 * Mg[0] - fac  # row x_{k+1}, column x_k
+        rhs = np.zeros((2 * n, 1))
+        rhs[1::2, 0] = -0.5 * hh2 * x0[r] * (Mg[:-1] + Mg[1:])
+        rhs[1, 0] += (fac + 0.5 * hh2 * Mg[0]) * x0[r]
         for p, d in jumps.items():
-            if k0 < p <= k1:
-                xh[p] += 0.5 * d
-    for p, d in jumps.items():
-        x[p] += d
+            rhs[2 * p, 0] += 0.5 * q * c * d[r]
+            rhs[2 * p + 1, 0] += fac * d[r]
+        # xr holds left limits while solving; xh is the history's view of
+        # the trajectory, with the mean of the two limits at each jump node.
+        xr = x[r]
+        xr[0] = x0[r]
+        xh = xr.copy()
+        H = 0.0
+        for k0 in range(0, n, _BLOCK):
+            k1 = min(k0 + _BLOCK, n)
+            b = rhs[2 * k0 : 2 * k1]
+            if k0:
+                lo = max(1, k0 - _BLOCK)
+                H = math.exp(alpha * h * _BLOCK) * H + float(
+                    np.dot(Mg[1 : k0 - lo + 1], xh[k0 - 1 : lo - 1 : -1])
+                )
+                b[0, 0] -= ab[1, 2 * k0 - 1] * xr[k0] + ab[2, 2 * k0 - 2] * H
+                b[1, 0] -= ab[2, 2 * k0 - 1] * xr[k0] + ab[3, 2 * k0 - 2] * H
+            sol, info = dtbtrs(ab[:, 2 * k0 : 2 * k1], b, uplo="L", overwrite_b=1)
+            if info != 0:
+                raise StabilityError(f"banded modal solve failed (LAPACK info {info})")
+            xr[k0 + 1 : k1 + 1] = sol[1::2, 0]
+            xh[k0 + 1 : k1 + 1] = xr[k0 + 1 : k1 + 1]
+            for p, d in jumps.items():
+                if k0 < p <= k1:
+                    xh[p] += 0.5 * d[r]
+        for p, d in jumps.items():
+            xr[p] += d[r]
     return x
 
 
@@ -332,6 +378,12 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
     weights each limit: row p + 1 gains fac d - (h^2/2) M(t_1) d / 2 and
     row r >= p + 2 gains -a_{r-p} d / 2, since the history uses the mean of
     the two one-sided limits.
+
+    ``lam``, ``denom``, ``x0`` and each jump increment hold one entry per
+    row.  Only the lag-0 and lag-1 symbol entries depend on lam, so the
+    rows share a_d, the history spectra and weights, and the leaf block,
+    whose two lam diagonals are rewritten before each row's leaf solve;
+    each history update is one FFT over all rows.
     """
     n = Mg.size - 1
     fac = 1.0 - 0.5 * h * lam
@@ -341,28 +393,39 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
     conv[0] = 0.0
     conv[1] = 0.5 * hh2 * Mg[0] + hh2 * Mg[1]
     conv[2:] = hh2 * (Mg[2:] + Mg[1:-1])
-    # b[r - 1] is the right-hand side of row r; y = x[1:] solves for x_1..x_n.
-    b = -0.5 * hh2 * x0 * (Mg[:-1] + Mg[1:])
-    b[0] += (fac + 0.5 * hh2 * Mg[0]) * x0
+    # b[:, r - 1] is the right-hand side of row r; y = x[:, 1:] solves for
+    # x_1..x_n.
+    b = -0.5 * hh2 * x0[:, None] * (Mg[:-1] + Mg[1:])
+    b[:, 0] += (fac + 0.5 * hh2 * Mg[0]) * x0
     for p, d in jumps.items():
-        b[p] += (fac - 0.5 * hh2 * Mg[1]) * d
-        b[p + 1 :] -= 0.5 * d * conv[2 : n - p + 1]
+        b[:, p] += (fac - 0.5 * hh2 * Mg[1]) * d
+        b[:, p + 1 :] -= (0.5 * d)[:, None] * conv[2 : n - p + 1]
     m = min(_LEAF, n)
-    sym = conv[:m].copy()
-    sym[0] = denom
-    sym[1] -= fac
-    block = np.asfortranarray(toeplitz(sym, np.zeros(m)))
-    x = np.empty(n + 1)
-    x[0] = x0
-    y = x[1:]
+    # The leaf block is the transpose of this upper-triangular Toeplitz
+    # matrix, so it is Fortran-ordered for dtrtrs; diagonal entries of
+    # ``upper`` sit every m + 1 places in its flat view, the lag-1 entries
+    # one place after them.
+    upper = toeplitz(np.zeros(m), conv[:m])
+    block = upper.T
+    flat = upper.reshape(-1)
+    lag1 = conv[1] - fac
+    x = np.empty((lam.size, n + 1))
+    x[:, 0] = x0
+    y = x[:, 1:]
     updates: dict[int, tuple] = {}
     for lo in range(0, n, _LEAF):
         hi = min(lo + _LEAF, n)
         if lo:
-            b[lo] += fac * y[lo - 1]
-        y[lo:hi], info = dtrtrs(block[: hi - lo, : hi - lo], b[lo:hi], lower=1)
-        if info != 0:
-            raise StabilityError(f"Toeplitz modal solve failed (LAPACK info {info})")
+            b[:, lo] += fac * y[:, lo - 1]
+        leaf = block[: hi - lo, : hi - lo]
+        for r in range(lam.size):
+            flat[:: m + 1] = denom[r]
+            flat[1 :: m + 1] = lag1[r]
+            y[r, lo:hi], info = dtrtrs(leaf, b[r, lo:hi], lower=1)
+            if info != 0:
+                raise StabilityError(
+                    f"Toeplitz modal solve failed (LAPACK info {info})"
+                )
         if hi == n:
             break
         k = lo // _LEAF + 1
@@ -371,13 +434,13 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
             updates[width] = _history_update(conv, width)
         spectrum, w_in, w_out = updates[width]
         stop = min(hi + width, n)
-        src = y[hi - width : hi]
+        src = y[:, hi - width : hi]
         prod = rfft(src if w_in is None else src * w_in, 2 * width)
         prod *= spectrum
-        hist = irfft(prod)[width - 1 : width - 1 + stop - hi]
-        b[hi:stop] -= hist if w_out is None else hist * w_out[: stop - hi]
+        hist = irfft(prod)[:, width - 1 : width - 1 + stop - hi]
+        b[:, hi:stop] -= hist if w_out is None else hist * w_out[: stop - hi]
     for p, d in jumps.items():
-        x[p] += d
+        x[:, p] += d
     return x
 
 
@@ -473,26 +536,14 @@ def _scan_brackets(t: np.ndarray, x: np.ndarray, sup: float):
     is dropped whole.
     """
     signs = np.sign(x)
-    brackets = []
-    exact = []
-    for i in range(len(x) - 1):
-        if signs[i] == 0.0 and i > 0:
-            exact.append(i)
-        elif signs[i] * signs[i + 1] < 0:
-            brackets.append(i)
-    if signs[-1] == 0.0:
-        exact.append(len(x) - 1)
-    claimed = set(exact)
-    for b in brackets:
-        claimed.update((b, b + 1))
-    runs: list[list[int]] = []
-    for i in np.nonzero(np.abs(x) < 1e-9 * sup)[0].tolist():
-        if runs and i == runs[-1][-1] + 1:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    suspects = [run for run in runs if claimed.isdisjoint(run)]
-    return brackets, exact, suspects
+    brackets = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    exact = np.nonzero(signs[1:] == 0)[0] + 1
+    claimed = np.zeros(x.size, dtype=bool)
+    claimed[exact] = claimed[brackets] = claimed[brackets + 1] = True
+    low = np.nonzero(np.abs(x) < 1e-9 * sup)[0]
+    runs = np.split(low, np.nonzero(np.diff(low) != 1)[0] + 1)
+    suspects = [run.tolist() for run in runs if run.size and not claimed[run].any()]
+    return brackets.tolist(), exact.tolist(), suspects
 
 
 def nodal_set_numeric(

@@ -10,12 +10,15 @@ from memobs import (
     ModalCache,
     SpectralBasis,
     SpectralField,
+    TabulatedKernel,
     ValidationError,
     ZeroKernel,
     closed_form_exp,
     decomposition_residual,
     propagate,
 )
+from memobs.evolution import DEFAULT_HLAM_MAX, DEFAULT_N_MIN
+from memobs.modal import _n_steps
 
 X_EXP21_LAM4_T1 = -0.035761146500884806  # roots -2, -3 at 40 digits
 
@@ -32,6 +35,27 @@ def test_cache_hits_and_policy_keys(cache, exp_kernel):
     n1 = len(c)
     v2 = c.value_and_sup(exp_kernel, 4.0, 0.7)
     assert v2 == v1 and len(c) == n1
+
+
+def test_cache_batch_fill_matches_single_lookups():
+    grid = np.linspace(0.0, 2.0, 41)
+    M = TabulatedKernel(grid, 2.0 * np.exp(-grid))
+    t = 1.5
+    # lam 300 needs more than DEFAULT_N_MIN steps, so the misses form two
+    # step-count groups; lam 4 comes twice
+    lams = [4.0, 9.0, 300.0, 4.0, 16.0]
+    steps = {_n_steps(t, lam, DEFAULT_N_MIN, DEFAULT_HLAM_MAX) for lam in lams}
+    assert len(steps) == 2
+    cache = ModalCache()
+    xs = cache.values(M, lams, t)
+    assert len(cache) == 4
+    for lam, x in zip(lams, xs):
+        fresh = ModalCache().value_and_sup(M, lam, t)
+        assert x == fresh[0]
+        assert cache.value_and_sup(M, lam, t) == fresh
+    assert len(cache) == 4
+    assert cache.values(M, lams, 0.0).tolist() == [1.0] * len(lams)
+    assert len(cache) == 4
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

@@ -10,14 +10,18 @@ from memobs import (
     SamplingPlan,
     SpectralBasis,
     SpectralField,
+    TabulatedKernel,
     ValidationError,
     backward_uniqueness_certificate,
     impulse_control,
+    inverse_control,
     observation_gram,
     reconstruct_initial,
     simulate_controlled,
     simulate_observations,
+    solve_modal_richardson,
 )
+from memobs.modal import _n_steps
 
 # first zero of the mode-1 solution for M(t) = 4, lambda = 1
 MODE1_ZERO = 0.68067221251729416
@@ -143,6 +147,17 @@ class TestObservations:
                 ObservationData.from_json({**doc, "generator": generator})
         assert ObservationData.from_json(doc).generator == data.generator
 
+    def test_record_checks_its_numbers(self, cache):
+        _, _, plan, data = self.make_data(cache)
+        bad = [(math.nan, 0), (-1.0, 0), ("0.1", 0), (0.0, 1.5), (0.0, -1), (0.0, True)]
+        for sigma, seed in bad:
+            with pytest.raises(ValidationError, match="sigma|seed"):
+                ObservationData(plan=plan, sigma=sigma, seed=seed, blocks=data.blocks)
+        doc = data.to_json()
+        for key, value in (("sigma", -1.0), ("seed", 0.5)):
+            with pytest.raises(ValidationError, match=key):
+                ObservationData.from_json({**doc, key: value})
+
     def test_simulate_validation(self, cache, exp_kernel):
         basis = SpectralBasis(math.pi, 4)
         y0 = SpectralField(basis, [1.0, 0.0, 0.0, 0.0])
@@ -231,6 +246,53 @@ class TestControl:
         final = simulate_controlled(y0, res, exp_kernel)
         gap = np.max(np.abs(final.coefficients - y1.coefficients))
         assert gap < 1e-6
+
+    def test_closed_loop_rows_equal_single_mode_marches(self, monkeypatch):
+        # A tabulated decaying kernel and instants on a 1/40 grid, as in the
+        # many-instants benchmark.  Modes 1 to 16 share the default jump
+        # grid and modes 17 and 18 need finer ones, so there are three batches.
+        K, T = 18, 1.0
+        basis = SpectralBasis(math.pi, K)
+        grid = np.linspace(0.0, 6.0, 1201)
+        M = TabulatedKernel(grid, 2.0 * np.exp(-0.6 * grid))
+        plan = SamplingPlan(
+            [(0.2, [[0.0, 1.5]]), (0.45, [[1.0, 2.5]]), (0.7, [[2.0, math.pi]])]
+        )
+        k = np.arange(1, K + 1)
+        y0 = SpectralField(basis, 0.1 * np.cos(k) / k**2)
+        target = 0.05 / k**2
+        target[0] = 1.0
+        res = impulse_control(y0, SpectralField(basis, target), plan, T, M)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return solve_modal_richardson(*args)
+
+        monkeypatch.setattr(inverse_control, "solve_modal_richardson", counted)
+        final = simulate_controlled(y0, res, M).coefficients
+        monkeypatch.undo()
+        taus = [imp.tau for imp in res.impulses]
+        grids = set()
+        for idx, lam in enumerate(basis.eigenvalues.tolist()):
+            n = inverse_control._jump_grid_size(
+                taus,
+                T,
+                _n_steps(
+                    T,
+                    lam,
+                    inverse_control.CONTROLLED_N_MIN,
+                    inverse_control.CONTROLLED_HLAM_MAX,
+                ),
+            )
+            grids.add(n)
+            jumps = {}
+            for imp in res.impulses:
+                node = round(n * imp.tau / T)
+                jumps[node] = jumps.get(node, 0.0) + float(imp.applied[idx])
+            x0 = float(y0.coefficients[idx])
+            assert final[idx] == solve_modal_richardson(lam, M, T, n, x0, jumps)[1][-1]
+        assert len(grids) == 3 and sorted(calls) == sorted(grids)
 
     def test_unreachable_mode_is_reported(self, cache):
         # lambda_1 = 4 on (0, pi/2); with M = 4 the mode-1 solution is

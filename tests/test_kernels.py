@@ -111,6 +111,22 @@ def test_tabulated_validation():
             M(bad)
 
 
+def test_every_kernel_rejects_non_finite_points():
+    grid = [0.0, 1.0, 2.0, 3.0]
+    kernels = [
+        ZeroKernel(),
+        ConstantKernel(2.0),
+        LinearKernel(),
+        ExponentialKernel(1.0, 0.0),
+        TabulatedKernel(grid, [1.0, 2.0, 0.0, 1.0]),
+    ]
+    for M in kernels:
+        for bad in (math.nan, [0.5, math.nan], np.array([[0.5], [math.inf]]), -math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                M(bad)
+        assert np.isfinite(M(0.5))
+
+
 def test_convolution_power_first_is_minus_M():
     grid = UniformGrid(64, 2.0)
     f = convolution_power(ConstantKernel(-1.0), 1, grid)

@@ -276,6 +276,79 @@ def test_dc_march_matches_dot_product_march(
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
 
+def _batch_kernel(kind):
+    grid = np.linspace(0.0, 3.0, 65)
+    if kind == "tabulated":
+        return TabulatedKernel(grid, 1.5 * np.cos(grid))
+    if kind == "tabulated-growing":  # the FFT updates take their weights
+        return TabulatedKernel(grid, 4.0 * np.exp(2.0 * grid))
+    return {
+        "linear": LinearKernel(),
+        "exponential": ExponentialKernel(2.0, -1.0),
+        "constant": ConstantKernel(-1.0),
+        "zero": ZeroKernel(),
+    }[kind]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["linear", "tabulated", "tabulated-growing", "exponential", "constant", "zero"]
+    ),
+    lams=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=4),
+    T=st.floats(0.1, 3.0),
+    # below one leaf, exactly one leaf, and off the multiples of a leaf
+    n=st.one_of(
+        st.integers(8, modal._LEAF - 1),
+        st.just(modal._LEAF),
+        st.integers(modal._LEAF + 1, 5 * modal._LEAF).filter(
+            lambda n: n % modal._LEAF
+        ),
+    ),
+    shared_x0=st.booleans(),
+    data=st.data(),
+)
+def test_batch_rows_equal_single_marches(kind, lams, T, n, shared_x0, data):
+    M = _batch_kernel(kind)
+    rows = len(lams)
+    n = max(n, math.ceil(T * max(lams) / 2.0))
+    values = st.lists(st.floats(-2.0, 2.0), min_size=rows, max_size=rows)
+    x0 = data.draw(st.floats(-2.0, 2.0)) if shared_x0 else data.draw(values)
+    # one jump with an increment per row, one shared by every row
+    nodes = data.draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))
+    jumps = {p: data.draw(values) if i == 0 else 0.3 for i, p in enumerate(nodes)}
+    for solve in (solve_modal_volterra, solve_modal_richardson):
+        t, x = solve(lams, M, T, n, x0, jumps)
+        assert x.shape == (rows, n + 1)
+        for r, lam in enumerate(lams):
+            x0_r = x0 if shared_x0 else x0[r]
+            jumps_r = {p: d if np.isscalar(d) else d[r] for p, d in jumps.items()}
+            t_r, x_r = solve(lam, M, T, n, x0_r, jumps_r)
+            assert np.array_equal(t, t_r)
+            assert np.array_equal(x[r], x_r), (solve.__name__, r)
+
+
+def test_batch_shapes_are_checked():
+    M = LinearKernel()
+    bad = [
+        (np.ones((2, 2)), 1.0, None),  # lam not 1-D
+        ([[1.0, 2.0]], 1.0, None),
+        ([], 1.0, None),
+        ([1.0, -2.0], 1.0, None),
+        ([1.0, math.nan], 1.0, None),
+        ([1.0, 2.0], [1.0], None),  # x0 of the wrong length
+        ([1.0, 2.0], [1.0, 2.0, 3.0], None),
+        (1.0, [1.0, 2.0], None),
+        ([1.0, 2.0], 1.0, {10: [0.5, 0.5, 0.5]}),  # jump of the wrong length
+        ([1.0, 2.0], 1.0, {10: [0.5]}),
+        ([1.0, 2.0], 1.0, {10: [0.5, math.inf]}),
+    ]
+    for solve in (solve_modal_volterra, solve_modal_richardson):
+        for lam, x0, jumps in bad:
+            with pytest.raises(ValidationError):
+                solve(lam, M, 1.0, 64, x0, jumps)
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(
     path=st.sampled_from(["banded", "dc", "loop"]),
@@ -500,6 +573,24 @@ def test_nodal_closed_double_root_and_real_roots():
     # decaying-memory case: single zero at ln 2
     ns2 = nodal_set_exp_closed(4.0, 2.0, -1.0, 5.0)
     np.testing.assert_allclose(ns2.zeros, [ZERO_EXP21_LAM4], rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        # x(0) = 0 is the initial value, not a zero; the last node is one
+        ([0.0, 1.0, 2.0, 0.0], ([], [3], [[0]])),
+        ([1.0, -1.0, 1.0, -1.0], ([0, 1, 2], [], [])),
+        # a suspect run touching a bracket is that sign change, dropped whole
+        ([1.0, 1e-12, 1e-12, -1.0, -2.0], ([2], [], [])),
+        # one touching an exact zero is dropped, a free one is kept
+        ([1.0, 1e-12, 0.0, 1e-12, 1.0, 2.0, 1e-12, 3e-12, 3.0], ([], [2], [[6, 7]])),
+    ],
+    ids=["exact-ends", "adjacent-brackets", "run-at-bracket", "free-run"],
+)
+def test_scan_brackets_cases(x, expected):
+    x = np.asarray(x)
+    assert modal._scan_brackets(np.arange(x.size), x, 1.0) == expected
 
 
 def test_nodal_numeric_agrees_with_ladder():
