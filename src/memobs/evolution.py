@@ -52,17 +52,18 @@ class ModalCache:
     def value_and_sup(
         self, M: MemoryKernel, lam: float, t: float
     ) -> tuple[float, float]:
-        return self._entries(M, [lam], t)[0]
+        return self.entries(M, [lam], t)[0]
 
     def values(self, M: MemoryKernel, lams, t: float) -> np.ndarray:
         """Modal values x(t) for each lam in ``lams``, in order."""
-        return np.asarray([value for value, _ in self._entries(M, lams, t)])
+        return np.asarray([value for value, _ in self.entries(M, lams, t)])
 
-    def _entries(self, M: MemoryKernel, lams, t: float) -> list[tuple[float, float]]:
+    def entries(self, M: MemoryKernel, lams, t: float) -> list[tuple[float, float]]:
         """(x(t), sup |x| on [0, t]) for each lam in ``lams``, in order.
 
-        The lams not yet cached are marched together: one Richardson pair
-        per step count, each row bit-identical to a march of its own.
+        This is the cache's one lookup.  The lams not yet cached are
+        marched together: one Richardson pair per step count, each row
+        bit-identical to a march of its own.
         """
         lams = [real(lam, "lam", positive=True) for lam in lams]
         t = real(t, "t", nonneg=True)

@@ -122,7 +122,7 @@ def backward_uniqueness_certificate(
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
-    pairs = np.asarray([cache._entries(M, lams, t) for t in times])  # (m, K, 2)
+    pairs = np.asarray([cache.entries(M, lams, t) for t in times])  # (m, K, 2)
     values = pairs[:, :, 0]
     sups = pairs[:, :, 1].max(axis=0)  # sup over [0, max t_j]
 

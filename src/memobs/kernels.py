@@ -13,6 +13,10 @@ The resolvent-type series kernel is
 where (-M)^{*j} is the j-fold convolution power of -M.  Powers are computed
 by trapezoidal product integration on a uniform grid, and the series is
 truncated once the sup norm of the added term drops below a tolerance.
+Each term is a function of t - s times the weight s**j / j!, so
+``kernel_series_K`` keeps one row per term, the power (-M)^{*j} at the grid
+nodes, and never the (t, s) triangle of K_M; the weights are applied where
+the series is used.
 """
 
 from __future__ import annotations
@@ -215,7 +219,9 @@ class UniformGrid:
 
 @dataclass
 class KernelGridFunction:
-    """Function samples on a uniform grid; 1-D in t or 2-D in (t, s)."""
+    """Samples on the nodes of a uniform grid: 1-D in t for a convolution
+    power; for a kernel series, one row per term, with the number of terms
+    and whether they reached the tolerance."""
 
     grid: UniformGrid
     values: np.ndarray
@@ -265,40 +271,29 @@ def kernel_series_K(
     grid: UniformGrid,
     tol: float = 1e-12,
 ) -> KernelGridFunction:
-    """Partial sums of K_M(t, s) on the grid triangle t >= s.
+    """The terms of K_M(t, s) on the grid: row m - 1 of ``values`` holds
+    (-M)^{*m} at the nodes, so K_M(t_i, s_j) = sum_m s_j**m / m! values[m-1, i-j]
+    for i >= j.
 
-    Terms are added until a rigorous bound on the next term's sup norm,
+    Terms are added until a rigorous bound on the last term's sup norm,
     max_j |s_j**m / m!| * max_i |(-M)^{*m}(tau_i)|, falls below ``tol``.  If
     ``MAX_SERIES_TERMS`` terms do not reach the tolerance the result carries
     ``converged=False``; the series is entire in s for smooth kernels, so
     non-convergence signals an overly coarse grid or an extreme kernel.
     """
     tol = real(tol, "tol", positive=True)
-    n = grid.n_steps
-    h = grid.h
-    s_nodes = grid.nodes()
     f = -_kernel_samples(M, grid)
-
-    idx = np.arange(n + 1)
-    D = idx[:, None] - idx[None, :]
-    lower = D >= 0
-    Dc = np.where(lower, D, 0)
-
-    K = np.zeros((n + 1, n + 1))
-    conv = f.copy()
-    s_pow = s_nodes.copy()  # s**m / m! at m = 1
-    converged = False
-    terms = 0
-    for m in range(1, MAX_SERIES_TERMS + 1):
-        term_bound = float(np.max(np.abs(s_pow)) * np.max(np.abs(conv)))
-        K += s_pow[None, :] * np.where(lower, conv[Dc], 0.0)
-        terms = m
-        if term_bound <= tol:
-            converged = True
+    rows = [f]
+    s_max = grid.T  # max_j s_j**m / m! at m = len(rows)
+    while True:
+        bound = s_max * float(np.max(np.abs(rows[-1])))
+        if bound <= tol or len(rows) == MAX_SERIES_TERMS:
             break
-        conv = _conv_step(f, conv, h)
-        s_pow = s_pow * s_nodes / (m + 1)
-    return KernelGridFunction(grid, K, terms_used=terms, converged=converged)
+        rows.append(_conv_step(f, rows[-1], grid.h))
+        s_max = s_max * grid.T / len(rows)
+    return KernelGridFunction(
+        grid, np.array(rows), terms_used=len(rows), converged=bound <= tol
+    )
 
 
 def require_converged(series: KernelGridFunction) -> KernelGridFunction:

@@ -43,11 +43,10 @@ bisection, and in closed form for exponential kernels.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
-from scipy.fft import irfft, rfft
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtbtrs, dtrtrs
@@ -467,37 +466,54 @@ def _history_update(conv, width):
     return rfft(lags), w_in, w_out
 
 
+def _shifted_roots(lam: float, c: float, alpha: float) -> tuple[float, float]:
+    """The real roots u_b, u_s of u**2 + (lam + alpha) u + c = 0, for
+    (lam + alpha)**2 > 4 c.
+
+    The roots w of the reduced second-order equation satisfy
+    (w - alpha)(w + lam) = -c, so u = w - alpha solves this quadratic.
+    u_b has the larger magnitude and is taken directly; u_s = c / u_b by
+    Vieta.  Neither subtracts nearly equal numbers, where the roots of the
+    unshifted quadratic lose about log10(lam**2 / c) digits.
+    """
+    b = lam + alpha
+    u_b = -math.copysign(0.5 * (abs(b) + math.sqrt(b**2 - 4.0 * c)), b)
+    return u_b, c / u_b
+
+
 def closed_form_exp(lam: float, c: float, alpha: float, t):
     """Closed-form modal solution for M(t) = c exp(alpha t), c > 0.
 
-    With s = (lam + alpha)**2 - 4 c and roots w_pm = (-(lam - alpha)
-    +- sqrt(s)) / 2 of the reduced second-order equation:
+    With s = (lam + alpha)**2 - 4 c, the roots w = alpha + u of the reduced
+    second-order equation (u from ``_shifted_roots`` for s > 0) and
+    D = (e^{w_b t} - e^{w_s t}) / (w_b - w_s):
 
-        s != 0:  x(t) = ((w_p - alpha) e^{w_p t} - (w_m - alpha) e^{w_m t})
-                        / (w_p - w_m)
-        s == 0:  x(t) = (1 - (lam + alpha) t / 2) e^{-(lam - alpha) t / 2}
+        s > 0:  x(t) = e^{w_b t} + u_s D, with D = e^{w_hi t}
+                (1 - e^{-sqrt(s) t}) / sqrt(s) through expm1, w_hi the
+                larger root
+        s == 0: x(t) = (1 - (lam + alpha) t / 2) e^{-(lam - alpha) t / 2}
+        s < 0:  x(t) = e^{a t} (cos(b t) + (a - alpha) sin(b t) / b),
+                a = -(lam - alpha) / 2, b = sqrt(-s) / 2
 
-    For s < 0 the same formula is evaluated in complex arithmetic and the
-    real part returned; the imaginary residual is checked against 1e-12.
+    Every branch is real, and D has no cancellation, so the value is
+    accurate relative to |x| up to the rounding of the inputs.
     """
     lam = real(lam, "lam")
     c = real(c, "c", positive=True)
     alpha = real(alpha, "alpha")
     tv = np.asarray(t, dtype=float)
     s = (lam + alpha) ** 2 - 4.0 * c
-    if abs(s) <= 1e-12:
+    if s > 0:
+        u_b, u_s = _shifted_roots(lam, c, alpha)
+        rt = math.sqrt(s)
+        D = np.exp((max(u_b, u_s) + alpha) * tv) * -np.expm1(-rt * tv) / rt
+        out = np.exp((u_b + alpha) * tv) + u_s * D
+    elif s == 0:
         out = (1.0 - 0.5 * (lam + alpha) * tv) * np.exp(-0.5 * (lam - alpha) * tv)
     else:
-        root = cmath.sqrt(complex(s, 0.0))
-        w_p = 0.5 * (-(lam - alpha) + root)
-        w_m = 0.5 * (-(lam - alpha) - root)
-        vals = (
-            (w_p - alpha) * np.exp(w_p * tv.astype(complex))
-            - (w_m - alpha) * np.exp(w_m * tv.astype(complex))
-        ) / (w_p - w_m)
-        if np.max(np.abs(vals.imag)) >= 1e-12:
-            raise NumericalError("imaginary residual above 1e-12 in closed form")
-        out = vals.real
+        a = -0.5 * (lam - alpha)
+        b = 0.5 * math.sqrt(-s)
+        out = np.exp(a * tv) * (np.cos(b * tv) + (a - alpha) * np.sin(b * tv) / b)
     return float(out) if np.isscalar(t) else out
 
 
@@ -509,21 +525,30 @@ def series_solution_grid(
     kernel_series: KernelGridFunction | None = None,
 ) -> np.ndarray:
     """Series solution exp(-lam t) + int_0^t K_M(t, s) exp(-lam s) ds on all
-    grid nodes, with the s-integral by the trapezoid rule."""
+    grid nodes, with the s-integral by the trapezoid rule.
+
+    With c_m the m-th row of the kernel series, w_m = s**m / m! and
+    E = exp(-lam s), node i takes
+
+        x_i = E_i + h (sum_m sum_{j<=i} c_m[i-j] w_m[j] E_j
+                       - (1/2) sum_m c_m[0] w_m[i] E_i),
+
+    the endpoint at s = 0 being zero.  Each term's sum over j is a
+    convolution: the terms' spectra are summed and inverted once, in
+    O(terms n log n) time and O(terms n) memory.
+    """
     lam = real(lam, "lam", positive=True)
     if kernel_series is None:
         kernel_series = kernel_series_K(M, grid, tol)
     elif kernel_series.grid != grid:
         raise ValidationError("kernel series was sampled on a different grid")
-    require_converged(kernel_series)
-    Kv = kernel_series.values
-    h = grid.h
-    E = np.exp(-lam * grid.nodes())
-    core = Kv @ E
-    diag = np.diagonal(Kv)
-    # Row i of Kv is zero beyond column i, so the full product equals the
-    # rectangle sum; subtract the half-weight endpoints (column 0 is zero).
-    return E + h * (core - 0.5 * (Kv[:, 0] * E[0] + diag * E))
+    c = require_converged(kernel_series).values
+    s = grid.nodes()
+    E = np.exp(-lam * s)
+    wE = np.cumprod(np.outer(1.0 / np.arange(1, len(c) + 1), s), axis=0) * E
+    size = next_fast_len(2 * s.size - 1, True)
+    conv = irfft(np.sum(rfft(c, size) * rfft(wE, size), axis=0), size)[: s.size]
+    return E + grid.h * (conv - 0.5 * (c[:, 0] @ wE))
 
 
 def _scan_brackets(t: np.ndarray, x: np.ndarray, sup: float):
@@ -635,8 +660,8 @@ def nodal_set_exp_closed(
 
     With s = (lam + alpha)**2 - 4 c:
 
-    * s > 0: at most the single point log((w_m - alpha)/(w_p - alpha))
-      / (w_p - w_m), present when the log argument is positive;
+    * s > 0: at most the single point log(u_b / u_s) / (u_s - u_b), with
+      u_b, u_s from ``_shifted_roots``, present when lam > -alpha;
     * s = 0 and lam <= -alpha: empty;
     * s = 0 and lam > -alpha: the single point 2 / (lam + alpha);
     * s < 0: the ladder (2 / sqrt(-s)) (arccot((lam + alpha) / sqrt(-s))
@@ -652,12 +677,8 @@ def nodal_set_exp_closed(
         if lam > -alpha:
             zeros = [2.0 / (lam + alpha)]
     elif s > 0:
-        root = math.sqrt(s)
-        w_p = 0.5 * (-(lam - alpha) + root)
-        w_m = 0.5 * (-(lam - alpha) - root)
-        ratio = (w_m - alpha) / (w_p - alpha)
-        if ratio > 0:
-            zeros = [math.log(ratio) / (w_p - w_m)]
+        u_b, u_s = _shifted_roots(lam, c, alpha)
+        zeros = [math.log(u_b / u_s) / (u_s - u_b)]
     else:
         rt = math.sqrt(-s)
         base = math.atan2(1.0, (lam + alpha) / rt)  # arccot with range (0, pi)

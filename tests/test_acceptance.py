@@ -39,6 +39,7 @@ from memobs import (
 )
 
 from test_cli import CONFIGS, artifact_bytes, run_cli
+from test_kernels import series_triangle
 
 LAMS = (1.0, 4.0, 9.0)
 PI = math.pi
@@ -144,7 +145,7 @@ def test_criterion_03_nonpositive_kernels(record_criterion):
     for M in kernels:
         series = kernel_series_K(M, grid, 1e-10)
         assert series.converged
-        tri = series.values[np.tril_indices(grid.n_steps + 1)]
+        tri = series_triangle(series)[np.tril_indices(grid.n_steps + 1)]
         min_K = min(min_K, float(np.min(tri)))
         for lam in LAMS:
             nodal = nodal_set_numeric(lam, M, 10.0)

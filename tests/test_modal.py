@@ -8,6 +8,7 @@ evaluated at 40 digits (mpmath), not from any code path under test.
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from memobs import (
     ZeroKernel,
     closed_form_exp,
     impulse_control,
+    kernel_series_K,
     nodal_set_exp_closed,
     nodal_set_numeric,
     series_solution_grid,
@@ -37,6 +39,7 @@ from memobs import (
     solve_modal_volterra,
 )
 from memobs import cli, modal
+from test_kernels import series_triangle
 
 # M(t) = 2 exp(-t), lam = 4: roots -2 and -3, x(t) = 2 exp(-3t) - exp(-2t)
 X_EXP21_LAM4_T1 = -0.035761146500884806
@@ -55,10 +58,80 @@ SPACING_EXP40_LAM1 = 1.6223114703894448  # pi / omega
 # M = 4, lam = 9: discriminant 65 > 0, single sign change
 ZERO_EXP40_LAM9 = 0.35984324964770766
 
+# lam = 16384: the single sign change for (c, alpha), at 60 digits
+ZEROS_EXP_LAM16384 = {
+    (4.0, 1.0): 1.0999053566297007384e-3,
+    (2.0, -1.0): 1.1423336425004379908e-3,
+}
+
 # M(t) = t: characteristic z**3 + lam z**2 + 1 = 0; at lam = 1 the complex
 # pair has positive real part, so the mode oscillates with growing amplitude.
 CUBIC_LAM1_REAL = -1.46557123187676803
 CUBIC_LAM1_IMAG = 0.79255199251544785
+
+
+# (lam, c, alpha, t, x(t)) for M(t) = c exp(alpha t), from the characteristic
+# roots at 60 digits (mpmath): lam = k**2 for k = 4, 8, ..., 128, then a
+# complex pair, an exact double root and alpha > lam.
+X_EXP_HIGH_PRECISION = [
+    (16.0, 4.0, 0.0, 0.5, -1.4054693869399028271e-2),
+    (16.0, 4.0, 0.0, 1.2, -1.2089114707366584203e-2),
+    (16.0, 4.0, 0.0, 2.0, -9.8658501463799958102e-3),
+    (16.0, 4.0, 1.0, 0.5, -2.0751251852393741118e-2),
+    (16.0, 4.0, 1.0, 1.2, -3.6012444797580195273e-2),
+    (16.0, 4.0, 1.0, 2.0, -6.6217805785638143296e-2),
+    (16.0, 2.0, -1.0, 0.5, -4.8170798574324505159e-3),
+    (16.0, 2.0, -1.0, 1.2, -2.3407303117624156959e-3),
+    (16.0, 2.0, -1.0, 2.0, -9.4443657038458323473e-4),
+    (64.0, 4.0, 0.0, 0.5, -9.4926986012661297455e-4),
+    (64.0, 4.0, 0.0, 1.2, -9.0859578341079484868e-4),
+    (64.0, 4.0, 0.0, 2.0, -8.6424076124519993895e-4),
+    (64.0, 4.0, 1.0, 0.5, -1.5178909857635535502e-3),
+    (64.0, 4.0, 1.0, 1.2, -2.9276617844452755369e-3),
+    (64.0, 4.0, 1.0, 2.0, -6.2023398247400453558e-3),
+    (64.0, 2.0, -1.0, 0.5, -3.0127406860940453354e-4),
+    (64.0, 2.0, -1.0, 1.2, -1.463186746329645939e-4),
+    (64.0, 2.0, -1.0, 2.0, -6.4095701995969957683e-5),
+    (256.0, 4.0, 0.0, 0.5, -6.0571239165718652745e-5),
+    (256.0, 4.0, 0.0, 1.2, -5.9912311099266066865e-5),
+    (256.0, 4.0, 0.0, 2.0, -5.9168023270770508044e-5),
+    (256.0, 4.0, 1.0, 0.5, -9.9092313994218913753e-5),
+    (256.0, 4.0, 1.0, 1.2, -1.9738502811820668357e-4),
+    (256.0, 4.0, 1.0, 2.0, -4.3385230394793606349e-4),
+    (256.0, 2.0, -1.0, 0.5, -1.8584004476767808649e-5),
+    (256.0, 2.0, -1.0, 1.2, -9.178014275803782525e-6),
+    (256.0, 2.0, -1.0, 2.0, -4.09815211561901248e-6),
+    (1024.0, 4.0, 0.0, 0.5, -3.8072974990020625626e-6),
+    (1024.0, 4.0, 0.0, 1.2, -3.7969011005476556247e-6),
+    (1024.0, 4.0, 0.0, 2.0, -3.7850542597459322188e-6),
+    (1024.0, 4.0, 1.0, 0.5, -6.2649420020469200741e-6),
+    (1024.0, 4.0, 1.0, 1.2, -1.2581627477473591972e-5),
+    (1024.0, 4.0, 1.0, 2.0, -2.7913645353235589045e-5),
+    (1024.0, 2.0, -1.0, 0.5, -1.1580023643532476021e-6),
+    (1024.0, 2.0, -1.0, 1.2, -5.7426052710561479559e-7),
+    (1024.0, 2.0, -1.0, 2.0, -2.576286335047453923e-7),
+    (4096.0, 4.0, 0.0, 0.5, -2.3830236261622321177e-7),
+    (4096.0, 4.0, 0.0, 1.2, -2.381395162384274688e-7),
+    (4096.0, 4.0, 0.0, 2.0, -2.3795354235253485708e-7),
+    (4096.0, 4.0, 1.0, 0.5, -3.927024481423883941e-7),
+    (4096.0, 4.0, 1.0, 1.2, -7.9026534485762062954e-7),
+    (4096.0, 4.0, 1.0, 2.0, -1.7573947033330218782e-6),
+    (4096.0, 2.0, -1.0, 0.5, -7.2321769430059558473e-8),
+    (4096.0, 2.0, -1.0, 1.2, -3.5901651674374930362e-8),
+    (4096.0, 2.0, -1.0, 2.0, -1.6125350222025360571e-8),
+    (16384.0, 4.0, 0.0, 0.5, -1.4899342981487331395e-8),
+    (16384.0, 4.0, 0.0, 1.2, -1.4896796924578849874e-8),
+    (16384.0, 4.0, 0.0, 2.0, -1.4893887678001526227e-8),
+    (16384.0, 4.0, 1.0, 0.5, -2.4561865509813681792e-8),
+    (16384.0, 4.0, 1.0, 1.2, -4.9453071511817373905e-8),
+    (16384.0, 4.0, 1.0, 2.0, -1.1003834203819879157e-7),
+    (16384.0, 2.0, -1.0, 0.5, -4.5192814923463134946e-9),
+    (16384.0, 2.0, -1.0, 1.2, -2.2440170033966266928e-9),
+    (16384.0, 2.0, -1.0, 2.0, -1.0082033674188458054e-9),
+    (1.0, 4.0, 0.0, 1.2, -4.7868430420128650159e-1),
+    (4.0, 4.0, 0.0, 1.2, -1.2700513460517750795e-1),
+    (1.0, 4.0, 6.0, 1.2, -6.8201717281907840297e+1),
+]
 
 
 def test_march_hits_frozen_exponential_values():
@@ -543,11 +616,54 @@ def test_closed_form_exponential_frozen():
     )
 
 
+def test_closed_form_matches_high_precision_values():
+    # Relative to |x| itself: at k = 128 the value is O(c / lam**2), many
+    # orders below the terms of the root formula.
+    worst = max(
+        abs(closed_form_exp(lam, c, alpha, t) - x) / abs(x)
+        for lam, c, alpha, t, x in X_EXP_HIGH_PRECISION
+    )
+    assert worst <= 1e-13
+
+
 def test_series_matches_frozen_value():
     grid = UniformGrid(2048, 2.0)
     x = series_solution_grid(1.0, ConstantKernel(-1.0), grid)
     assert x[1024] == pytest.approx(X_CONSTM1_LAM1_T1, abs=5e-7)
     assert x[-1] == pytest.approx(X_CONSTM1_LAM1_T2, abs=5e-7)
+
+
+def test_series_matches_dense_triangle():
+    # The trapezoid with K_M stored whole: x = E + h (K E - diag(K) E / 2),
+    # its column s = 0 being zero.
+    grid = UniformGrid(1024, 2.0)
+    kernels = (
+        ZeroKernel(),
+        ConstantKernel(-1.0),
+        ExponentialKernel(4.0, 0.0),
+        ExponentialKernel(2.0, -1.0),
+        LinearKernel(),
+    )
+    for M in kernels:
+        series = kernel_series_K(M, grid)
+        K = series_triangle(series)
+        for lam in (1.0, 4.0, 9.0):
+            E = np.exp(-lam * grid.nodes())
+            dense = E + grid.h * (K @ E - 0.5 * np.diagonal(K) * E)
+            x = series_solution_grid(lam, M, grid, kernel_series=series)
+            assert np.max(np.abs(x - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_series_memory_is_linear_in_n():
+    # The (n + 1)**2 triangle of K_M alone would take 34 MB at n = 2048.
+    grid = UniformGrid(2048, 2.0)
+    tracemalloc.start()
+    try:
+        series_solution_grid(1.0, ExponentialKernel(4.0, 0.0), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_series_zero_kernel_is_exact_exponential():
@@ -573,6 +689,10 @@ def test_nodal_closed_double_root_and_real_roots():
     # decaying-memory case: single zero at ln 2
     ns2 = nodal_set_exp_closed(4.0, 2.0, -1.0, 5.0)
     np.testing.assert_allclose(ns2.zeros, [ZERO_EXP21_LAM4], rtol=1e-13)
+    # lam = 128**2: the roots of the unshifted quadratic lose digits here
+    for (c, alpha), zero in ZEROS_EXP_LAM16384.items():
+        ns = nodal_set_exp_closed(16384.0, c, alpha, 1.0)
+        np.testing.assert_allclose(ns.zeros, [zero], rtol=1e-13)
 
 
 @pytest.mark.parametrize(
