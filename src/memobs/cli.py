@@ -44,7 +44,7 @@ from .inverse_control import (
     simulate_controlled,
     simulate_observations,
 )
-from .kernels import ExponentialKernel, UniformGrid, kernel_from_spec
+from .kernels import UniformGrid, kernel_from_spec
 from .modal import (
     closed_form_exp,
     nodal_set_exp_closed,
@@ -261,11 +261,14 @@ def _read(path, reader, *args, **kwargs):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _check_closed_form(M, path: str) -> None:
-    if not isinstance(M, ExponentialKernel):
+def _check_closed_form(M, path: str) -> tuple[float, float]:
+    """The kernel's (c, alpha) for M(t) = c exp(alpha t)."""
+    form = M.exp_form()
+    if form is None:
         raise ValidationError(
-            f"{path}.method: the closed form exists only for exponential kernels"
+            f"{path}.method: the closed form exists only for kernels c exp(alpha t)"
         )
+    return form
 
 
 def _field_from_spec(basis: SpectralBasis, spec, path: str) -> SpectralField:
@@ -309,9 +312,8 @@ def _run_modal(cfg, M):
         t = grid.nodes()
         x = series_solution_grid(lam, M, grid, tol)
     else:
-        _check_closed_form(M, "modal")
         t = UniformGrid(n_steps, T).nodes()
-        x = closed_form_exp(lam, M.c, M.alpha, t)
+        x = closed_form_exp(lam, *_check_closed_form(M, "modal"), t)
     payload = {
         "command": "modal",
         "kernel": M.spec_dict(),
@@ -336,8 +338,7 @@ def _run_nodal(cfg, M):
     refine_tol = _get(sec, "nodal", "refine_tol", real, default=1e-10, positive=True)
     method = _choice(sec, "nodal", "method", {"numeric", "closed"}, "numeric")
     if method == "closed":
-        _check_closed_form(M, "nodal")
-        ns = nodal_set_exp_closed(lam, M.c, M.alpha, T_max)
+        ns = nodal_set_exp_closed(lam, *_check_closed_form(M, "nodal"), T_max)
     else:
         ns = nodal_set_numeric(lam, M, T_max, resolution, refine_tol)
     payload = {

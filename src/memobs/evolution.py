@@ -7,12 +7,14 @@ lam = lambda_k.  For fixed t > 0 the solution map behaves like
 lambda_k^2 x_k(t) + M(t) should decay like 1/lambda_k; the residual table
 measures exactly that.
 
-Modal endpoint values are expensive at large lambda, so they are cached.
-The step policy belongs to the cache: it is fixed when the cache is built,
-so an entry is keyed by kernel, lam and time alone.  Every entry comes from
-a Richardson pair (n and 2n steps), which cancels the leading h^2 error of
-the product-trapezoidal march; the modes of one lookup that share a step
-count are marched as one batch.
+Modal endpoint values are expensive at large lambda, so they are cached,
+keyed by kernel, lam and time.  For a kernel c exp(alpha t) (exponential,
+constant and zero kernels) an entry comes from the closed form and no march
+runs.  For every other kernel it comes from a Richardson pair (n and 2n
+steps), which cancels the leading h^2 error of the product-trapezoidal
+march; the step policy belongs to the cache and is fixed when it is built,
+and the modes of one lookup that share a step count are marched as one
+batch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ValidationError, integer, real
 from .kernels import MemoryKernel
-from .modal import _n_steps, solve_modal_richardson
+from .modal import _exp_zeros, _n_steps, closed_form_exp, solve_modal_richardson
 from .spectral import SpectralBasis, SpectralField
 
 DEFAULT_HLAM_MAX = 0.25
@@ -34,10 +36,12 @@ DEFAULT_N_MIN = 1024
 class ModalCache:
     """Cache of modal endpoint values keyed by kernel, lam and time.
 
-    The step policy belongs to the cache and is fixed when it is built:
-    every value is a pair (x(t), sup |x| on [0, t]) from a
-    Richardson-extrapolated solve with
-    n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps.
+    Every value is a pair (x(t), sup |x| on [0, t]).  For a kernel with
+    ``exp_form()`` (c, alpha) both come from the closed form: x(t) is
+    ``closed_form_exp`` and the sup is the largest |x| at 0, at t and at the
+    zeros of x' in (0, t).  Every other kernel takes a Richardson-extrapolated
+    solve with n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps, a step
+    policy fixed when the cache is built.
     """
 
     def __init__(self, hlam_max: float = DEFAULT_HLAM_MAX):
@@ -61,18 +65,23 @@ class ModalCache:
     def entries(self, M: MemoryKernel, lams, t: float) -> list[tuple[float, float]]:
         """(x(t), sup |x| on [0, t]) for each lam in ``lams``, in order.
 
-        This is the cache's one lookup.  The lams not yet cached are
-        marched together: one Richardson pair per step count, each row
-        bit-identical to a march of its own.
+        This is the cache's one lookup.  The lams not yet cached come from
+        the closed form, or else are marched together: one Richardson pair
+        per step count, each row bit-identical to a march of its own.
         """
         lams = [real(lam, "lam", positive=True) for lam in lams]
         t = real(t, "t", nonneg=True)
         if t == 0.0:
             return [(1.0, 1.0)] * len(lams)
         kernel = M.cache_key()
+        form = M.exp_form()
         groups: dict[int, list[float]] = {}
         for lam in dict.fromkeys(lams):
-            if (kernel, lam, t) not in self._data:
+            if (kernel, lam, t) in self._data:
+                continue
+            if form is not None:
+                self._data[(kernel, lam, t)] = _closed_form_entry(lam, *form, t)
+            else:
                 n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
                 groups.setdefault(n, []).append(lam)
         for n, group in groups.items():
@@ -81,6 +90,15 @@ class ModalCache:
             for lam, value, sup in zip(group, x[:, -1], sups):
                 self._data[(kernel, lam, t)] = (float(value), float(sup))
         return [self._data[(kernel, lam, t)] for lam in lams]
+
+
+def _closed_form_entry(lam: float, c: float, alpha: float, t: float):
+    """(x(t), sup |x| on [0, t]) for M(t) = c exp(alpha t): |x| peaks at 0,
+    where it is 1, at t, or at a zero of x'."""
+    value = closed_form_exp(lam, c, alpha, t)
+    turns = _exp_zeros(lam, c, alpha, lam - c / lam, t)
+    peaks = np.abs(closed_form_exp(lam, c, alpha, np.asarray(turns)))
+    return value, max(1.0, abs(value), float(np.max(peaks, initial=0.0)))
 
 
 def propagate(
@@ -134,9 +152,10 @@ def decomposition_residual(
 
     The slope certifies the 1/lambda remainder when it is at most -0.8;
     sup_k lambda_k^2 |x_k(t)| is reported as the numeric smoothing bound.
-    Residual magnitudes can sit many orders below lambda_k^2 x_k, so the
-    modal values come from a cache of their own with a tighter step policy
-    (hlam_max) than the default one.
+    Residual magnitudes can sit many orders below lambda_k^2 x_k.  For a
+    kernel c exp(alpha t) the modal values come from the closed form, which
+    is accurate relative to |x_k|; every other kernel is marched in a cache
+    of its own with a tighter step policy (hlam_max) than the default one.
     """
     t = real(t, "t")
     if t <= 1e-9:

@@ -16,29 +16,27 @@ representation
 and, for M(t) = c exp(alpha t), the closed form obtained by reducing the
 problem to x'' + (lam - alpha) x' + (c - alpha lam) x = 0.
 
-A march of n steps costs O(n) for kernels of the form c exp(alpha t) (the
-exponential, constant and zero kernels): their history sum obeys a two-term
-recurrence, so the trajectory comes from banded triangular solves.  Other
-kernels (linear, tabulated) cost O(n log^2 n): the scheme is a lower
-triangular Toeplitz system, solved by divide and conquer with FFT history
-updates.  Both solve the scheme exactly, not an approximation of the kernel.
-The O(n^2) loop with one history dot product per step computes the same
-scheme; no production path calls it, and it stays as the reference both fast
-solves are tested against.
+A march of n steps costs O(n log^2 n) for every kernel: the scheme is a
+lower triangular Toeplitz system, solved by divide and conquer with FFT
+history updates.  This solves the scheme exactly, not an approximation of
+the kernel.  The O(n^2) loop with one history dot product per step computes
+the same scheme; no production path calls it, and it stays as the reference
+the fast solve is tested against.  For kernels c exp(alpha t) (the
+exponential, constant and zero kernels) ``ModalCache`` takes its values from
+the closed form and does not march.
 
 Both entries march a batch: ``lam`` may be a 1-D sequence, with ``x0`` and
 each jump increment a number or one entry per lam, and x then has one row
 per lam, each bit-identical to the call for that lam alone.  The grid, the
-kernel samples and, for the divide-and-conquer solve, the history spectra,
-weights and leaf block are computed once per batch, and each history update
-is one FFT over all rows; only the leaf solves and the banded solves run
-row by row.  Modes that share a grid (the modes of one instant, or of one
-jump grid) are marched this way, which removes the per-call work of a
-march that does not depend on lam.
+kernel samples, the history spectra, weights and leaf block are computed
+once per batch, and each history update is one FFT over all rows; only the
+leaf solves run row by row.  Modes that share a grid (the modes of one
+instant, or of one jump grid) are marched this way, which removes the
+per-call work of a march that does not depend on lam.
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically by sign-change scanning plus
-bisection, and in closed form for exponential kernels.
+bisection, and in closed form for kernels c exp(alpha t).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
 from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dtbtrs, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import NumericalError, StabilityError, ValidationError, integer, real
 from .kernels import (
@@ -62,10 +60,6 @@ from .kernels import (
 
 SIGN_CHANGE = "sign-change"
 SUSPECTED_TANGENTIAL = "suspected-tangential"
-
-# Steps per banded solve in _march_banded; the drift of its history
-# recurrence grows with this, the per-block overhead shrinks.
-_BLOCK = 1024
 
 # Steps per leaf of _march_dc, solved densely; across leaves the history
 # moves by FFT convolutions.
@@ -159,16 +153,13 @@ def solve_modal_volterra(
     grid, ``x0`` and each jump increment may be a number (shared) or a
     sequence with one entry per lam, and x has one row per lam.  Each row
     is bit-identical to the call with that row's lam, x0 and increments.
-    A batch samples M once, and the divide-and-conquer solve also shares
-    its history spectra, weights and leaf block and runs each history
-    update as one FFT over all rows.
+    A batch samples M once, shares the history spectra, weights and leaf
+    block, and runs each history update as one FFT over all rows.
 
-    A kernel with an exponential form M(t) = c exp(alpha t) (exponential,
-    constant and zero kernels) takes the O(n) banded solves of
-    ``_march_banded``; every other kernel (linear, tabulated) takes the
-    O(n log^2 n) divide-and-conquer solve of ``_march_dc``.  Both compute
-    the same scheme as the O(n^2) dot-product loop ``_march_loop``, which no
-    production path calls: it is the oracle the tests check both against.
+    Every kernel takes the O(n log^2 n) divide-and-conquer solve of
+    ``_march_dc``.  It computes the same scheme as the O(n^2) dot-product
+    loop ``_march_loop``, which no production path calls: it is the oracle
+    the tests check it against.
     """
     batch = _is_row(lam)
     lam = _column(lam, "lam", len(lam) if batch else 1, positive=True)
@@ -197,11 +188,7 @@ def solve_modal_volterra(
     denom = 1.0 + 0.5 * h * lam + 0.25 * h * h * Mg[0]
     if np.any(np.abs(denom) < 1e-14):
         raise StabilityError("implicit step is singular; refine the grid")
-    form = M.exp_form()
-    if form is None:
-        x = _march_dc(lam, Mg, h, denom, x0, jumps)
-    else:
-        x = _march_banded(lam, Mg, h, denom, x0, jumps, *form)
+    x = _march_dc(lam, Mg, h, denom, x0, jumps)
     if not np.all(np.isfinite(x)):
         raise NumericalError("modal trajectory produced non-finite values")
     return t, x if batch else x[0]
@@ -265,89 +252,6 @@ def _march_loop(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
             x[stop] += jumps[stop]
             xrev[n - stop] = 0.5 * (xrev[n - stop] + x[stop])
         start = stop
-    return x
-
-
-def _march_banded(lam, Mg, h, denom, x0, jumps, c, alpha) -> np.ndarray:
-    """The march for M(t) = c exp(alpha t) as banded triangular solves.
-
-    With q = exp(alpha h) the history sum obeys H_i = q (c x_i + H_{i-1}),
-    and I_i = h H_{i-1} + (h/2)(M(t_i) x_0 + M(0) x_i) for i >= 1.  Step i
-    of ``_march_loop`` then reads
-
-        H_i - q H_{i-1} - q c x_i = 0,
-        denom x_{i+1} + (h^2/2)(H_i + H_{i-1}) + (h^2 M(0)/4 - fac) x_i
-            = -(h^2/4)(M(t_i) + M(t_{i+1})) x_0,
-
-    with H_0 = 0 and, at i = 0, denom x_1 + (h^2/2) H_0
-    = (fac - h^2 M(t_1)/4) x_0.  The unknowns (H_0, x_1, H_1, x_2, ...)
-    form a lower-triangular system of bandwidth 3, solved in O(n) by LAPACK.
-    A jump d at node p only moves right-hand sides: fac d into the row of
-    x_{p+1}, and q c d / 2 into the row of H_p, whose history uses the mean
-    of the two one-sided limits.
-
-    The recurrence weights the history by c q^r where the loop uses the
-    samples M(t_r), so the rounding of q compounds to about r eps.  One
-    solve over all n steps drifted 1.1e-12 of sup|x| from the loop for
-    c = 4, alpha = 2, lam = 1, T = 3, n = 16384.  So the system is solved
-    in blocks of B = _BLOCK steps.  Each block starts from H_{k0-1} rebuilt
-    from the samples: the previous block's B nodes by a dot product with
-    M(t_1..t_B), plus the older history H_{k0-1-B} times exp(alpha h B).
-    That bounds the drift by about B eps whatever n is, still in O(n).
-
-    ``lam``, ``denom``, ``x0`` and each jump increment hold one entry per
-    row; every row is solved on its own, and the band entries that do not
-    depend on lam are set once.
-    """
-    n = Mg.size - 1
-    q = math.exp(alpha * h)
-    hh2 = 0.5 * h * h
-    # Lower band storage: ab[d, j] is the entry d rows below the diagonal in
-    # column j.  Even columns are H_k, odd columns x_{k+1}.  Rows 0 and 2 of
-    # the odd columns depend on lam and are set per row.
-    ab = np.zeros((4, 2 * n), order="F")
-    ab[0, 0::2] = 1.0
-    ab[1, 0::2] = hh2  # row x_{k+1}, column H_k
-    ab[1, 1 : 2 * n - 2 : 2] = -q * c  # row H_k, column x_k
-    ab[2, 0 : 2 * n - 2 : 2] = -q  # row H_k, column H_{k-1}
-    ab[3, 0 : 2 * n - 2 : 2] = hh2  # row x_{k+1}, column H_{k-1}
-    x = np.empty((lam.size, n + 1))
-    for r in range(lam.size):
-        fac = 1.0 - 0.5 * h * lam[r]
-        ab[0, 1::2] = denom[r]
-        ab[2, 1 : 2 * n - 2 : 2] = 0.5 * hh2 * Mg[0] - fac  # row x_{k+1}, column x_k
-        rhs = np.zeros((2 * n, 1))
-        rhs[1::2, 0] = -0.5 * hh2 * x0[r] * (Mg[:-1] + Mg[1:])
-        rhs[1, 0] += (fac + 0.5 * hh2 * Mg[0]) * x0[r]
-        for p, d in jumps.items():
-            rhs[2 * p, 0] += 0.5 * q * c * d[r]
-            rhs[2 * p + 1, 0] += fac * d[r]
-        # xr holds left limits while solving; xh is the history's view of
-        # the trajectory, with the mean of the two limits at each jump node.
-        xr = x[r]
-        xr[0] = x0[r]
-        xh = xr.copy()
-        H = 0.0
-        for k0 in range(0, n, _BLOCK):
-            k1 = min(k0 + _BLOCK, n)
-            b = rhs[2 * k0 : 2 * k1]
-            if k0:
-                lo = max(1, k0 - _BLOCK)
-                H = math.exp(alpha * h * _BLOCK) * H + float(
-                    np.dot(Mg[1 : k0 - lo + 1], xh[k0 - 1 : lo - 1 : -1])
-                )
-                b[0, 0] -= ab[1, 2 * k0 - 1] * xr[k0] + ab[2, 2 * k0 - 2] * H
-                b[1, 0] -= ab[2, 2 * k0 - 1] * xr[k0] + ab[3, 2 * k0 - 2] * H
-            sol, info = dtbtrs(ab[:, 2 * k0 : 2 * k1], b, uplo="L", overwrite_b=1)
-            if info != 0:
-                raise StabilityError(f"banded modal solve failed (LAPACK info {info})")
-            xr[k0 + 1 : k1 + 1] = sol[1::2, 0]
-            xh[k0 + 1 : k1 + 1] = xr[k0 + 1 : k1 + 1]
-            for p, d in jumps.items():
-                if k0 < p <= k1:
-                    xh[p] += 0.5 * d[r]
-        for p, d in jumps.items():
-            xr[p] += d[r]
     return x
 
 
@@ -482,7 +386,7 @@ def _shifted_roots(lam: float, c: float, alpha: float) -> tuple[float, float]:
 
 
 def closed_form_exp(lam: float, c: float, alpha: float, t):
-    """Closed-form modal solution for M(t) = c exp(alpha t), c > 0.
+    """Closed-form modal solution for M(t) = c exp(alpha t), c real.
 
     With s = (lam + alpha)**2 - 4 c, the roots w = alpha + u of the reduced
     second-order equation (u from ``_shifted_roots`` for s > 0) and
@@ -496,10 +400,11 @@ def closed_form_exp(lam: float, c: float, alpha: float, t):
                 a = -(lam - alpha) / 2, b = sqrt(-s) / 2
 
     Every branch is real, and D has no cancellation, so the value is
-    accurate relative to |x| up to the rounding of the inputs.
+    accurate relative to |x| up to the rounding of the inputs.  For c <= 0,
+    s >= (lam + alpha)**2 and the first branch applies.
     """
     lam = real(lam, "lam")
-    c = real(c, "c", positive=True)
+    c = real(c, "c")
     alpha = real(alpha, "alpha")
     tv = np.asarray(t, dtype=float)
     s = (lam + alpha) ** 2 - 4.0 * c
@@ -652,42 +557,56 @@ def nodal_set_numeric(
     return NodalSet(keep_z, keep_f)
 
 
+def _exp_zeros(
+    lam: float, c: float, alpha: float, mu: float, T_max: float
+) -> list[float]:
+    """Zeros in (0, T_max] of the solution of
+    y'' + (lam - alpha) y' + (c - alpha lam) y = 0, y(0) = 1, y'(0) = -mu.
+
+    mu = lam gives the modal solution x itself; mu = lam - c / lam gives
+    x' / x'(0), since x'(0) = -lam and x''(0) = lam**2 - c.  With
+    s = (lam + alpha)**2 - 4 c, d = mu - lam and u_b, u_s from
+    ``_shifted_roots``, the zeros are
+
+    * s > 0: at most log(p / q) / (u_b - u_s), p = d - u_s, q = d - u_b,
+      and none when p q <= 0;
+    * |s| <= 1e-12: at most 1 / (d + (lam + alpha) / 2);
+    * s < 0: the ladder (atan2(b, d + (lam + alpha) / 2) + l pi) / b,
+      b = sqrt(-s) / 2, l = 0, 1, 2, ...
+    """
+    s = (lam + alpha) ** 2 - 4.0 * c
+    d = mu - lam
+    if abs(s) <= 1e-12:
+        den = d + 0.5 * (lam + alpha)
+        zeros = [1.0 / den] if den > 0 else []
+    elif s > 0:
+        u_b, u_s = _shifted_roots(lam, c, alpha)
+        p, q = d - u_s, d - u_b
+        zeros = [math.log(p / q) / (u_b - u_s)] if p * q > 0 else []
+    else:
+        b = 0.5 * math.sqrt(-s)
+        base = math.atan2(b, d + 0.5 * (lam + alpha))  # in (0, pi)
+        zeros = []
+        l = 0
+        while (z := (base + l * math.pi) / b) <= T_max:
+            zeros.append(z)
+            l += 1
+    return [z for z in zeros if 0.0 < z <= T_max]
+
+
 def nodal_set_exp_closed(
     lam: float, c: float, alpha: float, T_max: float
 ) -> NodalSet:
-    """Closed-form nodal set for M(t) = c exp(alpha t), intersected with
-    (0, T_max].
+    """Closed-form nodal set for M(t) = c exp(alpha t), c real, intersected
+    with (0, T_max]: the zeros of ``_exp_zeros`` with mu = lam.
 
-    With s = (lam + alpha)**2 - 4 c:
-
-    * s > 0: at most the single point log(u_b / u_s) / (u_s - u_b), with
-      u_b, u_s from ``_shifted_roots``, present when lam > -alpha;
-    * s = 0 and lam <= -alpha: empty;
-    * s = 0 and lam > -alpha: the single point 2 / (lam + alpha);
-    * s < 0: the ladder (2 / sqrt(-s)) (arccot((lam + alpha) / sqrt(-s))
-      + l pi), l = 0, 1, 2, ...
+    s = (lam + alpha)**2 - 4 c > 0 gives at most one zero, and none for
+    c <= 0; a double root at most one; s < 0 a ladder of spacing 2 pi /
+    sqrt(-s).
     """
     lam = real(lam, "lam")
-    c = real(c, "c", positive=True)
+    c = real(c, "c")
     alpha = real(alpha, "alpha")
     T_max = real(T_max, "T_max", positive=True)
-    s = (lam + alpha) ** 2 - 4.0 * c
-    zeros: list[float] = []
-    if abs(s) <= 1e-12:
-        if lam > -alpha:
-            zeros = [2.0 / (lam + alpha)]
-    elif s > 0:
-        u_b, u_s = _shifted_roots(lam, c, alpha)
-        zeros = [math.log(u_b / u_s) / (u_s - u_b)]
-    else:
-        rt = math.sqrt(-s)
-        base = math.atan2(1.0, (lam + alpha) / rt)  # arccot with range (0, pi)
-        l = 0
-        while True:
-            z = (2.0 / rt) * (base + l * math.pi)
-            if z > T_max:
-                break
-            zeros.append(z)
-            l += 1
-    zeros = [z for z in zeros if 0.0 < z <= T_max]
+    zeros = _exp_zeros(lam, c, alpha, lam, T_max)
     return NodalSet(zeros, [SIGN_CHANGE] * len(zeros))

@@ -138,7 +138,7 @@ ARGUMENTS = {
         lambda v: solve_modal_richardson(1.0, M, 1.0, v),
     ),
     "closed_form_exp.lam": ("real", 2.0, lambda v: closed_form_exp(v, 4.0, 0.0, 1.0)),
-    "closed_form_exp.c": ("positive", 1.0, lambda v: closed_form_exp(1.0, v, 0.0, 1.0)),
+    "closed_form_exp.c": ("real", 1.0, lambda v: closed_form_exp(1.0, v, 0.0, 1.0)),
     "closed_form_exp.alpha": (
         "real",
         -1.0,
@@ -176,7 +176,7 @@ ARGUMENTS = {
         lambda v: nodal_set_exp_closed(v, 4.0, 0.0, 6.0),
     ),
     "nodal_set_exp_closed.c": (
-        "positive",
+        "real",
         1.0,
         lambda v: nodal_set_exp_closed(1.0, v, 0.0, 6.0),
     ),

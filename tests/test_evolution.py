@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memobs import (
+    ConstantKernel,
     ExponentialKernel,
     ModalCache,
     SpectralBasis,
@@ -16,6 +17,7 @@ from memobs import (
     closed_form_exp,
     decomposition_residual,
     propagate,
+    solve_modal_richardson,
 )
 from memobs.evolution import DEFAULT_HLAM_MAX, DEFAULT_N_MIN
 from memobs.modal import _n_steps
@@ -64,11 +66,46 @@ def test_cache_batch_fill_matches_single_lookups():
     c=st.floats(0.1, 50.0),
     alpha=st.floats(-2.0, 1.0),
     t=st.floats(0.05, 2.0),
+    constant=st.booleans(),
 )
-@example(lam=9.0, c=16.0, alpha=-1.0, t=0.5)  # double root: c = (lam + alpha)^2 / 4
-def test_cache_matches_exponential_closed_form(lam, c, alpha, t):
-    val, sup = ModalCache().value_and_sup(ExponentialKernel(c, alpha), lam, t)
-    assert abs(val - closed_form_exp(lam, c, alpha, t)) <= 1e-7 * sup
+@example(lam=9.0, c=16.0, alpha=-1.0, t=0.5, constant=False)  # double root
+@example(lam=9.0, c=0.1, alpha=0.0, t=2.0, constant=True)  # no memory
+def test_cache_matches_exponential_closed_form(lam, c, alpha, t, constant):
+    # The cache takes these values from the closed form; the Richardson march
+    # at the cache's step policy for marched kernels checks them.  Constant
+    # kernels take the values 0.1 - c in [-49.9, 0].
+    M = ConstantKernel(0.1 - c) if constant else ExponentialKernel(c, alpha)
+    val, sup = ModalCache().value_and_sup(M, lam, t)
+    n = _n_steps(t, lam, DEFAULT_N_MIN, DEFAULT_HLAM_MAX)
+    march = solve_modal_richardson(lam, M, t, n)[1][-1]
+    assert abs(val - march) <= 1e-7 * sup
+    assert val == closed_form_exp(lam, *M.exp_form(), t)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    lam=st.floats(0.5, 2e4),
+    c=st.one_of(st.just(0.0), st.floats(-20.0, 50.0)),
+    alpha=st.floats(-3.0, 3.0),
+    t=st.floats(0.05, 5.0),
+)
+@example(lam=1.0, c=4.0, alpha=6.0, t=1.2)  # |x| grows far above 1
+@example(lam=1.0, c=4.0, alpha=1.5, t=4.0)  # a growing swing peaks before t
+@example(lam=9.0, c=16.0, alpha=-1.0, t=0.5)  # double root
+def test_cache_sup_matches_dense_grid(lam, c, alpha, t):
+    # |x| is largest at 0, at t or where x' = 0; the closed-form sup must
+    # not fall below the densely sampled max, nor sit far above it.
+    if c > 0:
+        M = ExponentialKernel(c, alpha)
+    else:
+        M = ConstantKernel(c) if c else ZeroKernel()
+    form = M.exp_form()
+    val, sup = ModalCache().value_and_sup(M, lam, t)
+    assert val == closed_form_exp(lam, *form, t)
+    grid = np.linspace(0.0, t, 200001)
+    dense = float(np.max(np.abs(closed_form_exp(lam, *form, grid))))
+    assert sup >= dense * (1.0 - 1e-12)
+    assert sup <= dense * (1.0 + 1e-6)
 
 
 def test_cache_sup_dominates_endpoint(exp_kernel):
