@@ -223,11 +223,8 @@ def _march_kernel(kind, c, alpha, T):
     return TabulatedKernel(grid, c * np.exp(alpha * grid))
 
 
-@settings(max_examples=120, derandomize=True, deadline=None)
-@given(
-    kind=st.sampled_from(
-        ["exponential", "constant", "zero", "linear", "tabulated", "tabulated-exp"]
-    ),
+# Draws shared by the two march-against-loop tests; each picks its kernels.
+_MARCH_DRAWS = dict(
     lam=st.floats(0.5, 500.0),
     c=st.floats(-20.0, 50.0),
     alpha=st.floats(-3.0, 1.0),
@@ -243,6 +240,20 @@ def _march_kernel(kind, c, alpha, T):
     leaves=st.integers(1, 9),
     offset=st.integers(0, modal._LEAF - 8),
 )
+
+
+def _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks):
+    M = _march_kernel(kind, c, alpha, T)
+    n = max(leaves * modal._LEAF - offset, math.ceil(T * lam / 2.0))
+    jumps = _jumps(kicks, n)
+    t, x = solve_modal_volterra(lam, M, T, n, x0, jumps)
+    t_ref, x_ref = _loop(lam, M, T, n, x0, jumps)
+    np.testing.assert_array_equal(t, t_ref)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["exponential", "constant", "zero"]), **_MARCH_DRAWS)
 # A growing kernel on a long march, 4 exp(2t) over 16384 steps.
 @example(
     kind="exponential",
@@ -255,6 +266,31 @@ def _march_kernel(kind, c, alpha, T):
     x0=1.0,
     kicks=[],
 )
+# Jumps at the last node of the first leaf and the first of the second.
+@example(
+    kind="exponential",
+    lam=9.0,
+    c=2.0,
+    alpha=-1.0,
+    T=1.5,
+    leaves=3,
+    offset=modal._LEAF - 100,
+    x0=0.7,
+    kicks=[
+        ((modal._LEAF - 1.5) / (2 * modal._LEAF + 98), -0.45),
+        ((modal._LEAF - 0.5) / (2 * modal._LEAF + 98), 1.2),
+    ],
+)
+def test_banded_march_matches_dot_product_march(
+    kind, lam, c, alpha, T, leaves, offset, x0, kicks
+):
+    """The c exp(alpha t) family, whose kernel-cache values come from the
+    closed form, against the dot-product march."""
+    _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["linear", "tabulated", "tabulated-exp"]), **_MARCH_DRAWS)
 # Sampled growing kernels on a long horizon: the FFT history updates need
 # their exponential weights here.
 @example(
@@ -297,13 +333,9 @@ def _march_kernel(kind, c, alpha, T):
 def test_dc_march_matches_dot_product_march(
     kind, lam, c, alpha, T, leaves, offset, x0, kicks
 ):
-    M = _march_kernel(kind, c, alpha, T)
-    n = max(leaves * modal._LEAF - offset, math.ceil(T * lam / 2.0))
-    jumps = _jumps(kicks, n)
-    t, x = solve_modal_volterra(lam, M, T, n, x0, jumps)
-    t_ref, x_ref = _loop(lam, M, T, n, x0, jumps)
-    np.testing.assert_array_equal(t, t_ref)
-    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+    """Kernels with no exponential form, sampled on the grid, against the
+    dot-product march."""
+    _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks)
 
 
 def _batch_kernel(kind):
