@@ -19,6 +19,7 @@ Exit status: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -81,6 +82,8 @@ def _fmt_float(v: float) -> str:
 
 
 def _json_text(value, indent: int = 0) -> str:
+    if type(value) is float and math.isfinite(value):
+        return "%.17g" % value
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -114,6 +117,8 @@ def _json_text(value, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
+    if type(v) is float and math.isfinite(v):
+        return "%.17g" % v
     if v is None:
         return ""
     if isinstance(v, (np.floating, float)):
@@ -599,8 +604,11 @@ def run_command(name: str, config: ExperimentConfig) -> int:
         shared["plan"] = _read(
             "plan", SamplingPlan.from_json, cfg["plan"], L=shared["basis"].L
         )
+    t_run = time.perf_counter()
     reports = runner(cfg, **shared)
+    t_emit = time.perf_counter()
     paths = emit_report(reports, config.out_dir, config_sha=config.sha256)
+    t_end = time.perf_counter()
     meta = {
         "command": name,
         "config_sha256": config.sha256,
@@ -611,7 +619,11 @@ def run_command(name: str, config: ExperimentConfig) -> int:
             "scipy": scipy.__version__,
             "memobs": __version__,
         },
-        "timings": {"total_s": time.perf_counter() - t0},
+        "timings": {
+            "total_s": t_end - t0,
+            "run_s": t_emit - t_run,
+            "emit_s": t_end - t_emit,
+        },
         "artifacts": sorted(p.name for p in paths),
     }
     meta_path = Path(config.out_dir) / "run_meta.json"
@@ -624,7 +636,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every
+    later ``main`` call in the process.  Parsing leaves it unchanged: each
+    call fills a new namespace, and ``--set`` appends to a copy of its
+    default list."""
     parser = _Parser(prog="memobs", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

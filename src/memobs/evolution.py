@@ -9,12 +9,12 @@ measures exactly that.
 
 Modal endpoint values are expensive at large lambda, so they are cached,
 keyed by kernel, lam and time.  For a kernel c exp(alpha t) (exponential,
-constant and zero kernels) an entry comes from the closed form and no march
-runs.  For every other kernel it comes from a Richardson pair (n and 2n
-steps), which cancels the leading h^2 error of the product-trapezoidal
-march; the step policy belongs to the cache and is fixed when it is built,
-and the modes of one lookup that share a step count are marched as one
-batch.
+constant and zero kernels) the entries a lookup misses come from one array
+evaluation of the closed form over all their lams, and no march runs.  For
+every other kernel an entry comes from a Richardson pair (n and 2n steps),
+which cancels the leading h^2 error of the product-trapezoidal march; the
+step policy belongs to the cache and is fixed when it is built, and the
+modes of one lookup that share a step count are marched as one batch.
 """
 
 from __future__ import annotations
@@ -26,7 +26,12 @@ import numpy as np
 
 from .errors import ValidationError, integer, real
 from .kernels import MemoryKernel
-from .modal import _exp_zeros, _n_steps, closed_form_exp, solve_modal_richardson
+from .modal import (
+    _exp_first_zero,
+    _n_steps,
+    closed_form_exp,
+    solve_modal_richardson,
+)
 from .spectral import SpectralBasis, SpectralField
 
 DEFAULT_HLAM_MAX = 0.25
@@ -38,10 +43,12 @@ class ModalCache:
 
     Every value is a pair (x(t), sup |x| on [0, t]).  For a kernel with
     ``exp_form()`` (c, alpha) both come from the closed form: x(t) is
-    ``closed_form_exp`` and the sup is the largest |x| at 0, at t and at the
-    zeros of x' in (0, t).  Every other kernel takes a Richardson-extrapolated
-    solve with n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps, a step
-    policy fixed when the cache is built.
+    ``closed_form_exp``, bit for bit, and the sup is the largest |x| at 0,
+    at t and at the one zero of x' in (0, t] where |x| peaks.  The misses of
+    one lookup are evaluated together, as arrays over their lams.  Every
+    other kernel takes a Richardson-extrapolated solve with
+    n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps, a step policy
+    fixed when the cache is built.
     """
 
     def __init__(self, hlam_max: float = DEFAULT_HLAM_MAX):
@@ -66,39 +73,55 @@ class ModalCache:
         """(x(t), sup |x| on [0, t]) for each lam in ``lams``, in order.
 
         This is the cache's one lookup.  The lams not yet cached come from
-        the closed form, or else are marched together: one Richardson pair
-        per step count, each row bit-identical to a march of its own.
+        one evaluation of the closed form over all of them, or else are
+        marched together: one Richardson pair per step count, each row
+        bit-identical to a march of its own.
         """
         lams = [real(lam, "lam", positive=True) for lam in lams]
         t = real(t, "t", nonneg=True)
         if t == 0.0:
             return [(1.0, 1.0)] * len(lams)
         kernel = M.cache_key()
+        missing = [
+            lam for lam in dict.fromkeys(lams) if (kernel, lam, t) not in self._data
+        ]
         form = M.exp_form()
-        groups: dict[int, list[float]] = {}
-        for lam in dict.fromkeys(lams):
-            if (kernel, lam, t) in self._data:
-                continue
-            if form is not None:
-                self._data[(kernel, lam, t)] = _closed_form_entry(lam, *form, t)
-            else:
+        if form is not None and missing:
+            values, sups = _closed_form_entries(np.array(missing), *form, t)
+            for lam, value, sup in zip(missing, values.tolist(), sups.tolist()):
+                self._data[(kernel, lam, t)] = (value, sup)
+        elif missing:
+            groups: dict[int, list[float]] = {}
+            for lam in missing:
                 n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
                 groups.setdefault(n, []).append(lam)
-        for n, group in groups.items():
-            _, x = solve_modal_richardson(group, M, t, n)
-            sups = np.max(np.abs(x), axis=1)
-            for lam, value, sup in zip(group, x[:, -1], sups):
-                self._data[(kernel, lam, t)] = (float(value), float(sup))
+            for n, group in groups.items():
+                _, x = solve_modal_richardson(group, M, t, n)
+                sups = np.max(np.abs(x), axis=1)
+                for lam, value, sup in zip(group, x[:, -1], sups):
+                    self._data[(kernel, lam, t)] = (float(value), float(sup))
         return [self._data[(kernel, lam, t)] for lam in lams]
 
 
-def _closed_form_entry(lam: float, c: float, alpha: float, t: float):
-    """(x(t), sup |x| on [0, t]) for M(t) = c exp(alpha t): |x| peaks at 0,
-    where it is 1, at t, or at a zero of x'."""
-    value = closed_form_exp(lam, c, alpha, t)
-    turns = _exp_zeros(lam, c, alpha, lam - c / lam, t)
-    peaks = np.abs(closed_form_exp(lam, c, alpha, np.asarray(turns)))
-    return value, max(1.0, abs(value), float(np.max(peaks, initial=0.0)))
+def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: float):
+    """x(t) and sup |x| on [0, t] for every lam in ``lams``, for
+    M(t) = c exp(alpha t), as two arrays from one evaluation each.
+
+    |x| peaks at 0, where it is 1, at t, or at a zero of x', and one zero
+    of x' per lam suffices.  s >= -1e-12 leaves at most one.  For s < 0,
+    x = R e^{a t} cos(b t - phi) with a = (alpha - lam) / 2, so |x| at the
+    zeros z of x' is R b / sqrt(a**2 + b**2) e^{a z}, monotone in z: the
+    largest is the first zero for lam >= alpha and the last one in (0, t]
+    for lam < alpha.
+    """
+    values = closed_form_exp(lams, c, alpha, t)
+    turn, spacing = _exp_first_zero(lams, c, alpha, lams - c / lams)
+    late = (lams < alpha) & (turn <= t) & ~np.isnan(spacing)
+    turn[late] += np.floor((t - turn[late]) / spacing[late]) * spacing[late]
+    rows = turn <= t
+    peaks = np.zeros(lams.shape)
+    peaks[rows] = np.abs(closed_form_exp(lams[rows], c, alpha, turn[rows]))
+    return values, np.maximum(np.maximum(1.0, np.abs(values)), peaks)
 
 
 def propagate(

@@ -11,8 +11,9 @@ The resolvent-type series kernel is
     K_M(t, s) = sum_{j>=1} (s**j / j!) (-M)^{*j}(t - s),
 
 where (-M)^{*j} is the j-fold convolution power of -M.  Powers are computed
-by trapezoidal product integration on a uniform grid, and the series is
-truncated once the sup norm of the added term drops below a tolerance.
+by trapezoidal product integration on a uniform grid, each sum as one FFT
+product, and the series is truncated once the sup norm of the added term
+drops below a tolerance.
 Each term is a function of t - s times the weight s**j / j!, so
 ``kernel_series_K`` keeps one row per term, the power (-M)^{*j} at the grid
 nodes, and never the (t, s) triangle of K_M; the weights are applied where
@@ -27,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
 
 from .errors import SeriesDivergenceError, ValidationError, integer, items, obj, real
@@ -250,20 +252,28 @@ def convolution_power(M: MemoryKernel, j: int, grid: UniformGrid) -> KernelGridF
 
     The first power is -M at the nodes; each further power applies the
     trapezoidal product integral (f*g)(tau_i) = h (sum_r f_{i-r} g_r
-    - (f_i g_0 + f_0 g_i)/2), which is second-order accurate.
+    - (f_i g_0 + f_0 g_i)/2), which is second-order accurate; ``_powers``
+    forms the sums over r.
     """
     j = integer(j, "j", lo=1)
-    f = -_kernel_samples(M, grid)
-    cur = f.copy()
+    powers = _powers(-_kernel_samples(M, grid), grid.h)
     for _ in range(j - 1):
-        cur = _conv_step(f, cur, grid.h)
-    return KernelGridFunction(grid, cur)
+        next(powers)
+    return KernelGridFunction(grid, next(powers))
 
 
-def _conv_step(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+def _powers(f: np.ndarray, h: float):
+    """f, f*f, f*f*f, ... under the trapezoidal product integral, each sum
+    over r as one FFT product of length next_fast_len(2 n1 - 1), zero-padded
+    so that it does not wrap; the spectrum of f is taken once."""
     n1 = f.shape[0]
-    full = np.convolve(f, g)[:n1]
-    return h * (full - 0.5 * (f * g[0] + f[0] * g))
+    size = next_fast_len(2 * n1 - 1, True)
+    f_hat = rfft(f, size)
+    g = f.copy()
+    while True:
+        yield g
+        full = irfft(f_hat * rfft(g, size), size)[:n1]
+        g = h * (full - 0.5 * (f * g[0] + f[0] * g))
 
 
 def kernel_series_K(
@@ -282,14 +292,14 @@ def kernel_series_K(
     non-convergence signals an overly coarse grid or an extreme kernel.
     """
     tol = real(tol, "tol", positive=True)
-    f = -_kernel_samples(M, grid)
-    rows = [f]
+    powers = _powers(-_kernel_samples(M, grid), grid.h)
+    rows = [next(powers)]
     s_max = grid.T  # max_j s_j**m / m! at m = len(rows)
     while True:
         bound = s_max * float(np.max(np.abs(rows[-1])))
         if bound <= tol or len(rows) == MAX_SERIES_TERMS:
             break
-        rows.append(_conv_step(f, rows[-1], grid.h))
+        rows.append(next(powers))
         s_max = s_max * grid.T / len(rows)
     return KernelGridFunction(
         grid, np.array(rows), terms_used=len(rows), converged=bound <= tol

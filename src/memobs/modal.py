@@ -370,9 +370,9 @@ def _history_update(conv, width):
     return rfft(lags), w_in, w_out
 
 
-def _shifted_roots(lam: float, c: float, alpha: float) -> tuple[float, float]:
-    """The real roots u_b, u_s of u**2 + (lam + alpha) u + c = 0, for
-    (lam + alpha)**2 > 4 c.
+def _shifted_roots(lam: np.ndarray, c: float, alpha: float):
+    """Per entry of ``lam``, the real roots u_b, u_s of
+    u**2 + (lam + alpha) u + c = 0, for (lam + alpha)**2 > 4 c.
 
     The roots w of the reduced second-order equation satisfy
     (w - alpha)(w + lam) = -c, so u = w - alpha solves this quadratic.
@@ -381,12 +381,20 @@ def _shifted_roots(lam: float, c: float, alpha: float) -> tuple[float, float]:
     unshifted quadratic lose about log10(lam**2 / c) digits.
     """
     b = lam + alpha
-    u_b = -math.copysign(0.5 * (abs(b) + math.sqrt(b**2 - 4.0 * c)), b)
+    u_b = -np.copysign(0.5 * (np.abs(b) + np.sqrt(b**2 - 4.0 * c)), b)
     return u_b, c / u_b
 
 
-def closed_form_exp(lam: float, c: float, alpha: float, t):
+def closed_form_exp(lam, c: float, alpha: float, t):
     """Closed-form modal solution for M(t) = c exp(alpha t), c real.
+
+    ``lam`` is a number or a 1-D sequence, each entry checked through
+    ``real``.  For a number, the result has the shape of ``t`` (a float for
+    a number t).  For a sequence, ``t`` is a number or an array that
+    broadcasts against it, lam running along the last axis: a number t
+    gives x(t) for every lam, a 1-D t of the same length one x(t_i) per
+    lam_i.  A number lam is evaluated as a one-entry sequence, so it equals
+    the row of lam in any batch bit for bit.
 
     With s = (lam + alpha)**2 - 4 c, the roots w = alpha + u of the reduced
     second-order equation (u from ``_shifted_roots`` for s > 0) and
@@ -399,27 +407,43 @@ def closed_form_exp(lam: float, c: float, alpha: float, t):
         s < 0:  x(t) = e^{a t} (cos(b t) + (a - alpha) sin(b t) / b),
                 a = -(lam - alpha) / 2, b = sqrt(-s) / 2
 
-    Every branch is real, and D has no cancellation, so the value is
-    accurate relative to |x| up to the rounding of the inputs.  For c <= 0,
-    s >= (lam + alpha)**2 and the first branch applies.
+    Each branch is evaluated only on its own lams.  Every branch is real,
+    and D has no cancellation, so the value is accurate relative to |x| up
+    to the rounding of the inputs.  For c <= 0, s >= (lam + alpha)**2 and
+    the first branch applies.
     """
-    lam = real(lam, "lam")
+    one = not _is_row(lam)
+    lam = _column(lam, "lam", 1 if one else len(lam))
     c = real(c, "c")
     alpha = real(alpha, "alpha")
     tv = np.asarray(t, dtype=float)
+    if one:
+        tv = tv[..., None]
+    tv = np.broadcast_to(tv, np.broadcast_shapes(tv.shape, lam.shape))
+    out = np.empty(tv.shape)
     s = (lam + alpha) ** 2 - 4.0 * c
-    if s > 0:
-        u_b, u_s = _shifted_roots(lam, c, alpha)
-        rt = math.sqrt(s)
-        D = np.exp((max(u_b, u_s) + alpha) * tv) * -np.expm1(-rt * tv) / rt
-        out = np.exp((u_b + alpha) * tv) + u_s * D
-    elif s == 0:
-        out = (1.0 - 0.5 * (lam + alpha) * tv) * np.exp(-0.5 * (lam - alpha) * tv)
-    else:
-        a = -0.5 * (lam - alpha)
-        b = 0.5 * math.sqrt(-s)
-        out = np.exp(a * tv) * (np.cos(b * tv) + (a - alpha) * np.sin(b * tv) / b)
-    return float(out) if np.isscalar(t) else out
+    rows = s > 0
+    if rows.any():
+        tr = tv[..., rows]
+        u_b, u_s = _shifted_roots(lam[rows], c, alpha)
+        rt = np.sqrt(s[rows])
+        D = np.exp((np.maximum(u_b, u_s) + alpha) * tr) * -np.expm1(-rt * tr) / rt
+        out[..., rows] = np.exp((u_b + alpha) * tr) + u_s * D
+    rows = s == 0
+    if rows.any():
+        tr = tv[..., rows]
+        rise = 0.5 * (lam[rows] + alpha)
+        out[..., rows] = (1.0 - rise * tr) * np.exp(-0.5 * (lam[rows] - alpha) * tr)
+    rows = s < 0
+    if rows.any():
+        tr = tv[..., rows]
+        a = -0.5 * (lam[rows] - alpha)
+        b = 0.5 * np.sqrt(-s[rows])
+        osc = np.cos(b * tr) + (a - alpha) * np.sin(b * tr) / b
+        out[..., rows] = np.exp(a * tr) * osc
+    if not one:
+        return out
+    return float(out[..., 0]) if np.isscalar(t) else out[..., 0]
 
 
 def series_solution_grid(
@@ -557,11 +581,10 @@ def nodal_set_numeric(
     return NodalSet(keep_z, keep_f)
 
 
-def _exp_zeros(
-    lam: float, c: float, alpha: float, mu: float, T_max: float
-) -> list[float]:
-    """Zeros in (0, T_max] of the solution of
-    y'' + (lam - alpha) y' + (c - alpha lam) y = 0, y(0) = 1, y'(0) = -mu.
+def _exp_first_zero(lam: np.ndarray, c: float, alpha: float, mu: np.ndarray):
+    """Per entry of ``lam`` (and of ``mu``), the first zero in (0, inf) of
+    the solution of y'' + (lam - alpha) y' + (c - alpha lam) y = 0,
+    y(0) = 1, y'(0) = -mu, and the spacing of the ladder of its later zeros.
 
     mu = lam gives the modal solution x itself; mu = lam - c / lam gives
     x' / x'(0), since x'(0) = -lam and x''(0) = lam**2 - c.  With
@@ -571,27 +594,47 @@ def _exp_zeros(
     * s > 0: at most log(p / q) / (u_b - u_s), p = d - u_s, q = d - u_b,
       and none when p q <= 0;
     * |s| <= 1e-12: at most 1 / (d + (lam + alpha) / 2);
-    * s < 0: the ladder (atan2(b, d + (lam + alpha) / 2) + l pi) / b,
-      b = sqrt(-s) / 2, l = 0, 1, 2, ...
+    * s < 0: the ladder z_0 + l pi / b, l = 0, 1, 2, ..., with
+      z_0 = atan2(b, d + (lam + alpha) / 2) / b and b = sqrt(-s) / 2.
+
+    Returns (first, spacing): ``first`` is NaN where there is no positive
+    zero, ``spacing`` is pi / b on the ladder rows and NaN on the others.
     """
     s = (lam + alpha) ** 2 - 4.0 * c
     d = mu - lam
-    if abs(s) <= 1e-12:
-        den = d + 0.5 * (lam + alpha)
-        zeros = [1.0 / den] if den > 0 else []
-    elif s > 0:
-        u_b, u_s = _shifted_roots(lam, c, alpha)
-        p, q = d - u_s, d - u_b
-        zeros = [math.log(p / q) / (u_b - u_s)] if p * q > 0 else []
-    else:
-        b = 0.5 * math.sqrt(-s)
-        base = math.atan2(b, d + 0.5 * (lam + alpha))  # in (0, pi)
-        zeros = []
-        l = 0
-        while (z := (base + l * math.pi) / b) <= T_max:
-            zeros.append(z)
-            l += 1
-    return [z for z in zeros if 0.0 < z <= T_max]
+    first = np.full(lam.shape, np.nan)
+    spacing = np.full(lam.shape, np.nan)
+    den = d + 0.5 * (lam + alpha)
+    rows = (np.abs(s) <= 1e-12) & (den > 0)
+    first[rows] = 1.0 / den[rows]
+    rows = np.flatnonzero(s > 1e-12)
+    u_b, u_s = _shifted_roots(lam[rows], c, alpha)
+    p, q = d[rows] - u_s, d[rows] - u_b
+    cross = p * q > 0
+    first[rows[cross]] = np.log(p[cross] / q[cross]) / (u_b - u_s)[cross]
+    rows = s < -1e-12
+    b = 0.5 * np.sqrt(-s[rows])
+    first[rows] = np.arctan2(b, den[rows]) / b  # atan2 in (0, pi)
+    spacing[rows] = np.pi / b
+    first[~(first > 0)] = np.nan
+    return first, spacing
+
+
+def _exp_zeros(
+    lam: float, c: float, alpha: float, mu: float, T_max: float
+) -> list[float]:
+    """For one lam, the zeros in (0, T_max] that ``_exp_first_zero``
+    describes: the first zero, then its ladder while it stays at or below
+    T_max."""
+    first, spacing = (
+        float(v[0]) for v in _exp_first_zero(np.array([lam]), c, alpha, np.array([mu]))
+    )
+    zeros = []
+    z = first
+    while z <= T_max:  # false for NaN: no zero, or no ladder
+        zeros.append(z)
+        z = first + len(zeros) * spacing
+    return zeros
 
 
 def nodal_set_exp_closed(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from memobs import (
     kernel_from_spec,
     simulate_observations,
 )
+from memobs import cli
 from memobs.cli import main
 
 PI = math.pi
@@ -106,7 +108,7 @@ CONFIGS = {
 }
 
 
-def run_cli(command, config, out_dir, *extra, env=None):
+def run_cli(command, config, out_dir, *extra):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_path = out_dir / "config.json"
@@ -122,7 +124,19 @@ def run_cli(command, config, out_dir, *extra, env=None):
         str(out_dir),
         *extra,
     ]
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, capture_output=True, text=True)
+
+
+def run_main(capsys, command, config, out_dir, *extra):
+    """``run_cli`` through ``memobs.cli.main`` in this process: the exit
+    code as ``returncode`` and what the run printed to stderr as ``stderr``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg_path = out_dir / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    capsys.readouterr()
+    code = main([command, "--config", str(cfg_path), "--out", str(out_dir), *extra])
+    return SimpleNamespace(returncode=code, stderr=capsys.readouterr().err)
 
 
 def artifact_bytes(out_dir):
@@ -149,8 +163,8 @@ def test_repeat_runs_are_byte_identical(command, tmp_path, capsys):
     assert a and a == artifact_bytes(tmp_path / "b")
 
 
-def test_constants_artifacts_and_sha(tmp_path):
-    res = run_cli("constants", CONFIGS["constants"], tmp_path)
+def test_constants_artifacts_and_sha(tmp_path, capsys):
+    res = run_main(capsys, "constants", CONFIGS["constants"], tmp_path)
     assert res.returncode == 0, res.stderr
     doc = json.loads((tmp_path / "constants.json").read_text())
     assert next(iter(doc)) == "config_sha256"
@@ -162,7 +176,10 @@ def test_constants_artifacts_and_sha(tmp_path):
     assert meta["command"] == "constants"
     assert meta["config_sha256"] == doc["config_sha256"]
     assert "constants.json" in meta["artifacts"]
-    assert meta["timings"]["total_s"] >= 0.0
+    timings = meta["timings"]
+    assert list(timings) == ["total_s", "run_s", "emit_s"]
+    assert min(timings.values()) >= 0.0
+    assert timings["run_s"] + timings["emit_s"] <= timings["total_s"]
 
 
 # The frozen layout of every artifact of the CONFIGS runs: for each file,
@@ -276,10 +293,10 @@ def test_artifact_layout_is_frozen(command, tmp_path, capsys):
     assert _layout(out) == LAYOUTS[command]
 
 
-def test_set_override_changes_config_hash(tmp_path):
-    base = run_cli("modal", CONFIGS["modal"], tmp_path / "a")
-    over = run_cli(
-        "modal", CONFIGS["modal"], tmp_path / "b", "--set", "modal.lam=9.0"
+def test_set_override_changes_config_hash(tmp_path, capsys):
+    base = run_main(capsys, "modal", CONFIGS["modal"], tmp_path / "a")
+    over = run_main(
+        capsys, "modal", CONFIGS["modal"], tmp_path / "b", "--set", "modal.lam=9.0"
     )
     assert base.returncode == 0 and over.returncode == 0
     d1 = json.loads((tmp_path / "a" / "modal.json").read_text())
@@ -288,82 +305,90 @@ def test_set_override_changes_config_hash(tmp_path):
     assert d2["lam"] == 9.0
 
 
-def test_out_dir_from_environment(tmp_path, monkeypatch):
+def test_parser_reuse_keeps_runs_independent(tmp_path, capsys):
+    # main builds its parser once per process; a --set of one run must not
+    # reach the next, and a parse error after a good run still exits 1.
+    cli._build_parser.cache_clear()
+    fresh = run_main(capsys, "modal", CONFIGS["modal"], tmp_path / "fresh")
+    parser = cli._build_parser()
+    over = run_main(
+        capsys, "modal", CONFIGS["modal"], tmp_path / "over", "--set", "modal.lam=9.0"
+    )
+    again = run_main(capsys, "modal", CONFIGS["modal"], tmp_path / "again")
+    assert fresh.returncode == over.returncode == again.returncode == 0
+    assert cli._build_parser() is parser
+
+    def sha(name):
+        doc = json.loads((tmp_path / name / "modal.json").read_text())
+        return doc["config_sha256"]
+
+    assert sha("over") != sha("fresh")
+    assert sha("again") == sha("fresh")
+    assert main(["frobnicate", "--config", "x"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_out_dir_from_environment(tmp_path, monkeypatch, capsys):
     out = tmp_path / "envout"
     out.mkdir()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CONFIGS["modal"]), encoding="utf-8")
-    import os
-
-    env = {**os.environ, "MEMOBS_OUT": str(out)}
-    res = subprocess.run(
-        [sys.executable, "-m", "memobs", "modal", "--config", str(cfg)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert res.returncode == 0, res.stderr
+    monkeypatch.setenv("MEMOBS_OUT", str(out))
+    code = main(["modal", "--config", str(cfg)])
+    assert code == 0, capsys.readouterr().err
     assert (out / "modal.json").exists()
 
 
-def test_exit_codes():
-    import os
-    import tempfile
+def test_exit_codes(tmp_path):
+    # ``python -m memobs`` exits with the status of main: one run per failing
+    # status here, and criterion 10 runs every command to status 0.
 
-    with tempfile.TemporaryDirectory() as d:
-        # unreadable config
-        res = subprocess.run(
-            [sys.executable, "-m", "memobs", "modal", "--config", f"{d}/missing.json"],
-            capture_output=True,
-            text=True,
-        )
-        assert res.returncode == 1 and "error:" in res.stderr
-
-        # a config that is not UTF-8 is read through the same JSON reader
-        latin = Path(d) / "latin.json"
-        latin.write_bytes(b'{"kernel": "\xff"}')
-        res = subprocess.run(
-            [sys.executable, "-m", "memobs", "modal", "--config", str(latin)],
-            capture_output=True,
-            text=True,
-        )
-        assert res.returncode == 1 and "is not valid JSON" in res.stderr
-
-        # schema violation: stray section
-        bad = dict(CONFIGS["modal"])
-        bad["extra"] = {}
-        res = run_cli("modal", bad, Path(d) / "x")
-        assert res.returncode == 1 and "error:" in res.stderr
-
-        # unknown command is rejected by the parser
-        res = subprocess.run(
-            [sys.executable, "-m", "memobs", "frobnicate", "--config", "x"],
-            capture_output=True,
-            text=True,
-        )
-        assert res.returncode == 1
-
-        # numerical failure: unregularized normal equations on a sliver region
-        singular = {
-            "basis": BASIS8,
-            "kernel": EXP1,
-            "plan": {"instants": [{"t": 0.5, "region": [[0.0, 0.02]]}]},
-            "reconstruct": {"y0": {"mode": 1}, "sigma": 0.0, "seed": 3, "reg": 0.0},
-        }
-        res = run_cli("reconstruct", singular, Path(d) / "y")
-        assert res.returncode == 2 and "numerical failure:" in res.stderr
-
-
-def test_residual_step_policy_out_of_range_exits_1(tmp_path):
-    res = run_cli(
-        "residual", CONFIGS["residual"], tmp_path, "--set", "residual.hlam_max=5"
+    # unreadable config
+    missing = tmp_path / "missing.json"
+    res = subprocess.run(
+        [sys.executable, "-m", "memobs", "modal", "--config", str(missing)],
+        capture_output=True,
+        text=True,
     )
+    assert res.returncode == 1 and "error:" in res.stderr
+
+    # numerical failure: unregularized normal equations on a sliver region
+    singular = {
+        "basis": BASIS8,
+        "kernel": EXP1,
+        "plan": {"instants": [{"t": 0.5, "region": [[0.0, 0.02]]}]},
+        "reconstruct": {"y0": {"mode": 1}, "sigma": 0.0, "seed": 3, "reg": 0.0},
+    }
+    res = run_cli("reconstruct", singular, tmp_path / "y")
+    assert res.returncode == 2 and "numerical failure:" in res.stderr
+
+
+def test_exit_codes_in_process(tmp_path, capsys):
+    # a config that is not UTF-8 is read through the same JSON reader
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kernel": "\xff"}')
+    assert main(["modal", "--config", str(latin)]) == 1
+    assert "is not valid JSON" in capsys.readouterr().err
+
+    # schema violation: stray section
+    bad = dict(CONFIGS["modal"])
+    bad["extra"] = {}
+    res = run_main(capsys, "modal", bad, tmp_path / "x")
+    assert res.returncode == 1 and "error:" in res.stderr
+
+    # unknown command is rejected by the parser
+    assert main(["frobnicate", "--config", "x"]) == 1
+
+
+def test_residual_step_policy_out_of_range_exits_1(tmp_path, capsys):
+    over = ("--set", "residual.hlam_max=5")
+    res = run_main(capsys, "residual", CONFIGS["residual"], tmp_path, *over)
     assert res.returncode == 1 and "error:" in res.stderr
     assert "hlam_max" in res.stderr
 
 
-def test_reconstruct_round_trips_through_data_file(tmp_path):
-    first = run_cli("reconstruct", CONFIGS["reconstruct"], tmp_path / "a")
+def test_reconstruct_round_trips_through_data_file(tmp_path, capsys):
+    first = run_main(capsys, "reconstruct", CONFIGS["reconstruct"], tmp_path / "a")
     assert first.returncode == 0, first.stderr
     data_file = tmp_path / "a" / "observations.json"
     assert data_file.exists()
@@ -374,7 +399,7 @@ def test_reconstruct_round_trips_through_data_file(tmp_path):
         "plan": FULL_PLAN,
         "reconstruct": {"data_file": str(data_file), "reg": 1e-8},
     }
-    second = run_cli("reconstruct", cfg, tmp_path / "b")
+    second = run_main(capsys, "reconstruct", cfg, tmp_path / "b")
     assert second.returncode == 0, second.stderr
     d1 = json.loads((tmp_path / "a" / "reconstruction.json").read_text())
     d2 = json.loads((tmp_path / "b" / "reconstruction.json").read_text())
@@ -391,26 +416,26 @@ def test_reconstruct_round_trips_through_data_file(tmp_path):
     # a plan mismatch against the stored data is a config error
     tampered = json.loads(json.dumps(cfg))
     tampered["plan"]["instants"][0]["t"] = 0.51
-    third = run_cli("reconstruct", tampered, tmp_path / "c")
+    third = run_main(capsys, "reconstruct", tampered, tmp_path / "c")
     assert third.returncode == 1
     assert "different plan" in third.stderr
 
 
-def test_certify_reports_failing_mode(tmp_path):
+def test_certify_reports_failing_mode(tmp_path, capsys):
     cfg = {
         "basis": BASIS8,
         "kernel": EXP4,
         "certify": {"times": [0.68067221251729416]},
     }
-    res = run_cli("certify", cfg, tmp_path)
+    res = run_main(capsys, "certify", cfg, tmp_path)
     assert res.returncode == 0, res.stderr
     doc = json.loads((tmp_path / "certificate.json").read_text())
     assert doc["certified"] is False
     assert doc["failing_modes"] == [1]
 
 
-def test_check_plan_verdict(tmp_path):
-    res = run_cli("check-plan", CONFIGS["check-plan"], tmp_path)
+def test_check_plan_verdict(tmp_path, capsys):
+    res = run_main(capsys, "check-plan", CONFIGS["check-plan"], tmp_path)
     assert res.returncode == 0, res.stderr
     doc = json.loads((tmp_path / "plan_check.json").read_text())
     assert doc["verdict"] == "Strong"

@@ -84,28 +84,35 @@ def test_cache_matches_exponential_closed_form(lam, c, alpha, t, constant):
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(
-    lam=st.floats(0.5, 2e4),
+    lams=st.lists(st.floats(0.5, 2e4), min_size=1, max_size=4),
     c=st.one_of(st.just(0.0), st.floats(-20.0, 50.0)),
     alpha=st.floats(-3.0, 3.0),
     t=st.floats(0.05, 5.0),
 )
-@example(lam=1.0, c=4.0, alpha=6.0, t=1.2)  # |x| grows far above 1
-@example(lam=1.0, c=4.0, alpha=1.5, t=4.0)  # a growing swing peaks before t
-@example(lam=9.0, c=16.0, alpha=-1.0, t=0.5)  # double root
-def test_cache_sup_matches_dense_grid(lam, c, alpha, t):
-    # |x| is largest at 0, at t or where x' = 0; the closed-form sup must
-    # not fall below the densely sampled max, nor sit far above it.
+@example(lams=[1.0], c=4.0, alpha=6.0, t=1.2)  # |x| grows far above 1
+@example(lams=[1.0], c=4.0, alpha=1.5, t=4.0)  # a growing swing peaks before t
+@example(lams=[9.0], c=16.0, alpha=-1.0, t=0.5)  # double root
+# lam < alpha: the swings grow, and lam 0.5 peaks at its second turning
+# point, above |x(t)|; lam 1 at its only one; lam 1.5 is a double root
+@example(lams=[0.5, 1.0, 1.5, 30.0], c=4.0, alpha=2.5, t=5.0)
+@example(lams=[0.5, 0.75, 2.0], c=4.0, alpha=3.0, t=9.0)  # several swings
+@example(lams=[1.0, 3.0], c=4.0, alpha=1.0, t=9.0)  # lam == alpha: equal swings
+def test_cache_sup_matches_dense_grid(lams, c, alpha, t):
+    # |x| is largest at 0, at t or where x' = 0; the closed-form sup of every
+    # lam of one lookup must not fall below the densely sampled max, nor sit
+    # far above it.
     if c > 0:
         M = ExponentialKernel(c, alpha)
     else:
         M = ConstantKernel(c) if c else ZeroKernel()
     form = M.exp_form()
-    val, sup = ModalCache().value_and_sup(M, lam, t)
-    assert val == closed_form_exp(lam, *form, t)
+    entries = ModalCache().entries(M, lams, t)
     grid = np.linspace(0.0, t, 200001)
-    dense = float(np.max(np.abs(closed_form_exp(lam, *form, grid))))
-    assert sup >= dense * (1.0 - 1e-12)
-    assert sup <= dense * (1.0 + 1e-6)
+    dense = np.max(np.abs(closed_form_exp(lams, *form, grid[:, None])), axis=0)
+    for lam, (val, sup), top in zip(lams, entries, dense):
+        assert val == closed_form_exp(lam, *form, t)
+        assert sup >= top * (1.0 - 1e-12)
+        assert sup <= top * (1.0 + 1e-6)
 
 
 def test_cache_sup_dominates_endpoint(exp_kernel):

@@ -166,6 +166,35 @@ def test_series_K_constant_kernel_positive():
     assert series_triangle(K).min() >= -1e-12
 
 
+# The kernels and grids of criteria 01 and 03 with the number of terms their
+# series take; the counts were measured with the powers summed directly.
+TAB_T = np.linspace(0.0, 12.0, 241)
+SERIES_CASES = [
+    (ZeroKernel(), UniformGrid(1024, 2.0), 1e-12, 1),
+    (ConstantKernel(-1.0), UniformGrid(1024, 2.0), 1e-12, 14),
+    (ExponentialKernel(4.0, 0.0), UniformGrid(1024, 2.0), 1e-12, 21),
+    (ExponentialKernel(2.0, -1.0), UniformGrid(1024, 2.0), 1e-12, 16),
+    (LinearKernel(), UniformGrid(1024, 2.0), 1e-12, 9),
+    (ConstantKernel(-1.0), UniformGrid(512, 10.0), 1e-10, 36),
+    (TabulatedKernel(TAB_T, -np.exp(-TAB_T / 2.0)), UniformGrid(512, 10.0), 1e-10, 34),
+]
+
+
+@pytest.mark.parametrize("M, grid, tol, terms", SERIES_CASES)
+def test_series_rows_are_trapezoid_products(M, grid, tol, terms):
+    # Row m + 1 is the trapezoidal product of -M with row m,
+    # h (sum_r f[i-r] g[r] - (f[i] g[0] + f[0] g[i]) / 2); the series forms
+    # the sum over r as an FFT product, here it is summed directly.
+    series = kernel_series_K(M, grid, tol)
+    assert series.converged and series.terms_used == terms
+    rows = series.values
+    f = rows[0]
+    np.testing.assert_array_equal(f, -M(grid.nodes()))
+    for g, row in zip(rows[:-1], rows[1:]):
+        want = grid.h * (np.convolve(f, g)[: f.size] - 0.5 * (f * g[0] + f[0] * g))
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_series_K_zero_kernel_is_zero():
     grid = UniformGrid(64, 2.0)
     K = kernel_series_K(ZeroKernel(), grid)

@@ -618,6 +618,64 @@ def test_closed_form_matches_high_precision_values():
     assert worst <= 1e-13
 
 
+def test_batched_closed_form_matches_high_precision_values():
+    # One call per (c, alpha) carries every lam with its own t; each row
+    # equals the scalar call bit for bit, so the same bound holds.
+    groups: dict = {}
+    for lam, c, alpha, t, x in X_EXP_HIGH_PRECISION:
+        groups.setdefault((c, alpha), []).append((lam, t, x))
+    for (c, alpha), rows in groups.items():
+        lams, ts, xs = (np.array(col) for col in zip(*rows))
+        got = closed_form_exp(lams, c, alpha, ts)
+        assert got.shape == lams.shape
+        assert np.max(np.abs(got - xs) / np.abs(xs)) <= 1e-13
+        for lam, t, g in zip(lams, ts, got):
+            assert g == closed_form_exp(float(lam), c, alpha, float(t))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(
+        # lam below about 17 oscillates (s < 0) for the larger c
+        st.tuples(
+            st.one_of(st.floats(0.5, 20.0), st.floats(0.5, 2e4)), st.floats(0.0, 5.0)
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    c=st.one_of(st.just(0.0), st.floats(-20.0, 50.0)),
+    alpha=st.floats(-3.0, 3.0),
+    per_row=st.booleans(),
+)
+@example(rows=[(9.0, 0.5), (4.0, 1.0), (9.0, 2.0)], c=16.0, alpha=-1.0, per_row=True)
+@example(rows=[(0.5, 5.0), (3.0, 2.0), (1.0, 0.7)], c=4.0, alpha=2.5, per_row=True)
+def test_closed_form_batch_rows_equal_scalar_calls(rows, c, alpha, per_row):
+    # Every branch runs on its own rows of the batch (the examples: s == 0
+    # at lam 9, s < 0 at lam 0.5 and 1); a row must not depend on which
+    # other lams share the call.
+    lams = [lam for lam, _ in rows]
+    t = [t for _, t in rows] if per_row else rows[0][1]
+    batch = closed_form_exp(lams, c, alpha, np.asarray(t))
+    assert batch.shape == (len(lams),)
+    ts = t if per_row else [t] * len(lams)
+    for lam, ti, x in zip(lams, ts, batch):
+        one = closed_form_exp(lam, c, alpha, ti)
+        assert isinstance(one, float) and one == x
+
+
+def test_closed_form_shapes():
+    grid = np.linspace(0.0, 2.0, 5)
+    x = closed_form_exp(4.0, 2.0, -1.0, grid)
+    assert x.shape == grid.shape
+    # a 1-D lam against a column of times: one column per lam
+    table = closed_form_exp([4.0, 16.0], 2.0, -1.0, grid[:, None])
+    assert table.shape == (5, 2)
+    assert table[:, 0].tolist() == x.tolist()
+    assert closed_form_exp([], 2.0, -1.0, 1.0).shape == (0,)
+    with pytest.raises(ValidationError, match=r"lam\[1\]"):
+        closed_form_exp([4.0, math.nan], 2.0, -1.0, 1.0)
+
+
 def test_series_matches_frozen_value():
     grid = UniformGrid(2048, 2.0)
     x = series_solution_grid(1.0, ConstantKernel(-1.0), grid)
