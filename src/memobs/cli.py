@@ -82,8 +82,8 @@ def _fmt_float(v: float) -> str:
 
 
 def _json_text(value, indent: int = 0) -> str:
-    if type(value) is float and math.isfinite(value):
-        return "%.17g" % value
+    if isinstance(value, (np.floating, float)):
+        return _fmt_float(float(value))
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -92,8 +92,6 @@ def _json_text(value, indent: int = 0) -> str:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, (np.floating, float)):
-        return _fmt_float(float(value))
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     if isinstance(value, str):
@@ -117,10 +115,6 @@ def _json_text(value, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
-    if type(v) is float and math.isfinite(v):
-        return "%.17g" % v
-    if v is None:
-        return ""
     if isinstance(v, (np.floating, float)):
         f = float(v)
         if math.isnan(f):
@@ -128,6 +122,8 @@ def _csv_cell(v) -> str:
         if math.isinf(f):
             return "inf" if f > 0 else "-inf"
         return "%.17g" % f
+    if v is None:
+        return ""
     if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
         return str(int(v))
     return str(v)

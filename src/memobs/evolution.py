@@ -27,9 +27,9 @@ import numpy as np
 from .errors import ValidationError, integer, real
 from .kernels import MemoryKernel
 from .modal import (
+    _closed_form,
     _exp_first_zero,
     _n_steps,
-    closed_form_exp,
     solve_modal_richardson,
 )
 from .spectral import SpectralBasis, SpectralField
@@ -105,7 +105,9 @@ class ModalCache:
 
 def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: float):
     """x(t) and sup |x| on [0, t] for every lam in ``lams``, for
-    M(t) = c exp(alpha t), as two arrays from one evaluation each.
+    M(t) = c exp(alpha t), as two arrays from one evaluation each.  The
+    input is already checked, so it goes straight to the array core of
+    ``closed_form_exp``.
 
     |x| peaks at 0, where it is 1, at t, or at a zero of x', and one zero
     of x' per lam suffices.  s >= -1e-12 leaves at most one.  For s < 0,
@@ -114,13 +116,13 @@ def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: float):
     largest is the first zero for lam >= alpha and the last one in (0, t]
     for lam < alpha.
     """
-    values = closed_form_exp(lams, c, alpha, t)
+    values = _closed_form(lams, c, alpha, t)
     turn, spacing = _exp_first_zero(lams, c, alpha, lams - c / lams)
     late = (lams < alpha) & (turn <= t) & ~np.isnan(spacing)
     turn[late] += np.floor((t - turn[late]) / spacing[late]) * spacing[late]
     rows = turn <= t
     peaks = np.zeros(lams.shape)
-    peaks[rows] = np.abs(closed_form_exp(lams[rows], c, alpha, turn[rows]))
+    peaks[rows] = np.abs(_closed_form(lams[rows], c, alpha, turn[rows]))
     return values, np.maximum(np.maximum(1.0, np.abs(values)), peaks)
 
 

@@ -417,8 +417,17 @@ def closed_form_exp(lam, c: float, alpha: float, t):
     c = real(c, "c")
     alpha = real(alpha, "alpha")
     tv = np.asarray(t, dtype=float)
-    if one:
-        tv = tv[..., None]
+    out = _closed_form(lam, c, alpha, tv[..., None] if one else tv)
+    if not one:
+        return out
+    return float(out[..., 0]) if np.isscalar(t) else out[..., 0]
+
+
+def _closed_form(lam: np.ndarray, c: float, alpha: float, t) -> np.ndarray:
+    """``closed_form_exp`` on checked input: ``lam`` a 1-D float array,
+    ``c`` and ``alpha`` floats, ``t`` a float or an array that broadcasts
+    against ``lam``."""
+    tv = np.asarray(t, dtype=float)
     tv = np.broadcast_to(tv, np.broadcast_shapes(tv.shape, lam.shape))
     out = np.empty(tv.shape)
     s = (lam + alpha) ** 2 - 4.0 * c
@@ -441,9 +450,7 @@ def closed_form_exp(lam, c: float, alpha: float, t):
         b = 0.5 * np.sqrt(-s[rows])
         osc = np.cos(b * tr) + (a - alpha) * np.sin(b * tr) / b
         out[..., rows] = np.exp(a * tr) * osc
-    if not one:
-        return out
-    return float(out[..., 0]) if np.isscalar(t) else out[..., 0]
+    return out
 
 
 def series_solution_grid(
