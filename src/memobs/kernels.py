@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.interpolate import CubicSpline
+
+# scipy's submodules are imported where they are called (see modal.py).
 
 from .errors import SeriesDivergenceError, ValidationError, integer, items, obj, real
 
@@ -141,6 +141,8 @@ class TabulatedKernel(MemoryKernel):
     """Sampled kernel values joined by a natural cubic spline."""
 
     def __init__(self, times, values):
+        from scipy.interpolate import CubicSpline
+
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
@@ -266,6 +268,8 @@ def _powers(f: np.ndarray, h: float):
     """f, f*f, f*f*f, ... under the trapezoidal product integral, each sum
     over r as one FFT product of length next_fast_len(2 n1 - 1), zero-padded
     so that it does not wrap; the spectrum of f is taken once."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n1 = f.shape[0]
     size = next_fast_len(2 * n1 - 1, True)
     f_hat = rfft(f, size)

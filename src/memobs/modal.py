@@ -44,10 +44,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.interpolate import CubicSpline
-from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dtrtrs
+
+# scipy's submodules are imported inside the functions that call them, so
+# importing memobs loads numpy only, and a run that reads nothing but
+# closed-form values never loads them.
 
 from .errors import NumericalError, StabilityError, ValidationError, integer, real
 from .kernels import (
@@ -288,6 +288,10 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
     whose two lam diagonals are rewritten before each row's leaf solve;
     each history update is one FFT over all rows.
     """
+    from scipy.fft import irfft, rfft
+    from scipy.linalg import toeplitz
+    from scipy.linalg.lapack import dtrtrs
+
     n = Mg.size - 1
     fac = 1.0 - 0.5 * h * lam
     hh2 = 0.5 * h * h
@@ -354,6 +358,8 @@ def _history_update(conv, width):
     index d - 1), the weights of the source rows and those of the output
     rows, whose lag from the first source row is width..2 width - 1; no
     weights (None) when g = 0."""
+    from scipy.fft import rfft
+
     n = conv.size - 1
     lags = np.zeros(2 * width)
     top = min(2 * width - 1, n)
@@ -473,6 +479,8 @@ def series_solution_grid(
     convolution: the terms' spectra are summed and inverted once, in
     O(terms n log n) time and O(terms n) memory.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     lam = real(lam, "lam", positive=True)
     if kernel_series is None:
         kernel_series = kernel_series_K(M, grid, tol)
@@ -523,6 +531,8 @@ def nodal_set_numeric(
     points where |x| dips below 1e-9 of the trajectory sup without a sign
     change are reported as suspected tangential zeros and never refined.
     """
+    from scipy.interpolate import CubicSpline
+
     resolution = integer(resolution, "resolution", lo=64)
     T_max = real(T_max, "T_max", positive=True)
     lam = real(lam, "lam", positive=True)

@@ -363,6 +363,53 @@ def test_exit_codes(tmp_path):
     assert res.returncode == 2 and "numerical failure:" in res.stderr
 
 
+_LAZY_SCIPY = """
+import json, sys
+from pathlib import Path
+
+import memobs
+import memobs.cli
+
+configs, root = json.loads(sys.argv[1]), Path(sys.argv[2])
+
+
+def loaded():
+    heavy = ("scipy.fft", "scipy.interpolate", "scipy.linalg")
+    return sorted({m for m in sys.modules for h in heavy if m == h or m.startswith(h + ".")})
+
+
+def run(command):
+    cfg = root / (command + ".json")
+    cfg.write_text(json.dumps(configs[command]), encoding="utf-8")
+    code = memobs.cli.main([command, "--config", str(cfg), "--out", str(root / command)])
+    assert code == 0, command
+
+
+for command in ("check-plan", "constants", "certify", "nodal"):
+    run(command)
+closed_form = loaded()
+run("modal")
+print(json.dumps([closed_form, loaded()]))
+"""
+
+
+def test_closed_form_runs_load_no_scipy_submodule(tmp_path):
+    # In a fresh interpreter: importing memobs and running the commands that
+    # read only closed-form values (exponential kernels, nodal by the closed
+    # method) load none of scipy's numerical modules; a march then loads
+    # the FFT and LAPACK ones, so the imports are deferred, not dropped.
+    assert CONFIGS["nodal"]["nodal"]["method"] == "closed"
+    res = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY, json.dumps(CONFIGS), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    closed_form, after_march = json.loads(res.stdout.splitlines()[-1])
+    assert closed_form == []
+    assert "scipy.fft" in after_march and "scipy.linalg" in after_march
+
+
 def test_exit_codes_in_process(tmp_path, capsys):
     # a config that is not UTF-8 is read through the same JSON reader
     latin = tmp_path / "latin.json"
