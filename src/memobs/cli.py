@@ -74,6 +74,8 @@ EXIT_NUMERICAL = 2
 
 
 def _fmt_float(v: float) -> str:
+    """A float as JSON text: %.17g, or "nan", "inf" or "-inf" in quotes; a
+    CSV cell is the same text without the quotes."""
     if math.isnan(v):
         return '"nan"'
     if math.isinf(v):
@@ -116,12 +118,7 @@ def _json_text(value, indent: int = 0) -> str:
 
 def _csv_cell(v) -> str:
     if isinstance(v, (np.floating, float)):
-        f = float(v)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return "%.17g" % f
+        return _fmt_float(float(v)).strip('"')
     if v is None:
         return ""
     if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
@@ -330,18 +327,15 @@ def _run_modal(cfg, M):
 
 
 def _run_nodal(cfg, M):
-    sec = obj(
-        cfg["nodal"], "nodal", {"lam", "T_max"}, {"resolution", "refine_tol", "method"}
-    )
+    sec = obj(cfg["nodal"], "nodal", {"lam", "T_max"}, {"resolution", "method"})
     lam = _get(sec, "nodal", "lam", real, positive=True)
     T_max = _get(sec, "nodal", "T_max", real, positive=True)
     resolution = _get(sec, "nodal", "resolution", integer, default=2048, lo=64)
-    refine_tol = _get(sec, "nodal", "refine_tol", real, default=1e-10, positive=True)
     method = _choice(sec, "nodal", "method", {"numeric", "closed"}, "numeric")
     if method == "closed":
         ns = nodal_set_exp_closed(lam, *_check_closed_form(M, "nodal"), T_max)
     else:
-        ns = nodal_set_numeric(lam, M, T_max, resolution, refine_tol)
+        ns = nodal_set_numeric(lam, M, T_max, resolution)
     payload = {
         "command": "nodal",
         "kernel": M.spec_dict(),

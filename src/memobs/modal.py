@@ -35,8 +35,9 @@ instant, or of one jump grid) are marched this way, which removes the
 per-call work of a march that does not depend on lam.
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
-mode from samples; it is computed numerically by sign-change scanning plus
-bisection, and in closed form for kernels c exp(alpha t).
+mode from samples; it is computed numerically from one march, each zero
+the exact root of the trajectory's cubic spline piece across a sign change,
+and in closed form for kernels c exp(alpha t).
 """
 
 from __future__ import annotations
@@ -495,9 +496,9 @@ def series_solution_grid(
     return E + grid.h * (conv - 0.5 * (c[:, 0] @ wE))
 
 
-def _scan_brackets(t: np.ndarray, x: np.ndarray, sup: float):
+def _scan_brackets(x: np.ndarray, sup: float):
     """Sign-change brackets, exact zeros and runs of tangential suspects on a
-    sampled trajectory.
+    sampled trajectory, as grid indices.
 
     A suspect run is a maximal run of consecutive grid points with
     |x| < 1e-9 sup.  A run touching a bracket endpoint or an exact zero is
@@ -520,82 +521,51 @@ def nodal_set_numeric(
     M: MemoryKernel,
     T_max: float,
     resolution: int = 2048,
-    refine_tol: float = 1e-10,
 ) -> NodalSet:
     """Zeros of the modal solution on (0, T_max].
 
-    A Richardson-extrapolated trajectory is scanned for sign changes; each
-    bracket is then refined by bisection on a cubic interpolant of a finer
-    re-solved trajectory down to an absolute width of ``refine_tol``, or to
-    adjacent floats when ``refine_tol`` is below their spacing.  Grid
+    One Richardson-extrapolated march, of at least 4 ``resolution`` steps
+    with h lam <= 0.05, is scanned for sign changes.  The zero in a bracket
+    is the real root of the trajectory's cubic spline piece on it, which
+    changes sign there and so has one; ``np.roots`` solves the piece from
+    its coefficients, and the root nearest the bracket is clamped into it
+    against rounding.  A grid point where x is exactly 0 is a zero.  Grid
     points where |x| dips below 1e-9 of the trajectory sup without a sign
-    change are reported as suspected tangential zeros and never refined.
+    change are reported as suspected tangential zeros, one per run at its
+    smallest |x|.
     """
     from scipy.interpolate import CubicSpline
 
     resolution = integer(resolution, "resolution", lo=64)
     T_max = real(T_max, "T_max", positive=True)
     lam = real(lam, "lam", positive=True)
-    refine_tol = real(refine_tol, "refine_tol", positive=True)
-    t_c, x_c = solve_modal_richardson(
-        lam, M, T_max, _n_steps(T_max, lam, resolution, 1.0)
-    )
-    sup = float(np.max(np.abs(x_c)))
-    brackets, exact, suspects = _scan_brackets(t_c, x_c, sup)
-    if not brackets and not exact and not suspects:
-        return NodalSet([], [])
-
-    t_f, x_f = solve_modal_richardson(
+    t, x = solve_modal_richardson(
         lam, M, T_max, _n_steps(T_max, lam, 4 * resolution, 0.05)
     )
-    sup = float(np.max(np.abs(x_f)))
-    brackets, exact, suspects = _scan_brackets(t_f, x_f, sup)
-    spline = CubicSpline(t_f, x_f)
+    brackets, exact, suspects = _scan_brackets(x, float(np.max(np.abs(x))))
+    found = [(float(t[i]), SIGN_CHANGE) for i in exact]
+    # Piece i is sum_m coeffs[m, i] s**(3 - m) in s = t - t_i on [t_i, t_i+1].
+    coeffs = CubicSpline(t, x).c
+    for i in brackets:
+        h = t[i + 1] - t[i]
+        roots = np.roots(coeffs[:, i])
+        # How far each root is from a real s in [0, h]; rounding can push a
+        # root at an end just outside, so the nearest one is clamped in.
+        off = np.abs(roots.imag) + np.maximum(-roots.real, roots.real - h).clip(0.0)
+        s = min(max(float(roots.real[np.argmin(off)]), 0.0), h)
+        found.append((float(t[i] + s), SIGN_CHANGE))
+    for run in suspects:
+        best = min(run, key=lambda i: abs(x[i]))
+        found.append((float(t[best]), SUSPECTED_TANGENTIAL))
 
     zeros: list[float] = []
     flags: list[str] = []
-    for i in exact:
-        zeros.append(float(t_f[i]))
-        flags.append(SIGN_CHANGE)
-    for i in brackets:
-        lo, hi = float(t_f[i]), float(t_f[i + 1])
-        flo = float(spline(lo))
-        if flo == 0.0:
-            zeros.append(lo)
-            flags.append(SIGN_CHANGE)
-            continue
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # adjacent floats: no narrower bracket
-                break
-            fmid = float(spline(mid))
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (fmid > 0) == (flo > 0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        zeros.append(0.5 * (lo + hi))
-        flags.append(SIGN_CHANGE)
-    # One report per run of tangential suspects, at its smallest |x|.
-    for run in suspects:
-        best = min(run, key=lambda i: abs(x_f[i]))
-        zeros.append(float(t_f[best]))
-        flags.append(SUSPECTED_TANGENTIAL)
-
-    order = np.argsort(zeros)
-    zs = [zeros[i] for i in order]
-    fl = [flags[i] for i in order]
-    keep_z, keep_f = [], []
-    for z, f in zip(zs, fl):
-        if keep_z and z - keep_z[-1] <= 10 * refine_tol:
-            continue
-        if z <= 0 or z > T_max:
-            continue
-        keep_z.append(z)
-        keep_f.append(f)
-    return NodalSet(keep_z, keep_f)
+    # A suspect at t = 0 occurs when sup|x| > 1e9; equal zeros are merged.
+    for z, f in sorted(found):
+        if 0 < z <= T_max and (not zeros or z != zeros[-1]):
+            zeros.append(z)
+            flags.append(f)
+    return NodalSet(zeros, flags)
 
 
 def _exp_first_zero(lam: np.ndarray, c: float, alpha: float, mu: np.ndarray):
@@ -637,28 +607,12 @@ def _exp_first_zero(lam: np.ndarray, c: float, alpha: float, mu: np.ndarray):
     return first, spacing
 
 
-def _exp_zeros(
-    lam: float, c: float, alpha: float, mu: float, T_max: float
-) -> list[float]:
-    """For one lam, the zeros in (0, T_max] that ``_exp_first_zero``
-    describes: the first zero, then its ladder while it stays at or below
-    T_max."""
-    first, spacing = (
-        float(v[0]) for v in _exp_first_zero(np.array([lam]), c, alpha, np.array([mu]))
-    )
-    zeros = []
-    z = first
-    while z <= T_max:  # false for NaN: no zero, or no ladder
-        zeros.append(z)
-        z = first + len(zeros) * spacing
-    return zeros
-
-
 def nodal_set_exp_closed(
     lam: float, c: float, alpha: float, T_max: float
 ) -> NodalSet:
     """Closed-form nodal set for M(t) = c exp(alpha t), c real, intersected
-    with (0, T_max]: the zeros of ``_exp_zeros`` with mu = lam.
+    with (0, T_max]: the first zero that ``_exp_first_zero`` gives for
+    mu = lam, then its ladder while it stays at or below T_max.
 
     s = (lam + alpha)**2 - 4 c > 0 gives at most one zero, and none for
     c <= 0; a double root at most one; s < 0 a ladder of spacing 2 pi /
@@ -668,5 +622,12 @@ def nodal_set_exp_closed(
     c = real(c, "c")
     alpha = real(alpha, "alpha")
     T_max = real(T_max, "T_max", positive=True)
-    zeros = _exp_zeros(lam, c, alpha, lam, T_max)
+    first, spacing = (
+        float(v[0]) for v in _exp_first_zero(np.array([lam]), c, alpha, np.array([lam]))
+    )
+    zeros = []
+    z = first
+    while z <= T_max:  # false for NaN: no zero, or no ladder
+        zeros.append(z)
+        z = first + len(zeros) * spacing
     return NodalSet(zeros, [SIGN_CHANGE] * len(zeros))

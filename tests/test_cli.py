@@ -149,13 +149,23 @@ def artifact_bytes(out_dir):
     return out
 
 
-@pytest.mark.parametrize("command", sorted(CONFIGS))
-def test_repeat_runs_are_byte_identical(command, tmp_path, capsys):
+NODAL_NUMERIC = {
+    "kernel": EXP4,
+    "nodal": {"lam": 1.0, "T_max": 4.5, "method": "numeric"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [pytest.param(c, CONFIGS[c], id=c) for c in sorted(CONFIGS)]
+    + [pytest.param("nodal", NODAL_NUMERIC, id="nodal-numeric")],
+)
+def test_repeat_runs_are_byte_identical(command, config, tmp_path, capsys):
     # Two runs in one process, so state a run leaves behind cannot change
     # the next run's artifacts; criterion 10 repeats every command in
     # separate processes and at two --threads values.
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(CONFIGS[command]), encoding="utf-8")
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
     for run in ("a", "b"):
         code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / run)])
         assert code == 0, capsys.readouterr().err
@@ -639,6 +649,12 @@ BAD_INPUTS = [
     ),
     _bad(
         "probe", ["probe.r=1"], "probe: unknown fields ['r']", name="section-unknown"
+    ),
+    _bad(
+        "nodal",
+        ["nodal.refine_tol=1e-10"],
+        "nodal: unknown fields ['refine_tol']",
+        name="nodal-refine-tol",
     ),
     _bad(
         "modal", ["kernel=5"], "kernel: kernel spec must be a JSON object",

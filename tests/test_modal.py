@@ -760,7 +760,7 @@ def test_nodal_closed_double_root_and_real_roots():
 )
 def test_scan_brackets_cases(x, expected):
     x = np.asarray(x)
-    assert modal._scan_brackets(np.arange(x.size), x, 1.0) == expected
+    assert modal._scan_brackets(x, 1.0) == expected
 
 
 def test_nodal_numeric_agrees_with_ladder():
@@ -813,11 +813,61 @@ def test_linear_kernel_grows_with_cubic_root_rate():
     assert np.abs(x[3 * n // 4 :]).max() > 2.0 * np.abs(x[: n // 4]).max()
 
 
-def test_nodal_numeric_stops_at_adjacent_floats():
-    # a refine_tol below the float spacing at the zero ends the bisection at
-    # adjacent floats; it used to bisect forever
-    ns = nodal_set_numeric(4.0, ExponentialKernel(4.0, 0.0), 6.0, refine_tol=1e-300)
-    np.testing.assert_allclose(ns.zeros, [0.5], rtol=0, atol=1e-9)
+@pytest.mark.parametrize(
+    "lam, M, T_max, count",
+    [(4.0, ExponentialKernel(4.0, 0.0), 6.0, 1), (4.0, ZeroKernel(), 3.0, 0)],
+    ids=["zeros", "no-zero"],
+)
+def test_nodal_numeric_marches_once(monkeypatch, lam, M, T_max, count):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_modal_richardson(*args, **kwargs)
+
+    monkeypatch.setattr(modal, "solve_modal_richardson", counted)
+    assert len(nodal_set_numeric(lam, M, T_max)) == count
+    assert len(calls) == 1
+
+
+def _bisect_to_adjacent_floats(f, lo, hi):
+    """A sign change of f on [lo, hi] narrowed until no float lies between."""
+    flo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if not lo < mid < hi or fmid == 0.0:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize(
+    "lam, M, T_max",
+    [
+        (4.0, ExponentialKernel(5.0, 0.05), 10.0),
+        (4.0, ExponentialKernel(4.75, 0.0), 8.0),
+        (1.0, LinearKernel(), 12.0),
+    ],
+    ids=["exp", "exp-flat-tail", "linear"],
+)
+def test_nodal_numeric_zero_is_the_spline_piece_root(lam, M, T_max):
+    # Each sign-change zero is the root of the trajectory's spline piece on
+    # its bracket, to rounding: bisecting the same piece down to adjacent
+    # floats lands within 1e-13 of it.
+    from scipy.interpolate import CubicSpline
+
+    n = modal._n_steps(T_max, lam, 4 * 2048, 0.05)  # nodal_set_numeric's march
+    t, x = solve_modal_richardson(lam, M, T_max, n)
+    spline = CubicSpline(t, x)
+    zeros = nodal_set_numeric(lam, M, T_max).sign_change_zeros
+    brackets = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)[0]
+    assert zeros.size == brackets.size > 0
+    for z, i in zip(zeros, brackets):
+        ref = _bisect_to_adjacent_floats(lambda s: float(spline(s)), t[i], t[i + 1])
+        assert abs(z - ref) <= 1e-13
 
 
 def test_nodal_validation():
