@@ -40,7 +40,6 @@ from .kernels import (
     TabulatedKernel,
     UniformGrid,
     ZeroKernel,
-    convolution_power,
     kernel_from_spec,
     kernel_series_K,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "kernel_from_spec",
     "UniformGrid",
     "KernelGridFunction",
-    "convolution_power",
     "kernel_series_K",
     "NodalSet",
     "solve_modal_volterra",

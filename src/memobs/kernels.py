@@ -1,10 +1,14 @@
-"""Memory-kernel representations, convolution powers, and the series kernel.
+"""Memory-kernel representations, cubic spline pieces, and the series kernel.
 
 A kernel M weights the history integral int_0^t M(t-s) y(s) ds added to the
 heat equation.  Supported variants: Zero, Constant(value), Linear (M(t) = t),
 Exponential(c, alpha) with M(t) = c exp(alpha t) and c > 0, and Tabulated
 data interpolated by a natural cubic spline (twice continuously
-differentiable, as the well-posedness assumption on M requires).
+differentiable, as the well-posedness assumption on M requires).  The
+spline's pieces come from ``_cubic_pieces``, one banded solve in
+``scipy.linalg``, which ``nodal_set_numeric`` also uses on a marched
+trajectory.  Neither takes scipy's ``CubicSpline``, whose import loads
+several scipy packages that memobs does not use.
 
 The resolvent-type series kernel is
 
@@ -137,12 +141,64 @@ class ExponentialKernel(MemoryKernel):
         return self.c, self.alpha
 
 
+def _cubic_pieces(x: np.ndarray, y: np.ndarray, natural: bool) -> np.ndarray:
+    """Coefficients of the cubic spline through (x, y), at least 4 points:
+    column i holds piece i, sum_m c[m, i] s**(3 - m) in s = t - x[i] on
+    [x[i], x[i + 1]], highest power first.
+
+    The end conditions are natural (zero second derivative) or, with
+    ``natural=False``, not-a-knot.  The knot slopes solve one tridiagonal
+    system through ``solve_banded``, with the equations, the operation order
+    and so the floats of scipy's ``CubicSpline``, which the tests check bit
+    for bit.
+    """
+    from scipy.linalg import solve_banded
+
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # Rows of the band: superdiagonal, diagonal, subdiagonal.
+    A = np.zeros((3, x.size))
+    b = np.empty(x.size)
+    A[0, 2:] = dx[:-1]
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[2, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    if natural:
+        A[0, 1], A[1, 0] = dx[0], 2 * dx[0]
+        b[0] = 3 * (y[1] - y[0])
+        A[2, -2], A[1, -1] = dx[-1], 2 * dx[-1]
+        b[-1] = 3 * (y[-1] - y[-2])
+    else:
+        d = x[2] - x[0]
+        A[0, 1], A[1, 0] = d, dx[1]
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        A[2, -2], A[1, -1] = d, dx[-2]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _pieces_at(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The spline of ``_cubic_pieces(x, ...)`` at points ``t`` in [x[0], x[-1]].
+
+    A point on a knot takes the piece to its right, and x[-1] the last
+    piece: the piece index is the number of interior knots at or below the
+    point.  The sum runs in the order of scipy's ``PPoly``, lowest power
+    first with s**3 as (s s) s, so the values are its floats too.
+    """
+    i = np.searchsorted(x[1:-1], t, side="right")
+    s = t - x[i]
+    s2 = s * s
+    c0, c1, c2, c3 = np.take(c, i, axis=1)
+    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
 class TabulatedKernel(MemoryKernel):
     """Sampled kernel values joined by a natural cubic spline."""
 
     def __init__(self, times, values):
-        from scipy.interpolate import CubicSpline
-
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
@@ -158,7 +214,7 @@ class TabulatedKernel(MemoryKernel):
         self.times = times
         self.values = values
         self.t_max = float(times[-1])
-        self._spline = CubicSpline(times, values, bc_type="natural")
+        self._pieces = _cubic_pieces(times, values, natural=True)
 
     def __call__(self, t):
         tv = _points(t)
@@ -166,7 +222,7 @@ class TabulatedKernel(MemoryKernel):
             raise ValidationError(
                 f"evaluation outside the tabulated range [0, {self.t_max}]"
             )
-        out = self._spline(np.clip(tv, 0.0, self.t_max))
+        out = _pieces_at(self.times, self._pieces, np.clip(tv, 0.0, self.t_max))
         return float(out) if np.isscalar(t) else out
 
     def spec_dict(self) -> dict:
@@ -223,9 +279,8 @@ class UniformGrid:
 
 @dataclass
 class KernelGridFunction:
-    """Samples on the nodes of a uniform grid: 1-D in t for a convolution
-    power; for a kernel series, one row per term, with the number of terms
-    and whether they reached the tolerance."""
+    """A kernel series on the nodes of a uniform grid: one row per term,
+    with the number of terms and whether they reached the tolerance."""
 
     grid: UniformGrid
     values: np.ndarray
@@ -249,25 +304,12 @@ def _kernel_samples(M: MemoryKernel, grid: UniformGrid) -> np.ndarray:
     return np.asarray(M(grid.nodes()), dtype=float)
 
 
-def convolution_power(M: MemoryKernel, j: int, grid: UniformGrid) -> KernelGridFunction:
-    """Sample (-M)^{*j} on the grid.
-
-    The first power is -M at the nodes; each further power applies the
-    trapezoidal product integral (f*g)(tau_i) = h (sum_r f_{i-r} g_r
-    - (f_i g_0 + f_0 g_i)/2), which is second-order accurate; ``_powers``
-    forms the sums over r.
-    """
-    j = integer(j, "j", lo=1)
-    powers = _powers(-_kernel_samples(M, grid), grid.h)
-    for _ in range(j - 1):
-        next(powers)
-    return KernelGridFunction(grid, next(powers))
-
-
 def _powers(f: np.ndarray, h: float):
-    """f, f*f, f*f*f, ... under the trapezoidal product integral, each sum
-    over r as one FFT product of length next_fast_len(2 n1 - 1), zero-padded
-    so that it does not wrap; the spectrum of f is taken once."""
+    """f, f*f, f*f*f, ... under the trapezoidal product integral
+    (f*g)(tau_i) = h (sum_r f_{i-r} g_r - (f_i g_0 + f_0 g_i)/2), which is
+    second-order accurate.  Each sum over r is one FFT product of length
+    next_fast_len(2 n1 - 1), zero-padded so that it does not wrap; the
+    spectrum of f is taken once."""
     from scipy.fft import irfft, next_fast_len, rfft
 
     n1 = f.shape[0]

@@ -48,13 +48,16 @@ import numpy as np
 
 # scipy's submodules are imported inside the functions that call them, so
 # importing memobs loads numpy only, and a run that reads nothing but
-# closed-form values never loads them.
+# closed-form values never loads them.  A march loads scipy.fft and
+# scipy.linalg; cubic spline pieces (tabulated kernels, numeric nodal sets)
+# need only scipy.linalg, not scipy's CubicSpline.
 
 from .errors import NumericalError, StabilityError, ValidationError, integer, real
 from .kernels import (
     KernelGridFunction,
     MemoryKernel,
     UniformGrid,
+    _cubic_pieces,
     kernel_series_K,
     require_converged,
 )
@@ -527,15 +530,14 @@ def nodal_set_numeric(
     One Richardson-extrapolated march, of at least 4 ``resolution`` steps
     with h lam <= 0.05, is scanned for sign changes.  The zero in a bracket
     is the real root of the trajectory's cubic spline piece on it, which
-    changes sign there and so has one; ``np.roots`` solves the piece from
-    its coefficients, and the root nearest the bracket is clamped into it
-    against rounding.  A grid point where x is exactly 0 is a zero.  Grid
+    changes sign there and so has one.  The pieces are the not-a-knot
+    spline through the march nodes, from ``kernels._cubic_pieces`` (one
+    banded solve); ``np.roots`` solves the piece from its coefficients, and
+    the root nearest the bracket is clamped into it against rounding.  A grid point where x is exactly 0 is a zero.  Grid
     points where |x| dips below 1e-9 of the trajectory sup without a sign
     change are reported as suspected tangential zeros, one per run at its
     smallest |x|.
     """
-    from scipy.interpolate import CubicSpline
-
     resolution = integer(resolution, "resolution", lo=64)
     T_max = real(T_max, "T_max", positive=True)
     lam = real(lam, "lam", positive=True)
@@ -545,7 +547,7 @@ def nodal_set_numeric(
     brackets, exact, suspects = _scan_brackets(x, float(np.max(np.abs(x))))
     found = [(float(t[i]), SIGN_CHANGE) for i in exact]
     # Piece i is sum_m coeffs[m, i] s**(3 - m) in s = t - t_i on [t_i, t_i+1].
-    coeffs = CubicSpline(t, x).c
+    coeffs = _cubic_pieces(t, x, natural=False)
     for i in brackets:
         h = t[i + 1] - t[i]
         roots = np.roots(coeffs[:, i])

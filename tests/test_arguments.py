@@ -30,7 +30,6 @@ from memobs import (
     closed_form_exp,
     complement,
     constants_table,
-    convolution_power,
     decomposition_residual,
     eigenpair,
     hs_norm,
@@ -100,7 +99,6 @@ ARGUMENTS = {
     "ExponentialKernel.alpha": ("real", -1.0, lambda v: ExponentialKernel(1.0, v)),
     "UniformGrid.n_steps": ("integer", 8, lambda v: UniformGrid(v, 1.0)),
     "UniformGrid.T": ("positive", 2.0, lambda v: UniformGrid(64, v)),
-    "convolution_power.j": ("integer", 2, lambda v: convolution_power(M, v, GRID)),
     "kernel_series_K.tol": ("positive", 1e-10, lambda v: kernel_series_K(M, GRID, v)),
     "solve_modal_volterra.lam": (
         "positive",

@@ -374,50 +374,88 @@ def test_exit_codes(tmp_path):
 
 
 _LAZY_SCIPY = """
-import json, sys
+import importlib, json, sys
 from pathlib import Path
 
 import memobs
 import memobs.cli
 
-configs, root = json.loads(sys.argv[1]), Path(sys.argv[2])
+steps, root = json.loads(sys.argv[1]), Path(sys.argv[2])
+heavy = (
+    "scipy.fft", "scipy.interpolate", "scipy.linalg",
+    "scipy.optimize", "scipy.sparse", "scipy.spatial",
+)
 
 
 def loaded():
-    heavy = ("scipy.fft", "scipy.interpolate", "scipy.linalg")
-    return sorted({m for m in sys.modules for h in heavy if m == h or m.startswith(h + ".")})
+    return sorted({h for m in sys.modules for h in heavy if m == h or m.startswith(h + ".")})
 
 
-def run(command):
-    cfg = root / (command + ".json")
-    cfg.write_text(json.dumps(configs[command]), encoding="utf-8")
-    code = memobs.cli.main([command, "--config", str(cfg), "--out", str(root / command)])
-    assert code == 0, command
-
-
-for command in ("check-plan", "constants", "certify", "nodal"):
-    run(command)
-closed_form = loaded()
-run("modal")
-print(json.dumps([closed_form, loaded()]))
+after = []
+for i, step in enumerate(steps):
+    if isinstance(step, str):
+        importlib.import_module(step)
+    else:
+        command, config = step
+        cfg = root / f"{i}.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code = memobs.cli.main([command, "--config", str(cfg), "--out", str(root / str(i))])
+        assert code == 0, command
+    after.append(loaded())
+print(json.dumps(after))
 """
 
 
-def test_closed_form_runs_load_no_scipy_submodule(tmp_path):
-    # In a fresh interpreter: importing memobs and running the commands that
-    # read only closed-form values (exponential kernels, nodal by the closed
-    # method) load none of scipy's numerical modules; a march then loads
-    # the FFT and LAPACK ones, so the imports are deferred, not dropped.
-    assert CONFIGS["nodal"]["nodal"]["method"] == "closed"
+def scipy_loaded(steps, tmp_path):
+    """In a fresh interpreter that has imported memobs.cli, the scipy
+    modules loaded after each step: a module name to import, or a
+    (command, config) pair run through ``cli.main``."""
     res = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY, json.dumps(CONFIGS), str(tmp_path)],
+        [sys.executable, "-c", _LAZY_SCIPY, json.dumps(steps), str(tmp_path)],
         capture_output=True,
         text=True,
     )
     assert res.returncode == 0, res.stderr
-    closed_form, after_march = json.loads(res.stdout.splitlines()[-1])
-    assert closed_form == []
-    assert "scipy.fft" in after_march and "scipy.linalg" in after_march
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_closed_form_runs_load_no_scipy_submodule(tmp_path):
+    # Importing memobs and running the commands that read only closed-form
+    # values (exponential kernels, nodal by the closed method) load none of
+    # scipy's numerical modules; a march then loads the FFT and LAPACK ones,
+    # so the imports are deferred, not dropped.
+    assert CONFIGS["nodal"]["nodal"]["method"] == "closed"
+    commands = ("check-plan", "constants", "certify", "nodal", "modal")
+    after = scipy_loaded([[c, CONFIGS[c]] for c in commands], tmp_path)
+    assert after[-2] == []
+    assert "scipy.fft" in after[-1] and "scipy.linalg" in after[-1]
+
+
+TAB_CONSTANTS = {
+    **CONFIGS["constants"],
+    "kernel": {
+        "kind": "tabulated",
+        "times": [0.0, 0.25, 0.5, 0.75, 1.0],
+        "values": [1.0, 0.8, 0.7, 0.65, 0.6],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("constants", TAB_CONSTANTS), ("nodal", NODAL_NUMERIC)],
+    ids=["constants-tabulated", "nodal-numeric"],
+)
+def test_spline_runs_load_no_scipy_interpolate(command, config, tmp_path):
+    # A tabulated kernel and a numeric nodal set take their cubic spline
+    # pieces from one banded solve: such a run loads scipy.fft and
+    # scipy.linalg for its march, and no scipy module beyond what those two
+    # load themselves (an older scipy.linalg loads scipy.sparse itself).
+    # scipy.interpolate would bring optimize, sparse and spatial with it.
+    own = scipy_loaded(["scipy.fft", "scipy.linalg"], tmp_path)[-1]
+    (after,) = scipy_loaded([[command, config]], tmp_path)
+    assert "scipy.interpolate" not in own
+    assert {"scipy.fft", "scipy.linalg"} <= set(after) <= set(own)
 
 
 def test_exit_codes_in_process(tmp_path, capsys):

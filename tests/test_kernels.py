@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memobs import (
     ConstantKernel,
@@ -11,10 +13,10 @@ from memobs import (
     UniformGrid,
     ValidationError,
     ZeroKernel,
-    convolution_power,
     kernel_from_spec,
     kernel_series_K,
 )
+from memobs.kernels import _cubic_pieces, _pieces_at
 
 
 def test_kernel_point_values():
@@ -111,6 +113,40 @@ def test_tabulated_validation():
             M(bad)
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=40),
+    gaps=st.none() | st.lists(st.floats(0.01, 3.0), min_size=39, max_size=39),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+# the 4-knot minimum on uniform knots, and on non-uniform ones
+@example(values=[1.0, 2.0, 0.0, 1.0], gaps=None, fractions=[0.5])
+@example(values=[1.0, -2.0, 0.5, 3.0], gaps=[0.1, 2.5, 0.7] + [1.0] * 36, fractions=[])
+def test_spline_pieces_match_scipy_cubic_spline(values, gaps, fractions):
+    # scipy's CubicSpline is the independent oracle: the pieces, for both end
+    # conditions, and the kernel's values equal its floats, on every knot,
+    # at t_max, and at drawn points between.
+    from scipy.interpolate import CubicSpline
+
+    y = np.array(values)
+    if gaps is None:
+        x = np.linspace(0.0, 2.0, y.size)
+    else:
+        x = np.concatenate(([0.0], np.cumsum(gaps[: y.size - 1])))
+    t = np.concatenate((x, x[-1] * np.array(fractions), [x[-1]]))
+    for natural, bc in ((True, "natural"), (False, "not-a-knot")):
+        spline = CubicSpline(x, y, bc_type=bc)
+        pieces = _cubic_pieces(x, y, natural)
+        np.testing.assert_array_equal(pieces, spline.c)
+        np.testing.assert_array_equal(_pieces_at(x, pieces, t), spline(t))
+    M = TabulatedKernel(x, y)
+    natural = CubicSpline(x, y, bc_type="natural")
+    np.testing.assert_array_equal(M(t), natural(t))
+    assert M(M.t_max) == natural(x[-1])
+    # a point within the range's rounding allowance is read at t_max
+    assert M(M.t_max * (1 + 1e-13)) == natural(x[-1])
+
+
 def test_every_kernel_rejects_non_finite_points():
     grid = [0.0, 1.0, 2.0, 3.0]
     kernels = [
@@ -125,23 +161,6 @@ def test_every_kernel_rejects_non_finite_points():
             with pytest.raises(ValidationError, match="finite"):
                 M(bad)
         assert np.isfinite(M(0.5))
-
-
-def test_convolution_power_first_is_minus_M():
-    grid = UniformGrid(64, 2.0)
-    f = convolution_power(ConstantKernel(-1.0), 1, grid)
-    np.testing.assert_allclose(f.values, np.ones(65))
-
-
-def test_convolution_power_matches_closed_form():
-    # (-M)^{*2} for M = -1 is the ramp t; trapezoid is exact on polynomials
-    # of degree 1, so agreement is to rounding.
-    grid = UniformGrid(128, 2.0)
-    f2 = convolution_power(ConstantKernel(-1.0), 2, grid)
-    np.testing.assert_allclose(f2.values, grid.nodes(), atol=1e-13)
-    # third power: t**2/2, quadratic, second-order trapezoid error ~ h**2
-    f3 = convolution_power(ConstantKernel(-1.0), 3, grid)
-    np.testing.assert_allclose(f3.values, grid.nodes() ** 2 / 2.0, atol=1e-3)
 
 
 def series_triangle(series):

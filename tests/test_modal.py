@@ -281,7 +281,7 @@ def _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks
         ((modal._LEAF - 0.5) / (2 * modal._LEAF + 98), 1.2),
     ],
 )
-def test_banded_march_matches_dot_product_march(
+def test_dc_march_matches_dot_product_march_exp_family(
     kind, lam, c, alpha, T, leaves, offset, x0, kicks
 ):
     """The c exp(alpha t) family, whose kernel-cache values come from the
