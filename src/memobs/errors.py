@@ -5,6 +5,8 @@ Every number or flag read from a config, a ``--set`` override or a data
 file, and every number a caller passes to a library entry, passes through
 ``real``, ``integer``, ``flag`` or ``items``: a real is a finite number, an
 integer is an int, a flag is true or false, and a bool is never a number.
+``reals`` is ``real`` over a sequence, with a 1-D float64 array checked as
+a whole.
 Every JSON object a reader takes passes through ``obj``, which checks that
 it is an object with all of its required keys and no unknown one.  Each
 error names the path or parameter of the offending value.
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class MemobsError(Exception):
@@ -47,6 +51,25 @@ def real(v, path: str, positive: bool = False, nonneg: bool = False) -> float:
         raise ValidationError(f"{path} must be positive")
     if nonneg and v < 0:
         raise ValidationError(f"{path} must be nonnegative")
+    return v
+
+
+def reals(v, path: str, positive: bool = False, nonneg: bool = False) -> np.ndarray:
+    """Every entry of ``v`` through ``real``, as a 1-D float array.
+
+    A 1-D float64 array is checked as a whole, with the same outcome: the
+    first entry that ``real`` rejects raises ``real``'s error.  Any other
+    input is checked entry by entry.
+    """
+    if not (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.ndim == 1):
+        return np.array([real(x, path, positive, nonneg) for x in v], dtype=float)
+    bad = ~np.isfinite(v)
+    if positive:
+        bad |= v <= 0
+    if nonneg:
+        bad |= v < 0
+    if bad.any():
+        real(float(v[np.argmax(bad)]), path, positive, nonneg)
     return v
 
 

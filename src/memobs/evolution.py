@@ -8,13 +8,15 @@ lambda_k^2 x_k(t) + M(t) should decay like 1/lambda_k; the residual table
 measures exactly that.
 
 Modal endpoint values are expensive at large lambda, so they are cached,
-keyed by kernel, lam and time.  For a kernel c exp(alpha t) (exponential,
-constant and zero kernels) the entries a lookup misses come from one array
-evaluation of the closed form over all their lams, and no march runs.  For
-every other kernel an entry comes from a Richardson pair (n and 2n steps),
-which cancels the leading h^2 error of the product-trapezoidal march; the
-step policy belongs to the cache and is fixed when it is built, and the
-modes of one lookup that share a step count are marched as one batch.
+keyed by kernel, lam and time.  ``ModalCache.table`` fills and reads the
+whole table x_k(t_j) of a plan in one call.  For a kernel c exp(alpha t)
+(exponential, constant and zero kernels) the entries it misses, over every
+instant, come from one array evaluation of the closed form, and no march
+runs.  For every other kernel an entry comes from a Richardson pair (n and
+2n steps), which cancels the leading h^2 error of the product-trapezoidal
+march; the step policy belongs to the cache and is fixed when it is built,
+and the modes of one instant that share a step count are marched as one
+batch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, integer, real, reals
 from .kernels import MemoryKernel
 from .modal import (
     _closed_form,
@@ -44,21 +46,26 @@ class ModalCache:
     Every value is a pair (x(t), sup |x| on [0, t]).  For a kernel with
     ``exp_form()`` (c, alpha) both come from the closed form: x(t) is
     ``closed_form_exp``, bit for bit, and the sup is the largest |x| at 0,
-    at t and at the one zero of x' in (0, t] where |x| peaks.  The misses of
-    one lookup are evaluated together, as arrays over their lams.  Every
-    other kernel takes a Richardson-extrapolated solve with
+    at t and at the one zero of x' in (0, t] where |x| peaks.  Every other
+    kernel takes a Richardson-extrapolated solve with
     n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps, a step policy
     fixed when the cache is built.
+
+    For each kernel and time t > 0 the cache holds three arrays: the lams,
+    sorted, and their x(t) and sups.  ``table`` is its one fill path;
+    ``entries``, ``values`` and ``value_and_sup`` read one row of it.
     """
 
     def __init__(self, hlam_max: float = DEFAULT_HLAM_MAX):
         self.hlam_max = real(hlam_max, "hlam_max", positive=True)
         if self.hlam_max > 2:
             raise ValidationError("hlam_max must lie in (0, 2]")
-        self._data: dict[tuple, tuple[float, float]] = {}
+        # (kernel key, t) -> (sorted lams, x(t), sup |x| on [0, t])
+        self._data: dict[tuple[str, float], tuple[np.ndarray, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._data)
+        """The number of stored (lam, t) pairs."""
+        return sum(lams.size for lams, _, _ in self._data.values())
 
     def value_and_sup(
         self, M: MemoryKernel, lam: float, t: float
@@ -67,47 +74,103 @@ class ModalCache:
 
     def values(self, M: MemoryKernel, lams, t: float) -> np.ndarray:
         """Modal values x(t) for each lam in ``lams``, in order."""
-        return np.asarray([value for value, _ in self.entries(M, lams, t)])
+        return self.table(M, lams, [t])[0][0]
 
     def entries(self, M: MemoryKernel, lams, t: float) -> list[tuple[float, float]]:
-        """(x(t), sup |x| on [0, t]) for each lam in ``lams``, in order.
+        """(x(t), sup |x| on [0, t]) for each lam in ``lams``, in order."""
+        values, sups = self.table(M, lams, [t])
+        return list(zip(values[0].tolist(), sups[0].tolist()))
 
-        This is the cache's one lookup.  The lams not yet cached come from
-        one evaluation of the closed form over all of them, or else are
-        marched together: one Richardson pair per step count, each row
-        bit-identical to a march of its own.
+    def table(self, M: MemoryKernel, lams, times) -> tuple[np.ndarray, np.ndarray]:
+        """x(t) and sup |x| on [0, t] for every t in ``times`` (rows) and
+        lam in ``lams`` (columns), as two arrays; t = 0 reads (1, 1).
+
+        The pairs not yet cached, over all instants, come from one
+        evaluation of the closed form, or else are marched: one Richardson
+        pair per instant and step count, each row bit-identical to a march
+        of its own.
         """
-        lams = [real(lam, "lam", positive=True) for lam in lams]
-        t = real(t, "t", nonneg=True)
-        if t == 0.0:
-            return [(1.0, 1.0)] * len(lams)
+        lams = reals(lams, "lam", positive=True)
+        times = [real(t, "t", nonneg=True) for t in times]
         kernel = M.cache_key()
-        missing = [
-            lam for lam in dict.fromkeys(lams) if (kernel, lam, t) not in self._data
-        ]
+        wanted = np.unique(lams)
+        misses = {}
+        for t in dict.fromkeys(times):
+            if t == 0.0 or not wanted.size:
+                continue
+            stored = self._data.get((kernel, t))
+            if stored is None:
+                misses[t] = wanted
+            else:
+                known = stored[0]
+                pos = np.minimum(np.searchsorted(known, wanted), known.size - 1)
+                missing = wanted[known[pos] != wanted]
+                if missing.size:
+                    misses[t] = missing
+        if misses:
+            self._fill(M, kernel, misses)
+        values = np.ones((len(times), lams.size))
+        sups = np.ones((len(times), lams.size))
+        for row, t in enumerate(times):
+            if t != 0.0 and lams.size:
+                known, x, sup = self._data[(kernel, t)]
+                pos = np.searchsorted(known, lams)
+                values[row] = x[pos]
+                sups[row] = sup[pos]
+        return values, sups
+
+    def _fill(self, M: MemoryKernel, kernel: str, misses: dict) -> None:
+        """Compute and store the entries of ``misses``, which maps each time
+        to the sorted lams it lacks."""
         form = M.exp_form()
-        if form is not None and missing:
-            values, sups = _closed_form_entries(np.array(missing), *form, t)
-            for lam, value, sup in zip(missing, values.tolist(), sups.tolist()):
-                self._data[(kernel, lam, t)] = (value, sup)
-        elif missing:
-            groups: dict[int, list[float]] = {}
-            for lam in missing:
-                n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
-                groups.setdefault(n, []).append(lam)
-            for n, group in groups.items():
-                _, x = solve_modal_richardson(group, M, t, n)
-                sups = np.max(np.abs(x), axis=1)
-                for lam, value, sup in zip(group, x[:, -1], sups):
-                    self._data[(kernel, lam, t)] = (float(value), float(sup))
-        return [self._data[(kernel, lam, t)] for lam in lams]
+        if form is not None:
+            groups = list(misses.values())
+            sizes = [group.size for group in groups]
+            values, sups = _closed_form_entries(
+                np.concatenate(groups), *form, np.repeat(list(misses), sizes)
+            )
+            ends = np.cumsum(sizes).tolist()
+            filled = [
+                (item, values[end - size : end], sups[end - size : end])
+                for item, size, end in zip(misses.items(), sizes, ends)
+            ]
+        else:
+            filled = [
+                ((t, group), *self._march(M, group, t)) for t, group in misses.items()
+            ]
+        for (t, group), values, sups in filled:
+            stored = self._data.get((kernel, t))
+            if stored is not None:
+                group, values, sups = (
+                    np.concatenate(pair) for pair in zip(stored, (group, values, sups))
+                )
+                order = np.argsort(group)
+                group, values, sups = group[order], values[order], sups[order]
+            self._data[(kernel, t)] = (group, values, sups)
+
+    def _march(self, M: MemoryKernel, lams: np.ndarray, t: float):
+        """x(t) and sup |x| on [0, t] for each of ``lams`` from a Richardson
+        pair per step count; the lams that share a step count are marched
+        as one batch."""
+        values = np.empty(lams.size)
+        sups = np.empty(lams.size)
+        groups: dict[int, list[int]] = {}
+        for i, lam in enumerate(lams.tolist()):
+            n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
+            groups.setdefault(n, []).append(i)
+        for n, rows in groups.items():
+            _, x = solve_modal_richardson(lams[rows], M, t, n)
+            values[rows] = x[:, -1]
+            sups[rows] = np.max(np.abs(x), axis=1)
+        return values, sups
 
 
-def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: float):
+def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: np.ndarray):
     """x(t) and sup |x| on [0, t] for every lam in ``lams``, for
-    M(t) = c exp(alpha t), as two arrays from one evaluation each.  The
-    input is already checked, so it goes straight to the array core of
-    ``closed_form_exp``.
+    M(t) = c exp(alpha t), as two arrays from one evaluation of the closed
+    form.  ``t`` holds one time per lam (per row), so one call covers the
+    misses of every instant.  The input is already checked, so it goes
+    straight to the array core of ``closed_form_exp``.
 
     |x| peaks at 0, where it is 1, at t, or at a zero of x', and one zero
     of x' per lam suffices.  s >= -1e-12 leaves at most one.  For s < 0,
@@ -116,13 +179,18 @@ def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: float):
     largest is the first zero for lam >= alpha and the last one in (0, t]
     for lam < alpha.
     """
-    values = _closed_form(lams, c, alpha, t)
     turn, spacing = _exp_first_zero(lams, c, alpha, lams - c / lams)
     late = (lams < alpha) & (turn <= t) & ~np.isnan(spacing)
-    turn[late] += np.floor((t - turn[late]) / spacing[late]) * spacing[late]
+    turn[late] += np.floor((t[late] - turn[late]) / spacing[late]) * spacing[late]
     rows = turn <= t
+    # x at t and at the turning points in one evaluation; each entry is
+    # computed on its own, so the split changes no float.
+    both = _closed_form(
+        np.concatenate((lams, lams[rows])), c, alpha, np.concatenate((t, turn[rows]))
+    )
+    values = both[: lams.size]
     peaks = np.zeros(lams.shape)
-    peaks[rows] = np.abs(_closed_form(lams[rows], c, alpha, turn[rows]))
+    peaks[rows] = np.abs(both[lams.size :])
     return values, np.maximum(np.maximum(1.0, np.abs(values)), peaks)
 
 

@@ -122,9 +122,8 @@ def backward_uniqueness_certificate(
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
-    pairs = np.asarray([cache.entries(M, lams, t) for t in times])  # (m, K, 2)
-    values = pairs[:, :, 0]
-    sups = pairs[:, :, 1].max(axis=0)  # sup over [0, max t_j]
+    values, sups = cache.table(M, lams, times)
+    sups = sups.max(axis=0)  # sup over [0, max t_j]
 
     witnesses = []
     for idx in range(K):
@@ -273,8 +272,9 @@ def simulate_observations(
         cache = ModalCache()
     basis = y0.basis
     rng = np.random.default_rng(data.seed) if data.sigma > 0 else None
-    for entry in plan.entries:
-        coeffs = y0.coefficients * cache.values(M, basis.eigenvalues, entry.t)
+    X = cache.table(M, basis.eigenvalues, plan.times)[0]
+    for entry, x in zip(plan.entries, X):
+        coeffs = y0.coefficients * x
         xs_parts = []
         for iv in entry.region.intervals:
             n_pts = max(2, int(math.ceil(samples_per_unit * (iv.b - iv.a))) + 1)
@@ -340,8 +340,9 @@ def reconstruct_initial(
     rhs = np.zeros(K)
     data_sq = 0.0
     designs = []
-    for entry, block in zip(data.plan.entries, data.blocks):
-        scale = lams**2 * cache.values(M, lams, entry.t)
+    X = cache.table(M, lams, data.plan.times)[0]
+    for x, block in zip(X, data.blocks):
+        scale = lams**2 * x
         B = basis.modes_at(block.xs)[:, :K] * scale[None, :]
         Bw = B * block.weights[:, None]
         N += B.T @ Bw
@@ -520,8 +521,10 @@ def impulse_control(
     )
 
 
-def _jump_grid_size(taus, T: float, n_target: int) -> int:
-    """Smallest n >= n_target placing every tau exactly on the grid."""
+def _jump_grids(lams, taus, T: float) -> dict[int, list[int]]:
+    """The modes of ``lams``, by index, grouped by their jump grid: the
+    smallest n >= the mode's own step count that places every tau exactly
+    on a node.  Every such n is a multiple of one denominator, found once."""
     den = 1
     for tau in taus:
         frac = Fraction(tau / T).limit_denominator(10_000)
@@ -532,7 +535,11 @@ def _jump_grid_size(taus, T: float, n_target: int) -> int:
         den = den * frac.denominator // math.gcd(den, frac.denominator)
         if den > 50_000:
             raise NumericalError("impulse times require an impractically fine grid")
-    return ((n_target + den - 1) // den) * den
+    grids: dict[int, list[int]] = {}
+    for idx, lam in enumerate(lams.tolist()):
+        n_target = _n_steps(T, lam, CONTROLLED_N_MIN, CONTROLLED_HLAM_MAX)
+        grids.setdefault(((n_target + den - 1) // den) * den, []).append(idx)
+    return grids
 
 
 def simulate_controlled(
@@ -558,14 +565,8 @@ def simulate_controlled(
         raise ValidationError("impulse times must be interior to (0, T)")
     lams = basis.eigenvalues[:K]
     # The modes that share a jump grid are marched as one batch.
-    grids: dict[int, list[int]] = {}
-    for idx, lam in enumerate(lams.tolist()):
-        n = _jump_grid_size(
-            taus, T, _n_steps(T, lam, CONTROLLED_N_MIN, CONTROLLED_HLAM_MAX)
-        )
-        grids.setdefault(n, []).append(idx)
     finals = np.empty(K)
-    for n, modes in grids.items():
+    for n, modes in _jump_grids(lams, taus, T).items():
         jumps: dict[int, np.ndarray] = {}
         for imp in result.impulses:
             node = round(n * imp.tau / T)

@@ -165,7 +165,7 @@ def _plan_modes(
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
-    X = np.stack([cache.values(M, lams, e.t) for e in plan.entries])
+    X = cache.table(M, lams, plan.times)[0]
     Gs = [overlap_matrix(basis, e.region)[:K, :K] for e in plan.entries]
     return X, Gs
 

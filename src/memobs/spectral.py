@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError, integer, items, obj, real
 from .regions import ObservationRegion
@@ -157,27 +158,41 @@ def overlap_matrix(basis: SpectralBasis, region: ObservationRegion) -> np.ndarra
         region = ObservationRegion(region)
     K, L = basis.K, basis.L
     k = np.arange(1, K + 1)
-    kk = k[:, None].astype(float)
-    ll = k[None, :].astype(float)
-    dif = kk - ll
-    ssum = kk + ll
+    # Entry (k, l) depends on k - l and k + l alone, so each sine is taken
+    # once per distinct difference and sum, and the K x K entries are read
+    # from those rows through strided views: the k - l part is a Toeplitz
+    # view, the k + l part a Hankel one.
+    dif = np.arange(1 - K, K, dtype=float)
+    ssum = np.arange(2, 2 * K + 1, dtype=float)
     # Avoid 0/0 on the diagonal; it is overwritten below.
     dif_safe = np.where(dif == 0.0, 1.0, dif)
 
-    def anti(x: float) -> np.ndarray:
+    def anti(x: np.ndarray) -> np.ndarray:
+        # One K x K antiderivative per entry of x, with the operations of a
+        # scalar x, entry by entry.
+        x = x[:, None]
         off = np.sin(dif * np.pi * x / L) / (dif_safe * np.pi)
-        out = off - np.sin(ssum * np.pi * x / L) / (ssum * np.pi)
+        far = np.sin(ssum * np.pi * x / L) / (ssum * np.pi)
+        row, col = off.strides
+        # off[:, K - 1 + k - l] and far[:, k + l], for 0-based k and l; both
+        # stay inside the 2K - 1 columns of their rows.
+        toeplitz = as_strided(off[:, K - 1 :], (x.size, K, K), (row, col, -col))
+        hankel = as_strided(far, (x.size, K, K), (row, col, col))
+        out = toeplitz - hankel
         diag = x / L - np.sin(2.0 * k * np.pi * x / L) / (2.0 * k * np.pi)
-        np.fill_diagonal(out, diag)
+        out[:, k - 1, k - 1] = diag
         return out
 
-    G = np.zeros((K, K))
+    ends = []
     for it in region.intervals:
         if it.a < -1e-12 or it.b > L + 1e-12:
             raise ValidationError(
                 f"interval [{it.a}, {it.b}] not inside the domain [0, {L}]"
             )
-        a = min(max(it.a, 0.0), L)
-        b = min(max(it.b, 0.0), L)
-        G += anti(b) - anti(a)
+        ends += [min(max(it.a, 0.0), L), min(max(it.b, 0.0), L)]
+    G = np.zeros((K, K))
+    if ends:
+        A = anti(np.array(ends))
+        for d in A[1::2] - A[::2]:
+            G += d
     return G

@@ -48,6 +48,7 @@ from memobs import (
     solve_modal_richardson,
     solve_modal_volterra,
 )
+from memobs.errors import real, reals
 
 M = ExponentialKernel(4.0, 0.0)
 BASIS = SpectralBasis(math.pi, 4)
@@ -77,6 +78,16 @@ ARGUMENTS = {
         "nonneg",
         0.0,
         lambda v: ModalCache().value_and_sup(M, 1.0, v),
+    ),
+    "ModalCache.table.lam": (
+        "positive",
+        1.0,
+        lambda v: ModalCache().table(M, [2.0, v], [0.5]),
+    ),
+    "ModalCache.table.times": (
+        "nonneg",
+        0.0,
+        lambda v: ModalCache().table(M, [1.0], [0.5, v]),
     ),
     "propagate.t": ("nonneg", 0.5, lambda v: propagate(Y0, M, v)),
     "decomposition_residual.t": (
@@ -349,3 +360,44 @@ def test_every_call_runs_on_its_valid_value():
     """The calls above fail only through the value under test."""
     for _, good, call in ARGUMENTS.values():
         call(good)
+
+
+ARRAY_CHECK_INPUTS = [
+    [1.0, 2.5],
+    [math.nan, 1.0],
+    [1.0, math.inf],
+    [2.0, -math.inf],
+    [0.0, 1.0],
+    [1.0, -0.0],
+    [3.0, -2.0],
+    [-1.0, math.nan],
+    [True, 2.0],
+    [False],
+    [1, 2],
+    [0, 3],
+    [],
+]
+
+
+@pytest.mark.parametrize("bounds", [{}, {"positive": True}, {"nonneg": True}])
+def test_array_number_check_matches_per_entry_real(bounds):
+    # The input as a list, as an array of its own dtype (float64, bool or
+    # int) and as float64 and 2-D arrays: reals accepts and rejects exactly
+    # what real does entry by entry, with the same message.
+    def outcome(check, v):
+        try:
+            return [float(x) for x in check(v)]
+        except ValidationError as exc:
+            return str(exc)
+
+    per_entry = lambda v: [real(x, "lam", **bounds) for x in v]  # noqa: E731
+    array = lambda v: reals(v, "lam", **bounds)  # noqa: E731
+    for raw in ARRAY_CHECK_INPUTS:
+        as_float = np.array(raw, dtype=float)
+        for v in (raw, np.array(raw), as_float, as_float[None, :]):
+            assert outcome(array, v) == outcome(per_entry, v), (raw, v)
+    assert reals(np.array([1.0, 2.0]), "lam", positive=True).dtype == np.float64
+    with pytest.raises(ValidationError, match="lam must be finite"):
+        ModalCache().table(M, np.array([1.0, math.nan]), [0.5])
+    with pytest.raises(ValidationError, match="lam must be positive"):
+        ModalCache().table(M, np.array([1.0, 0.0]), [0.5])

@@ -115,6 +115,82 @@ def test_cache_sup_matches_dense_grid(lams, c, alpha, t):
         assert sup <= top * (1.0 + 1e-6)
 
 
+TABLE_GRID = np.linspace(0.0, 6.0, 61)
+TABLE_KERNELS = {
+    "exponential": lambda c, alpha: ExponentialKernel(c, alpha),
+    "constant": lambda c, alpha: ConstantKernel(2.0 - c),
+    "zero": lambda c, alpha: ZeroKernel(),
+    "tabulated": lambda c, alpha: TabulatedKernel(
+        TABLE_GRID, c * np.exp(alpha * TABLE_GRID)
+    ),
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(TABLE_KERNELS)),
+    c=st.floats(0.1, 50.0),
+    alpha=st.floats(-3.0, 3.0),
+    lams=st.lists(
+        st.sampled_from([1.0, 4.0, 9.0]) | st.floats(0.5, 400.0), min_size=1, max_size=5
+    ),
+    times=st.lists(
+        st.sampled_from([0.0, 0.5, 1.2]) | st.floats(0.0, 5.0), min_size=1, max_size=4
+    ),
+    held=st.integers(0, 3),
+)
+@example(kind="exponential", c=16.0, alpha=-1.0, lams=[9.0, 4.0], times=[0.5], held=0)
+# lam < alpha: late turning points, over several times at once
+@example(
+    kind="exponential",
+    c=4.0,
+    alpha=2.5,
+    lams=[0.5, 1.0, 1.5, 30.0, 1.0],
+    times=[5.0, 0.0, 2.0, 5.0],
+    held=2,
+)
+@example(
+    kind="tabulated", c=2.0, alpha=-0.5, lams=[4.0, 300.0, 4.0], times=[1.5, 0.7], held=1
+)
+@example(kind="zero", c=1.0, alpha=0.0, lams=[1.0], times=[0.0], held=0)
+def test_table_equals_per_instant_lookups(kind, c, alpha, lams, times, held):
+    # One table call, over every instant at once and on a cache that may
+    # already hold part of the table, equals per-instant entries and
+    # per-lam value_and_sup on fresh caches bit for bit; s > 0, s = 0 and
+    # s < 0 rows, repeated lams and times, and t = 0, which reads (1, 1)
+    # and stores nothing.
+    M = TABLE_KERNELS[kind](c, alpha)
+    cache = ModalCache()
+    if held:
+        cache.table(M, lams[: held + 1 : 2], times[:held])
+    values, sups = cache.table(M, lams, times)
+    assert values.shape == sups.shape == (len(times), len(lams))
+    for row, t in enumerate(times):
+        got = list(zip(values[row].tolist(), sups[row].tolist()))
+        assert got == ModalCache().entries(M, lams, t)
+        assert values[row].tobytes() == ModalCache().values(M, lams, t).tobytes()
+        if kind != "tabulated" or row == 0:
+            assert got == [ModalCache().value_and_sup(M, lam, t) for lam in lams]
+        if t == 0.0:
+            assert got == [(1.0, 1.0)] * len(lams)
+    assert len(cache) == len({(lam, t) for lam in lams for t in times if t > 0})
+    again = cache.table(M, lams, times)
+    assert again[0].tobytes() == values.tobytes()
+    assert again[1].tobytes() == sups.tobytes()
+
+
+def test_cache_length_counts_stored_pairs(exp_kernel):
+    cache = ModalCache()
+    cache.table(exp_kernel, [1.0, 4.0, 4.0], [0.5, 0.0, 0.5, 1.0])
+    assert len(cache) == 4
+    cache.entries(exp_kernel, [9.0, 1.0], 0.5)
+    assert len(cache) == 5
+    cache.table(ZeroKernel(), [1.0], [0.5])
+    assert len(cache) == 6
+    assert cache.table(exp_kernel, [], [0.5])[0].shape == (1, 0)
+    assert len(cache) == 6
+
+
 def test_cache_sup_dominates_endpoint(exp_kernel):
     val, sup = ModalCache().value_and_sup(exp_kernel, 4.0, 1.5)
     assert sup >= abs(val)

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memobs import (
     ExponentialKernel,
@@ -22,6 +25,25 @@ from memobs import (
     solve_modal_richardson,
 )
 from memobs.modal import _n_steps
+
+def per_mode_jump_grid(taus, T, lam):
+    """The jump grid of one mode, found on its own: the smallest multiple of
+    the taus' common denominator at or above the mode's step count."""
+    den = 1
+    for tau in taus:
+        frac = Fraction(tau / T).limit_denominator(10_000)
+        if abs(float(frac) - tau / T) > 1e-12:
+            raise NumericalError(
+                f"impulse time {tau} does not align with a rational grid"
+            )
+        den = den * frac.denominator // math.gcd(den, frac.denominator)
+        if den > 50_000:
+            raise NumericalError("impulse times require an impractically fine grid")
+    n_target = _n_steps(
+        T, lam, inverse_control.CONTROLLED_N_MIN, inverse_control.CONTROLLED_HLAM_MAX
+    )
+    return ((n_target + den - 1) // den) * den
+
 
 # first zero of the mode-1 solution for M(t) = 4, lambda = 1
 MODE1_ZERO = 0.68067221251729416
@@ -275,16 +297,7 @@ class TestControl:
         taus = [imp.tau for imp in res.impulses]
         grids = set()
         for idx, lam in enumerate(basis.eigenvalues.tolist()):
-            n = inverse_control._jump_grid_size(
-                taus,
-                T,
-                _n_steps(
-                    T,
-                    lam,
-                    inverse_control.CONTROLLED_N_MIN,
-                    inverse_control.CONTROLLED_HLAM_MAX,
-                ),
-            )
+            n = per_mode_jump_grid(taus, T, lam)
             grids.add(n)
             jumps = {}
             for imp in res.impulses:
@@ -326,6 +339,41 @@ class TestControl:
         other = SpectralField(SpectralBasis(1.0, 4), np.zeros(4))
         with pytest.raises(ValidationError):
             impulse_control(zero, other, full_plan([0.5]), 1.0, exp_kernel, cache=cache)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    T=st.floats(0.5, 8.0),
+    L=st.floats(0.3, 4.0),
+    K=st.integers(1, 40),
+    fracs=st.lists(
+        st.tuples(st.integers(1, 200), st.integers(2, 201)), min_size=1, max_size=5
+    ),
+)
+@example(T=1.0, L=math.pi, K=18, fracs=[(32, 40), (22, 40), (12, 40)])
+@example(T=1.0, L=0.5, K=30, fracs=[(1, 199), (1, 197), (1, 193)])  # too fine
+def test_jump_grids_match_per_mode_rule(T, L, K, fracs):
+    # Random rational impulse sets: every mode's jump grid, found with one
+    # denominator per call, equals the grid its own search finds, and an
+    # impulse set that the per-mode search rejects is rejected alike.
+    taus = [T * (p % q) / q for p, q in fracs if p % q]
+    taus = taus or [T / 2]
+    lams = SpectralBasis(L, K).eigenvalues
+    try:
+        want = {}
+        for idx, lam in enumerate(lams.tolist()):
+            want.setdefault(per_mode_jump_grid(taus, T, lam), []).append(idx)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError, match=str(exc)):
+            inverse_control._jump_grids(lams, taus, T)
+        return
+    assert inverse_control._jump_grids(lams, taus, T) == want
+
+
+def test_jump_grids_reject_an_irrational_impulse_time():
+    lams = SpectralBasis(math.pi, 4).eigenvalues
+    with pytest.raises(NumericalError, match="does not align with a rational grid"):
+        inverse_control._jump_grids(lams, [1.0 / math.pi], 1.0)
 
 
 @pytest.mark.parametrize("K", [2.5, 3.7])

@@ -9,6 +9,7 @@ from memobs import (
     ConstantKernel,
     ExponentialKernel,
     LinearKernel,
+    SeriesDivergenceError,
     TabulatedKernel,
     UniformGrid,
     ValidationError,
@@ -16,7 +17,12 @@ from memobs import (
     kernel_from_spec,
     kernel_series_K,
 )
-from memobs.kernels import _cubic_pieces, _pieces_at
+from memobs.kernels import (
+    KernelGridFunction,
+    _cubic_pieces,
+    _pieces_at,
+    require_converged,
+)
 
 
 def test_kernel_point_values():
@@ -147,6 +153,49 @@ def test_spline_pieces_match_scipy_cubic_spline(values, gaps, fractions):
     assert M(M.t_max * (1 + 1e-13)) == natural(x[-1])
 
 
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    knots=st.integers(4, 60),
+    uniform=st.booleans(),
+    points=st.integers(2, 400),
+    on_knots=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(knots=4, uniform=True, points=2, on_knots=True, seed=0)
+def test_spline_pieces_on_sorted_points(knots, uniform, points, on_knots, seed):
+    # Sorted points take their pieces from one search per knot; the values
+    # equal the per-point search bit for bit, and CubicSpline, on sorted
+    # grids with points on knots and at t_max, and on the same points
+    # shuffled.
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(seed)
+    if uniform:
+        x = np.linspace(0.0, 3.0, knots)
+    else:
+        x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, knots - 1))))
+    y = rng.uniform(-10.0, 10.0, knots)
+    pieces = _cubic_pieces(x, y, natural=True)
+    t = np.linspace(0.0, x[-1], points)
+    if on_knots:
+        t = np.sort(np.concatenate((t, x, x[rng.integers(0, knots, 5)])))
+    assert t[-1] == x[-1]
+
+    def per_point(t):
+        i = np.searchsorted(x[1:-1], t, side="right")
+        s = t - x[i]
+        c0, c1, c2, c3 = np.take(pieces, i, axis=1)
+        return c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
+
+    spline = CubicSpline(x, y, bc_type="natural")
+    for pts in (t, rng.permutation(t)):
+        got = _pieces_at(x, pieces, pts)
+        assert got.tobytes() == per_point(pts).tobytes()
+        np.testing.assert_array_equal(got, spline(pts))
+    M = TabulatedKernel(x, y)
+    np.testing.assert_array_equal(M(t), spline(t))
+
+
 def test_every_kernel_rejects_non_finite_points():
     grid = [0.0, 1.0, 2.0, 3.0]
     kernels = [
@@ -212,6 +261,20 @@ def test_series_rows_are_trapezoid_products(M, grid, tol, terms):
     for g, row in zip(rows[:-1], rows[1:]):
         want = grid.h * (np.convolve(f, g)[: f.size] - 0.5 * (f * g[0] + f[0] * g))
         assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_unconverged_series_is_refused():
+    # Every series records its term count and convergence; a series that
+    # did not converge is refused where it would be used.
+    grid = UniformGrid(64, 2.0)
+    series = kernel_series_K(ExponentialKernel(1.0, 0.0), grid)
+    with pytest.raises(TypeError):
+        KernelGridFunction(grid, series.values)
+    assert require_converged(series) is series
+    stuck = KernelGridFunction(grid, series.values, series.terms_used, False)
+    terms = f"within {series.terms_used} terms"
+    with pytest.raises(SeriesDivergenceError, match=terms):
+        require_converged(stuck)
 
 
 def test_series_K_zero_kernel_is_zero():

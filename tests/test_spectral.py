@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from memobs import (
@@ -139,6 +141,58 @@ def test_overlap_additive_over_disjoint_pieces():
     Gb = overlap_matrix(basis, ObservationRegion([[0.6, 1.0]]))
     Gu = overlap_matrix(basis, ObservationRegion([[0.0, 0.3], [0.6, 1.0]]))
     np.testing.assert_allclose(Ga + Gb, Gu, atol=1e-15)
+
+
+def overlap_per_endpoint(basis, region):
+    """The overlap matrix with one antiderivative evaluation per endpoint."""
+    K, L = basis.K, basis.L
+    k = np.arange(1, K + 1)
+    kk = k[:, None].astype(float)
+    ll = k[None, :].astype(float)
+    dif = kk - ll
+    ssum = kk + ll
+    dif_safe = np.where(dif == 0.0, 1.0, dif)
+
+    def anti(x):
+        off = np.sin(dif * np.pi * x / L) / (dif_safe * np.pi)
+        out = off - np.sin(ssum * np.pi * x / L) / (ssum * np.pi)
+        diag = x / L - np.sin(2.0 * k * np.pi * x / L) / (2.0 * k * np.pi)
+        np.fill_diagonal(out, diag)
+        return out
+
+    G = np.zeros((K, K))
+    for it in region.intervals:
+        a = min(max(it.a, 0.0), L)
+        b = min(max(it.b, 0.0), L)
+        G += anti(b) - anti(a)
+    return G
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    L=st.floats(0.3, 6.0),
+    K=st.integers(1, 48),
+    cuts=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10, unique=True),
+    opens=st.lists(st.booleans(), min_size=10, max_size=10),
+    overhang=st.sampled_from([0.0, 5e-13]),
+)
+@example(L=math.pi, K=8, cuts=[0.0, 1.0], opens=[False] * 10, overhang=5e-13)
+def test_overlap_matrix_equals_per_endpoint_sum(L, K, cuts, opens, overhang):
+    # Every endpoint in one array pass gives the per-endpoint floats bit for
+    # bit: several intervals, open endpoints, and ends a rounding allowance
+    # outside [0, L] that are clipped onto it.
+    pts = sorted(L * c for c in cuts)
+    pts[0] -= overhang
+    pts[-1] += overhang
+    pieces = [
+        Interval(a, b, opens[2 * i % 10], opens[(2 * i + 1) % 10])
+        for i, (a, b) in enumerate(zip(pts[::2], pts[1::2]))
+        if a < b
+    ]
+    basis = SpectralBasis(L, K)
+    region = ObservationRegion(pieces)
+    G = overlap_matrix(basis, region)
+    assert G.tobytes() == overlap_per_endpoint(basis, region).tobytes()
 
 
 def test_region_merging_and_measure():
