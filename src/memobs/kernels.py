@@ -185,19 +185,10 @@ def _pieces_at(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
 
     A point on a knot takes the piece to its right, and x[-1] the last
     piece: the piece index is the number of interior knots at or below the
-    point.  For sorted 1-D points that outnumber the knots, as march grids
-    do, that count comes from one search per knot among the points and a
-    running sum, not from one search per point.  The sum runs in the order
-    of scipy's ``PPoly``, lowest power first with s**3 as (s s) s, so the
-    values are its floats too.
+    point.  The sum runs in the order of scipy's ``PPoly``, lowest power
+    first with s**3 as (s s) s, so the values are its floats too.
     """
-    knots = x[1:-1]
-    if t.ndim == 1 and t.size > knots.size and not np.any(t[1:] < t[:-1]):
-        # Interior knot j counts at every point from the first one >= it.
-        first = np.searchsorted(t, knots, side="left")
-        i = np.cumsum(np.bincount(first, minlength=t.size + 1)[: t.size])
-    else:
-        i = np.searchsorted(knots, t, side="right")
+    i = np.searchsorted(x[1:-1], t, side="right")
     s = t - x[i]
     s2 = s * s
     c0, c1, c2, c3 = np.take(c, i, axis=1)

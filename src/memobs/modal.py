@@ -438,8 +438,7 @@ def _closed_form(lam: np.ndarray, c: float, alpha: float, t) -> np.ndarray:
     ``c`` and ``alpha`` floats, ``t`` a float or an array that broadcasts
     against ``lam``."""
     tv = np.asarray(t, dtype=float)
-    if tv.shape != lam.shape:
-        tv = np.broadcast_to(tv, np.broadcast_shapes(tv.shape, lam.shape))
+    tv = np.broadcast_to(tv, np.broadcast_shapes(tv.shape, lam.shape))
     out = np.empty(tv.shape)
     s = (lam + alpha) ** 2 - 4.0 * c
     rows = s > 0

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError, integer, items, obj, real
 from .regions import ObservationRegion
@@ -158,27 +157,20 @@ def overlap_matrix(basis: SpectralBasis, region: ObservationRegion) -> np.ndarra
         region = ObservationRegion(region)
     K, L = basis.K, basis.L
     k = np.arange(1, K + 1)
-    # Entry (k, l) depends on k - l and k + l alone, so each sine is taken
-    # once per distinct difference and sum, and the K x K entries are read
-    # from those rows through strided views: the k - l part is a Toeplitz
-    # view, the k + l part a Hankel one.
-    dif = np.arange(1 - K, K, dtype=float)
-    ssum = np.arange(2, 2 * K + 1, dtype=float)
+    kk = k[:, None].astype(float)
+    ll = k[None, :].astype(float)
+    dif = kk - ll
+    ssum = kk + ll
     # Avoid 0/0 on the diagonal; it is overwritten below.
     dif_safe = np.where(dif == 0.0, 1.0, dif)
 
     def anti(x: np.ndarray) -> np.ndarray:
         # One K x K antiderivative per entry of x, with the operations of a
         # scalar x, entry by entry.
-        x = x[:, None]
+        x = x[:, None, None]
         off = np.sin(dif * np.pi * x / L) / (dif_safe * np.pi)
-        far = np.sin(ssum * np.pi * x / L) / (ssum * np.pi)
-        row, col = off.strides
-        # off[:, K - 1 + k - l] and far[:, k + l], for 0-based k and l; both
-        # stay inside the 2K - 1 columns of their rows.
-        toeplitz = as_strided(off[:, K - 1 :], (x.size, K, K), (row, col, -col))
-        hankel = as_strided(far, (x.size, K, K), (row, col, col))
-        out = toeplitz - hankel
+        out = off - np.sin(ssum * np.pi * x / L) / (ssum * np.pi)
+        x = x[:, :, 0]
         diag = x / L - np.sin(2.0 * k * np.pi * x / L) / (2.0 * k * np.pi)
         out[:, k - 1, k - 1] = diag
         return out

@@ -26,6 +26,7 @@ from memobs import (
 )
 from memobs.modal import _n_steps
 
+
 def per_mode_jump_grid(taus, T, lam):
     """The jump grid of one mode, found on its own: the smallest multiple of
     the taus' common denominator at or above the mode's step count."""

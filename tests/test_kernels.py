@@ -153,49 +153,6 @@ def test_spline_pieces_match_scipy_cubic_spline(values, gaps, fractions):
     assert M(M.t_max * (1 + 1e-13)) == natural(x[-1])
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(
-    knots=st.integers(4, 60),
-    uniform=st.booleans(),
-    points=st.integers(2, 400),
-    on_knots=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(knots=4, uniform=True, points=2, on_knots=True, seed=0)
-def test_spline_pieces_on_sorted_points(knots, uniform, points, on_knots, seed):
-    # Sorted points take their pieces from one search per knot; the values
-    # equal the per-point search bit for bit, and CubicSpline, on sorted
-    # grids with points on knots and at t_max, and on the same points
-    # shuffled.
-    from scipy.interpolate import CubicSpline
-
-    rng = np.random.default_rng(seed)
-    if uniform:
-        x = np.linspace(0.0, 3.0, knots)
-    else:
-        x = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 1.0, knots - 1))))
-    y = rng.uniform(-10.0, 10.0, knots)
-    pieces = _cubic_pieces(x, y, natural=True)
-    t = np.linspace(0.0, x[-1], points)
-    if on_knots:
-        t = np.sort(np.concatenate((t, x, x[rng.integers(0, knots, 5)])))
-    assert t[-1] == x[-1]
-
-    def per_point(t):
-        i = np.searchsorted(x[1:-1], t, side="right")
-        s = t - x[i]
-        c0, c1, c2, c3 = np.take(pieces, i, axis=1)
-        return c3 + c2 * s + c1 * (s * s) + c0 * ((s * s) * s)
-
-    spline = CubicSpline(x, y, bc_type="natural")
-    for pts in (t, rng.permutation(t)):
-        got = _pieces_at(x, pieces, pts)
-        assert got.tobytes() == per_point(pts).tobytes()
-        np.testing.assert_array_equal(got, spline(pts))
-    M = TabulatedKernel(x, y)
-    np.testing.assert_array_equal(M(t), spline(t))
-
-
 def test_every_kernel_rejects_non_finite_points():
     grid = [0.0, 1.0, 2.0, 3.0]
     kernels = [
