@@ -14,9 +14,11 @@ whole table x_k(t_j) of a plan in one call.  For a kernel c exp(alpha t)
 instant, come from one array evaluation of the closed form, and no march
 runs.  For every other kernel an entry comes from a Richardson pair (n and
 2n steps), which cancels the leading h^2 error of the product-trapezoidal
-march; the step policy belongs to the cache and is fixed when it is built,
-and the modes of one instant that share a step count are marched as one
-batch.
+march; the step policy belongs to the cache and is fixed when it is built.
+The instants a mode lacks are marched in runs: one march to the run's
+largest instant, on a grid with every member on a node and fine enough
+for each member's own step policy, serves them all, and the modes whose
+runs share the final time and the step count are marched as one batch.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ValidationError, integer, real, reals
 from .kernels import MemoryKernel
 from .modal import (
     _closed_form,
+    _common_grid,
     _exp_first_zero,
     _n_steps,
     solve_modal_richardson,
@@ -47,9 +50,12 @@ class ModalCache:
     ``exp_form()`` (c, alpha) both come from the closed form: x(t) is
     ``closed_form_exp``, bit for bit, and the sup is the largest |x| at 0,
     at t and at the one zero of x' in (0, t] where |x| peaks.  Every other
-    kernel takes a Richardson-extrapolated solve with
-    n = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps, a step policy
-    fixed when the cache is built.
+    kernel takes Richardson-extrapolated solves, with a step policy fixed
+    when the cache is built: an instant t on its own takes
+    n_t = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps, and instants
+    marched in one run (``_runs``) take a step no coarser than that.  x(t)
+    is the march's value at t's node and the sup the largest |x| at the
+    nodes up to it.
 
     For each kernel and time t > 0 the cache holds three arrays: the lams,
     sorted, and their x(t) and sups.  ``table`` is its one fill path;
@@ -86,9 +92,11 @@ class ModalCache:
         lam in ``lams`` (columns), as two arrays; t = 0 reads (1, 1).
 
         The pairs not yet cached, over all instants, come from one
-        evaluation of the closed form, or else are marched: one Richardson
-        pair per instant and step count, each row bit-identical to a march
-        of its own.
+        evaluation of the closed form, each entry bit-identical to one of
+        its own, or else are marched: one batched Richardson march per final
+        time and step count of the runs (``_march``).  An instant that marches
+        alone, as every instant of a one-instant call does, equals the march
+        at its own step count bit for bit.
         """
         lams = reals(lams, "lam", positive=True)
         times = [real(t, "t", nonneg=True) for t in times]
@@ -135,9 +143,7 @@ class ModalCache:
                 for item, size, end in zip(misses.items(), sizes, ends)
             ]
         else:
-            filled = [
-                ((t, group), *self._march(M, group, t)) for t, group in misses.items()
-            ]
+            filled = self._march(M, misses)
         for (t, group), values, sups in filled:
             stored = self._data.get((kernel, t))
             if stored is not None:
@@ -148,21 +154,64 @@ class ModalCache:
                 group, values, sups = group[order], values[order], sups[order]
             self._data[(kernel, t)] = (group, values, sups)
 
-    def _march(self, M: MemoryKernel, lams: np.ndarray, t: float):
-        """x(t) and sup |x| on [0, t] for each of ``lams`` from a Richardson
-        pair per step count; the lams that share a step count are marched
-        as one batch."""
-        values = np.empty(lams.size)
-        sups = np.empty(lams.size)
-        groups: dict[int, list[int]] = {}
-        for i, lam in enumerate(lams.tolist()):
-            n = _n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max)
-            groups.setdefault(n, []).append(i)
-        for n, rows in groups.items():
-            _, x = solve_modal_richardson(lams[rows], M, t, n)
-            values[rows] = x[:, -1]
-            sups[rows] = np.max(np.abs(x), axis=1)
-        return values, sups
+    def _march(self, M: MemoryKernel, misses: dict) -> list:
+        """x(t) and sup |x| on [0, t] for the entries of ``misses``, which
+        maps each time to the sorted lams it lacks: ((t, lams), x, sups)
+        per time, x and sups as arrays in the order of lams.
+
+        Each lam's instants are split into runs (``_runs``), and the runs of
+        every lam that share a final time T and a step count n are one
+        batched Richardson march.  A member t reads x at its node n t / T
+        and the running max of |x| up to that node."""
+        lacking: dict[float, list[float]] = {}
+        for t in sorted(misses, reverse=True):
+            for lam in misses[t].tolist():
+                lacking.setdefault(lam, []).append(t)
+        batches: dict[tuple[float, int], list[tuple[float, list[float]]]] = {}
+        for lam, times in lacking.items():
+            for T, n, members in _runs(lam, times, self.hlam_max):
+                batches.setdefault((T, n), []).append((lam, members))
+        entries: dict[tuple[float, float], tuple[float, float]] = {}
+        for (T, n), rows in batches.items():
+            _, x = solve_modal_richardson(np.array([lam for lam, _ in rows]), M, T, n)
+            peaks = np.maximum.accumulate(np.abs(x), axis=1)
+            for row, (lam, members) in enumerate(rows):
+                for t in members:
+                    node = round(n * t / T)
+                    entries[(lam, t)] = (x[row, node], peaks[row, node])
+        return [
+            ((t, group), *np.array([entries[(lam, t)] for lam in group.tolist()]).T)
+            for t, group in misses.items()
+        ]
+
+
+def _runs(lam: float, times: list[float], hlam_max: float):
+    """Split ``times``, in descending order, into runs for one lam; each run
+    is (T, n, members), one march of n steps to its largest member T with
+    every member on a node.
+
+    An instant joins the open run when t / T is p / q on the rational grid
+    of ``_common_grid`` and the run's step count grows by at most n_t, the
+    steps t takes alone; otherwise it opens a run.  n is the smallest
+    multiple of the run's common denominator that is at least
+    ceil(n_t q / p) for every member, so no member is marched on a coarser
+    step than its own policy gives.  A run of one instant is the march of
+    that instant alone."""
+    runs: list[tuple[float, int, int, list[float]]] = []
+    for t in times:
+        n_t = _n_steps(t, lam, DEFAULT_N_MIN, hlam_max)
+        if runs:
+            T, den, n, members = runs[-1]
+            grid = _common_grid(den, t / T)
+            if grid is not None and grid[1].numerator:
+                common, frac = grid
+                need = max(n, -(-n_t * frac.denominator // frac.numerator))
+                grown = -(-need // common) * common
+                if grown - n <= n_t:
+                    runs[-1] = (T, common, grown, members + [t])
+                    continue
+        runs.append((t, 1, n_t, [t]))
+    return [(T, n, members) for T, _, n, members in runs]
 
 
 def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: np.ndarray):

@@ -18,17 +18,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, integer, items, obj, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
-from .modal import _n_steps, solve_modal_richardson
+from .modal import _common_grid, _n_steps, solve_modal_richardson
 from .regions import ObservationRegion
-from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
-from .spectral import SpectralBasis, SpectralField
+from .sampling import SamplingPlan, _plan_gram, _resolve_K
+from .spectral import SpectralBasis, SpectralField, overlap_matrix
 
 NOISE_GENERATOR = "numpy.random.Generator(PCG64).standard_normal"
 
@@ -448,9 +447,12 @@ def impulse_control(
     K = _resolve_K(basis, K)
     if cache is None:
         cache = ModalCache()
-    X, Gs = _plan_modes(plan, M, basis, K, cache)
+    # x(T) comes from the table call of the instants, so the march that
+    # reaches T can also serve the instants that lie on its grid.
+    values = cache.table(M, basis.eigenvalues[:K], [*plan.times, T])[0]
+    X, xT = values[:-1], values[-1]
+    Gs = [overlap_matrix(basis, e.region)[:K, :K] for e in plan.entries]
     Q = _plan_gram(X, Gs)
-    xT = cache.values(M, basis.eigenvalues[:K], T)
     target = y1.coefficients[:K] - xT * y0.coefficients[:K]
 
     try:
@@ -527,12 +529,12 @@ def _jump_grids(lams, taus, T: float) -> dict[int, list[int]]:
     on a node.  Every such n is a multiple of one denominator, found once."""
     den = 1
     for tau in taus:
-        frac = Fraction(tau / T).limit_denominator(10_000)
-        if abs(float(frac) - tau / T) > 1e-12:
+        grid = _common_grid(den, tau / T)
+        if grid is None:
             raise NumericalError(
                 f"impulse time {tau} does not align with a rational grid"
             )
-        den = den * frac.denominator // math.gcd(den, frac.denominator)
+        den = grid[0]
         if den > 50_000:
             raise NumericalError("impulse times require an impractically fine grid")
     grids: dict[int, list[int]] = {}

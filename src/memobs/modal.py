@@ -43,6 +43,7 @@ and in closed form for kernels c exp(alpha t).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -107,6 +108,17 @@ class NodalSet:
 def _n_steps(t: float, lam: float, n_min: int, hlam_max: float) -> int:
     """Step count of a march to time t: at least n_min, and h lam <= hlam_max."""
     return max(n_min, math.ceil(t * lam / hlam_max))
+
+
+def _common_grid(den: int, ratio: float) -> tuple[int, Fraction] | None:
+    """Extend a grid of ``den`` steps over [0, 1] so that ``ratio`` lies on
+    a node: ratio as p/q with q <= 10 000, within 1e-12, and the grid of
+    lcm(den, q) steps.  Returns that step count and p/q, or None when no
+    such p/q exists."""
+    frac = Fraction(ratio).limit_denominator(10_000)
+    if abs(float(frac) - ratio) > 1e-12:
+        return None
+    return math.lcm(den, frac.denominator), frac
 
 
 def _is_row(v) -> bool:

@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +21,25 @@ from memobs import (
     propagate,
     solve_modal_richardson,
 )
-from memobs.evolution import DEFAULT_HLAM_MAX, DEFAULT_N_MIN
+from memobs import evolution
+from memobs.evolution import DEFAULT_HLAM_MAX, DEFAULT_N_MIN, _runs
 from memobs.modal import _n_steps
 
 X_EXP21_LAM4_T1 = -0.035761146500884806  # roots -2, -3 at 40 digits
+
+
+@contextlib.contextmanager
+def recorded_marches():
+    """Every Richardson march the cache runs, as (lams, T, n, x)."""
+    calls = []
+
+    def spy(lam, M, T, n):
+        t, x = solve_modal_richardson(lam, M, T, n)
+        calls.append((lam.tolist(), T, n, x))
+        return t, x
+
+    with mock.patch.object(evolution, "solve_modal_richardson", spy):
+        yield calls
 
 
 def test_cache_at_time_zero():
@@ -152,31 +169,129 @@ TABLE_KERNELS = {
 @example(
     kind="tabulated", c=2.0, alpha=-0.5, lams=[4.0, 300.0, 4.0], times=[1.5, 0.7], held=1
 )
+# |x| of lam 1 swings above 1 and grows, so each member of the run has a
+# sup of its own
+@example(
+    kind="tabulated", c=4.0, alpha=1.5, lams=[1.0, 9.0], times=[1.0, 4.0, 2.0], held=0
+)
 @example(kind="zero", c=1.0, alpha=0.0, lams=[1.0], times=[0.0], held=0)
 def test_table_equals_per_instant_lookups(kind, c, alpha, lams, times, held):
     # One table call, over every instant at once and on a cache that may
-    # already hold part of the table, equals per-instant entries and
-    # per-lam value_and_sup on fresh caches bit for bit; s > 0, s = 0 and
-    # s < 0 rows, repeated lams and times, and t = 0, which reads (1, 1)
-    # and stores nothing.
+    # already hold part of the table; s > 0, s = 0 and s < 0 rows, repeated
+    # lams and times, and t = 0, which reads (1, 1) and stores nothing.  A
+    # closed-form entry, and a marched instant that marches alone, equals
+    # per-instant entries and per-lam value_and_sup on fresh caches bit for
+    # bit.  A marched instant that shares a run is the run's march at its
+    # node, with a step no coarser than its own and t on that node.
     M = TABLE_KERNELS[kind](c, alpha)
     cache = ModalCache()
-    if held:
-        cache.table(M, lams[: held + 1 : 2], times[:held])
-    values, sups = cache.table(M, lams, times)
+    calls = [(lams[: held + 1 : 2], times[:held])] if held else []
+    calls.append((lams, times))
+    with recorded_marches() as marches:
+        for call in calls:
+            values, sups = cache.table(M, *call)
     assert values.shape == sups.shape == (len(times), len(lams))
+    runs = {}  # (lam, t) -> the run of a marched entry: (T, n, members)
+    if kind == "tabulated":
+        stored = set()
+        for call_lams, call_times in calls:
+            for lam in dict.fromkeys(call_lams):
+                lacking = {t for t in call_times if t > 0 and (lam, t) not in stored}
+                stored |= {(lam, t) for t in lacking}
+                for run in _runs(lam, sorted(lacking, reverse=True), DEFAULT_HLAM_MAX):
+                    runs.update({(lam, t): run for t in run[2]})
     for row, t in enumerate(times):
         got = list(zip(values[row].tolist(), sups[row].tolist()))
-        assert got == ModalCache().entries(M, lams, t)
-        assert values[row].tobytes() == ModalCache().values(M, lams, t).tobytes()
+        shared = [len(runs.get((lam, t), ((), (), [t]))[2]) > 1 for lam in lams]
+
+        def alone(pairs):
+            return [pair for pair, s in zip(pairs, shared) if not s]
+
+        assert alone(got) == alone(ModalCache().entries(M, lams, t))
+        if not any(shared):
+            assert values[row].tobytes() == ModalCache().values(M, lams, t).tobytes()
         if kind != "tabulated" or row == 0:
-            assert got == [ModalCache().value_and_sup(M, lam, t) for lam in lams]
+            lookups = [ModalCache().value_and_sup(M, lam, t) for lam in lams]
+            assert alone(got) == alone(lookups)
         if t == 0.0:
             assert got == [(1.0, 1.0)] * len(lams)
+        for col, lam in enumerate(lams):
+            if not shared[col]:
+                continue
+            T, n, _ = runs[(lam, t)]
+            (x,) = [
+                x[rows.index(lam)]
+                for rows, T_run, n_run, x in marches
+                if (T_run, n_run) == (T, n) and lam in rows
+            ]
+            node = round(n * t / T)
+            assert abs(n * t / T - node) <= 1e-9
+            n_t = _n_steps(t, lam, DEFAULT_N_MIN, DEFAULT_HLAM_MAX)
+            assert T * n_t <= n * (t + 1e-12 * T)
+            assert got[col] == (x[node], np.max(np.abs(x[: node + 1])))
     assert len(cache) == len({(lam, t) for lam in lams for t in times if t > 0})
     again = cache.table(M, lams, times)
     assert again[0].tobytes() == values.tobytes()
     assert again[1].tobytes() == sups.tobytes()
+
+
+def aligned_kernel():
+    grid = np.linspace(0.0, 6.0, 1201)
+    return TabulatedKernel(grid, 2.0 * np.exp(-0.5 * grid))
+
+
+def test_table_over_lam_subset_equals_full_columns():
+    # A lam's runs depend only on that lam and the instants it lacks: lams
+    # 900 and 2500 need more than DEFAULT_N_MIN steps, so their runs differ
+    # from those of the small lams that share the call.
+    M = aligned_kernel()
+    lams = np.array([1.0, 4.0, 900.0, 25.0, 2500.0])
+    times = [0.9, 0.3, 0.6, 0.45, 0.8]
+    full = ModalCache().table(M, lams, times)
+    for cols in ([2], [0, 4], [1, 3], [4, 2, 0]):
+        part = ModalCache().table(M, lams[cols], times)
+        for got, want in zip(part, full):
+            assert got.tobytes() == want[:, cols].tobytes()
+
+
+def test_instants_off_a_common_grid_march_alone():
+    M = aligned_kernel()
+    lams = [1.0, 9.0, 400.0]
+    t = 0.8
+    times = [t, t * math.pi / 3]
+    with recorded_marches() as marches:
+        values, sups = ModalCache().table(M, lams, times)
+    want = set()
+    for T in times:
+        want |= {(T, _n_steps(T, lam, DEFAULT_N_MIN, DEFAULT_HLAM_MAX)) for lam in lams}
+    assert {(T, n) for _, T, n, _ in marches} == want
+    assert len(marches) == len(want)
+    for row, T in enumerate(times):
+        got = list(zip(values[row].tolist(), sups[row].tolist()))
+        assert got == ModalCache().entries(M, lams, T)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 17])
+def test_marched_plan_table_matches_fine_reference(seed):
+    # A plan built as the many-instants benchmark builds it: a tabulated
+    # c exp(alpha t), six instants on a 1/40 grid of [0, 1] and the control
+    # horizon T = 1.  Runs form, and every value, T included, stays within
+    # 1e-11 sup of Richardson marches at h lam <= 1/32 and at least four
+    # times the default minimum step count, one per instant.
+    rng = np.random.default_rng(seed)
+    c, alpha = rng.uniform(1.0, 3.0), rng.uniform(-1.0, -0.2)
+    grid = np.linspace(0.0, 6.0, 1201)
+    M = TabulatedKernel(grid, c * np.exp(alpha * grid))
+    ticks = np.sort(rng.choice(np.arange(4, 39), size=6, replace=False))
+    times = [int(i) / 40 for i in ticks] + [1.0]
+    lams = SpectralBasis(math.pi, 10).eigenvalues
+    with recorded_marches() as marches:
+        values, sups = ModalCache().table(M, lams, times)
+    assert len(marches) < len(times)
+    for row, t in enumerate(times):
+        n = _n_steps(t, lams.max(), 4 * DEFAULT_N_MIN, 1 / 32)
+        ref = solve_modal_richardson(lams, M, t, n)[1][:, -1]
+        assert np.all(np.abs(values[row] - ref) <= 1e-11 * sups[row])
 
 
 def test_cache_length_counts_stored_pairs(exp_kernel):
