@@ -162,27 +162,39 @@ class ModalCache:
         Each lam's instants are split into runs (``_runs``), and the runs of
         every lam that share a final time T and a step count n are one
         batched Richardson march.  A member t reads x at its node n t / T
-        and the running max of |x| up to that node."""
+        and the running max of |x| up to that node.
+
+        A lam's runs depend on the lam only through the step counts of its
+        instants, so the lams that lack the same instants at the same step
+        counts are split once, and each member is read for all of them by
+        one indexing of the march."""
         lacking: dict[float, list[float]] = {}
         for t in sorted(misses, reverse=True):
             for lam in misses[t].tolist():
                 lacking.setdefault(lam, []).append(t)
-        batches: dict[tuple[float, int], list[tuple[float, list[float]]]] = {}
+        alike: dict[tuple, list[float]] = {}
         for lam, times in lacking.items():
-            for T, n, members in _runs(lam, times, self.hlam_max):
-                batches.setdefault((T, n), []).append((lam, members))
-        entries: dict[tuple[float, float], tuple[float, float]] = {}
-        for (T, n), rows in batches.items():
-            _, x = solve_modal_richardson(np.array([lam for lam, _ in rows]), M, T, n)
+            steps = [_n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max) for t in times]
+            alike.setdefault((tuple(times), tuple(steps)), []).append(lam)
+        batches: dict[tuple[float, int], list[tuple[list[float], list[float]]]] = {}
+        for (times, _), lams in alike.items():
+            for T, n, members in _runs(lams[0], list(times), self.hlam_max):
+                batches.setdefault((T, n), []).append((lams, members))
+        out = {t: (np.empty(group.size), np.empty(group.size)) for t, group in misses.items()}
+        for (T, n), groups in batches.items():
+            batch = np.concatenate([lams for lams, _ in groups])
+            _, x = solve_modal_richardson(batch, M, T, n)
             peaks = np.maximum.accumulate(np.abs(x), axis=1)
-            for row, (lam, members) in enumerate(rows):
+            start = 0
+            for lams, members in groups:
+                rows = slice(start, start + len(lams))
+                start += len(lams)
                 for t in members:
                     node = round(n * t / T)
-                    entries[(lam, t)] = (x[row, node], peaks[row, node])
-        return [
-            ((t, group), *np.array([entries[(lam, t)] for lam in group.tolist()]).T)
-            for t, group in misses.items()
-        ]
+                    at = np.searchsorted(misses[t], lams)
+                    out[t][0][at] = x[rows, node]
+                    out[t][1][at] = peaks[rows, node]
+        return [((t, group), *out[t]) for t, group in misses.items()]
 
 
 def _runs(lam: float, times: list[float], hlam_max: float):
