@@ -244,6 +244,12 @@ def _get(sec, path, key, check, default=None, **bounds):
     return check(sec[key], f"{path}.{key}", **bounds) if key in sec else default
 
 
+def _given(**options) -> dict:
+    """The options a config sets, as keyword arguments of a library call;
+    an absent one (None) is left out, so the library's default holds."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _choice(sec, path, key, allowed, default):
     v = sec.get(key, default)
     if not isinstance(v, str) or v not in allowed:
@@ -299,7 +305,7 @@ def _run_modal(cfg, M):
     n_steps = _get(sec, "modal", "n_steps", integer, default=2048, lo=8)
     method = _choice(sec, "modal", "method", {"march", "series", "closed"}, "march")
     richardson = _get(sec, "modal", "richardson", flag, default=True)
-    tol = _get(sec, "modal", "tol", real, default=1e-12, positive=True)
+    tol = _get(sec, "modal", "tol", real, positive=True)
     if method == "march":
         if richardson:
             t, x = solve_modal_richardson(lam, M, T, n_steps)
@@ -308,7 +314,7 @@ def _run_modal(cfg, M):
     elif method == "series":
         grid = UniformGrid(n_steps, T)
         t = grid.nodes()
-        x = series_solution_grid(lam, M, grid, tol)
+        x = series_solution_grid(lam, M, grid, **_given(tol=tol))
     else:
         t = UniformGrid(n_steps, T).nodes()
         x = closed_form_exp(lam, *_check_closed_form(M, "modal"), t)
@@ -330,12 +336,12 @@ def _run_nodal(cfg, M):
     sec = obj(cfg["nodal"], "nodal", {"lam", "T_max"}, {"resolution", "method"})
     lam = _get(sec, "nodal", "lam", real, positive=True)
     T_max = _get(sec, "nodal", "T_max", real, positive=True)
-    resolution = _get(sec, "nodal", "resolution", integer, default=2048, lo=64)
+    resolution = _get(sec, "nodal", "resolution", integer, lo=64)
     method = _choice(sec, "nodal", "method", {"numeric", "closed"}, "numeric")
     if method == "closed":
         ns = nodal_set_exp_closed(lam, *_check_closed_form(M, "nodal"), T_max)
     else:
-        ns = nodal_set_numeric(lam, M, T_max, resolution)
+        ns = nodal_set_numeric(lam, M, T_max, **_given(resolution=resolution))
     payload = {
         "command": "nodal",
         "kernel": M.spec_dict(),
@@ -371,9 +377,9 @@ def _run_propagate(cfg, M, basis):
 def _run_residual(cfg, M, basis):
     sec = obj(cfg["residual"], "residual", {"t"}, {"ks", "hlam_max"})
     t = _get(sec, "residual", "t", real, positive=True)
-    hlam_max = _get(sec, "residual", "hlam_max", real, default=0.125, positive=True)
+    hlam_max = _get(sec, "residual", "hlam_max", real, positive=True)
     ks = _get(sec, "residual", "ks", items, each=integer, lo=1)
-    table = decomposition_residual(M, t, basis, ks=ks, hlam_max=hlam_max)
+    table = decomposition_residual(M, t, basis, ks=ks, **_given(hlam_max=hlam_max))
     payload = {
         "command": "residual",
         "t": t,
@@ -425,9 +431,9 @@ def _run_probe(cfg, M, basis, plan):
 def _run_certify(cfg, M, basis):
     sec = obj(cfg["certify"], "certify", {"times"}, {"K", "tol"})
     times = _get(sec, "certify", "times", items, each=real, positive=True)
-    K = _get(sec, "certify", "K", integer, default=basis.K, lo=1)
-    tol = _get(sec, "certify", "tol", real, default=1e-10, positive=True)
-    cert = backward_uniqueness_certificate(times, M, basis, K=K, tol=tol)
+    K = _get(sec, "certify", "K", integer, lo=1)
+    tol = _get(sec, "certify", "tol", real, positive=True)
+    cert = backward_uniqueness_certificate(times, M, basis, **_given(K=K, tol=tol))
     payload = {"command": "certify", **cert.to_json()}
     header = [f.name for f in fields(ModeWitness)]
     rows = [astuple(w) for w in cert.modes]
@@ -446,18 +452,19 @@ def _run_reconstruct(cfg, M, basis, plan):
         raise ValidationError(
             'reconstruct needs exactly one of "y0" or "data_file"'
         )
-    K = _get(sec, "reconstruct", "K", integer, default=basis.K, lo=1)
-    reg = _get(sec, "reconstruct", "reg", real, default=0.0, nonneg=True)
+    K = _get(sec, "reconstruct", "K", integer, lo=1)
+    reg = _get(sec, "reconstruct", "reg", real, nonneg=True)
     cache = ModalCache()
     reports = []
     truth = None
     data_sha = None
     if has_y0:
         truth = _field_from_spec(basis, sec["y0"], "reconstruct.y0")
-        spu = _get(sec, "reconstruct", "samples_per_unit", integer, default=64, lo=16)
-        sigma = _get(sec, "reconstruct", "sigma", real, default=0.0, nonneg=True)
-        seed = _get(sec, "reconstruct", "seed", integer, default=0, lo=0)
-        data = simulate_observations(truth, plan, M, spu, sigma, seed, cache=cache)
+        spu = _get(sec, "reconstruct", "samples_per_unit", integer, lo=16)
+        sigma = _get(sec, "reconstruct", "sigma", real, nonneg=True)
+        seed = _get(sec, "reconstruct", "seed", integer, lo=0)
+        options = _given(samples_per_unit=spu, sigma=sigma, seed=seed)
+        data = simulate_observations(truth, plan, M, cache=cache, **options)
         reports.append(Report("observations", data.to_json()))
     else:
         path = sec["data_file"]
@@ -472,11 +479,12 @@ def _run_reconstruct(cfg, M, basis, plan):
         )
         if data.plan != plan:
             raise ValidationError("reconstruct.data_file holds a different plan")
-    result = reconstruct_initial(data, M, basis, K=K, reg=reg, cache=cache)
+    result = reconstruct_initial(data, M, basis, cache=cache, **_given(K=K, reg=reg))
+    sub = result.field.basis
     payload = {
         "command": "reconstruct",
-        "K": K,
-        "reg": reg,
+        "K": sub.K,
+        "reg": result.reg,
         "sigma": data.sigma,
         "seed": data.seed,
         "condition": result.condition,
@@ -485,14 +493,13 @@ def _run_reconstruct(cfg, M, basis, plan):
     }
     if data_sha is not None:
         payload["data_sha256"] = data_sha
-    sub = result.field.basis
     header = ["k", "lam", "recovered"]
     rows = [
         [k + 1, float(sub.eigenvalues[k]), float(result.coefficients[k])]
-        for k in range(K)
+        for k in range(sub.K)
     ]
     if truth is not None:
-        ref = SpectralField(sub, truth.coefficients[:K])
+        ref = SpectralField(sub, truth.coefficients[: sub.K])
         denom = ref.hs_norm(-4.0)
         if denom > 0:
             payload["relative_h_minus4_error"] = (result.field - ref).hs_norm(
@@ -502,7 +509,7 @@ def _run_reconstruct(cfg, M, basis, plan):
         if l2 > 0:
             payload["relative_l2_error"] = (result.field - ref).hs_norm(0.0) / l2
         header.append("true")
-        for k in range(K):
+        for k in range(sub.K):
             rows[k].append(float(truth.coefficients[k]))
     reports.append(Report("reconstruction", payload, header, rows))
     return reports
@@ -513,16 +520,16 @@ def _run_control(cfg, M, basis, plan):
         cfg["control"], "control", {"y0", "y1", "T"}, {"K", "rank_rtol", "verify"}
     )
     T = _get(sec, "control", "T", real, positive=True)
-    K = _get(sec, "control", "K", integer, default=basis.K, lo=1)
-    rank_rtol = _get(sec, "control", "rank_rtol", real, default=1e-10, positive=True)
+    K = _get(sec, "control", "K", integer, lo=1)
+    rank_rtol = _get(sec, "control", "rank_rtol", real, positive=True)
     verify = _get(sec, "control", "verify", flag, default=True)
     y0 = _field_from_spec(basis, sec["y0"], "control.y0")
     y1 = _field_from_spec(basis, sec["y1"], "control.y1")
-    result = impulse_control(y0, y1, plan, T, M, K=K, rank_rtol=rank_rtol)
+    result = impulse_control(y0, y1, plan, T, M, **_given(K=K, rank_rtol=rank_rtol))
     payload = {
         "command": "control",
         "T": T,
-        "K": K,
+        "K": result.K,
         "energy": result.energy,
         "cost": result.cost,
         "duality_gap": abs(result.energy - result.cost),
@@ -535,7 +542,7 @@ def _run_control(cfg, M, basis, plan):
     }
     if verify:
         sim = simulate_controlled(y0, result, M)
-        target = y1.coefficients[:K]
+        target = y1.coefficients[: result.K]
         denom = max(float(np.linalg.norm(target)), 1e-300)
         payload["simulated"] = sim.coefficients.tolist()
         payload["closed_loop_error_l2"] = (
@@ -543,7 +550,7 @@ def _run_control(cfg, M, basis, plan):
         )
     rows = []
     for j, imp in enumerate(result.impulses):
-        for k in range(K):
+        for k in range(result.K):
             rows.append(
                 (
                     j,

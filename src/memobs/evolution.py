@@ -8,17 +8,17 @@ lambda_k^2 x_k(t) + M(t) should decay like 1/lambda_k; the residual table
 measures exactly that.
 
 Modal endpoint values are expensive at large lambda, so they are cached,
-keyed by kernel, lam and time.  ``ModalCache.table`` fills and reads the
-whole table x_k(t_j) of a plan in one call.  For a kernel c exp(alpha t)
-(exponential, constant and zero kernels) the entries it misses, over every
-instant, come from one array evaluation of the closed form, and no march
-runs.  For every other kernel an entry comes from a Richardson pair (n and
-2n steps), which cancels the leading h^2 error of the product-trapezoidal
+one whole table x_k(t_j) per kernel, instants and lams.
+``ModalCache.table`` computes such a table on a miss and reads it.  For a
+kernel c exp(alpha t) (exponential, constant and zero kernels) the table
+comes from one array evaluation of the closed form, and no march runs.
+For every other kernel an entry comes from a Richardson pair (n and 2n
+steps), which cancels the leading h^2 error of the product-trapezoidal
 march; the step policy belongs to the cache and is fixed when it is built.
-The instants a mode lacks are marched in runs: one march to the run's
-largest instant, on a grid with every member on a node and fine enough
-for each member's own step policy, serves them all, and the modes whose
-runs share the final time and the step count are marched as one batch.
+The instants are marched in runs: one march to the run's largest instant,
+on a grid with every member on a node and fine enough for each member's
+own step policy, serves them all, and the modes whose runs share the
+final time and the step count are marched as one batch.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ DEFAULT_N_MIN = 1024
 
 
 class ModalCache:
-    """Cache of modal endpoint values keyed by kernel, lam and time.
+    """Cache of modal endpoint values, one whole table per kernel, instants
+    and lams.
 
     Every value is a pair (x(t), sup |x| on [0, t]).  For a kernel with
     ``exp_form()`` (c, alpha) both come from the closed form: x(t) is
@@ -57,161 +58,129 @@ class ModalCache:
     is the march's value at t's node and the sup the largest |x| at the
     nodes up to it.
 
-    For each kernel and time t > 0 the cache holds three arrays: the lams,
-    sorted, and their x(t) and sups.  ``table`` is its one fill path;
-    ``entries``, ``values`` and ``value_and_sup`` read one row of it.
+    A table is keyed by the kernel, its distinct nonzero instants in
+    descending order and its distinct lams, sorted, and holds x and the sups
+    as two arrays, one row per instant and one column per lam.  A table is
+    computed whole on a miss, so its values do not depend on what the cache
+    held before.  ``table`` is the one fill path; ``values`` and
+    ``value_and_sup`` read one row of a table of their own.
     """
 
     def __init__(self, hlam_max: float = DEFAULT_HLAM_MAX):
         self.hlam_max = real(hlam_max, "hlam_max", positive=True)
         if self.hlam_max > 2:
             raise ValidationError("hlam_max must lie in (0, 2]")
-        # (kernel key, t) -> (sorted lams, x(t), sup |x| on [0, t])
-        self._data: dict[tuple[str, float], tuple[np.ndarray, ...]] = {}
+        # (kernel key, instants, bytes of the sorted lams) -> (x, sups)
+        self._data: dict[tuple[str, tuple, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
-        """The number of stored (lam, t) pairs."""
-        return sum(lams.size for lams, _, _ in self._data.values())
+        """The number of stored values, over all tables."""
+        return sum(x.size for x, _ in self._data.values())
 
     def value_and_sup(
         self, M: MemoryKernel, lam: float, t: float
     ) -> tuple[float, float]:
-        return self.entries(M, [lam], t)[0]
+        values, sups = self.table(M, [lam], [t])
+        return float(values[0, 0]), float(sups[0, 0])
 
     def values(self, M: MemoryKernel, lams, t: float) -> np.ndarray:
         """Modal values x(t) for each lam in ``lams``, in order."""
         return self.table(M, lams, [t])[0][0]
 
-    def entries(self, M: MemoryKernel, lams, t: float) -> list[tuple[float, float]]:
-        """(x(t), sup |x| on [0, t]) for each lam in ``lams``, in order."""
-        values, sups = self.table(M, lams, [t])
-        return list(zip(values[0].tolist(), sups[0].tolist()))
-
     def table(self, M: MemoryKernel, lams, times) -> tuple[np.ndarray, np.ndarray]:
         """x(t) and sup |x| on [0, t] for every t in ``times`` (rows) and
         lam in ``lams`` (columns), as two arrays; t = 0 reads (1, 1).
 
-        The pairs not yet cached, over all instants, come from one
-        evaluation of the closed form, each entry bit-identical to one of
-        its own, or else are marched: one batched Richardson march per final
-        time and step count of the runs (``_march``).  An instant that marches
-        alone, as every instant of a one-instant call does, equals the march
-        at its own step count bit for bit.
+        The table of the distinct nonzero instants and distinct lams is
+        computed on a miss (``_fill``) and then read: a row per t, a column
+        per lam.  An instant that marches alone, as every instant of a
+        one-instant call does, equals the march at its own step count bit
+        for bit.
         """
         lams = reals(lams, "lam", positive=True)
         times = [real(t, "t", nonneg=True) for t in times]
-        kernel = M.cache_key()
-        wanted = np.unique(lams)
-        misses = {}
-        for t in dict.fromkeys(times):
-            if t == 0.0 or not wanted.size:
-                continue
-            stored = self._data.get((kernel, t))
-            if stored is None:
-                misses[t] = wanted
-            else:
-                known = stored[0]
-                pos = np.minimum(np.searchsorted(known, wanted), known.size - 1)
-                missing = wanted[known[pos] != wanted]
-                if missing.size:
-                    misses[t] = missing
-        if misses:
-            self._fill(M, kernel, misses)
         values = np.ones((len(times), lams.size))
         sups = np.ones((len(times), lams.size))
-        for row, t in enumerate(times):
-            if t != 0.0 and lams.size:
-                known, x, sup = self._data[(kernel, t)]
-                pos = np.searchsorted(known, lams)
-                values[row] = x[pos]
-                sups[row] = sup[pos]
+        instants = sorted({t for t in times if t != 0.0}, reverse=True)
+        if not instants or not lams.size:
+            return values, sups
+        wanted = np.unique(lams)
+        key = (M.cache_key(), tuple(instants), wanted.tobytes())
+        if key not in self._data:
+            self._data[key] = self._fill(M, instants, wanted)
+        x, sup = self._data[key]
+        row = {t: i for i, t in enumerate(instants)}
+        nonzero = [i for i, t in enumerate(times) if t != 0.0]
+        at = np.ix_([row[times[i]] for i in nonzero], np.searchsorted(wanted, lams))
+        values[nonzero] = x[at]
+        sups[nonzero] = sup[at]
         return values, sups
 
-    def _fill(self, M: MemoryKernel, kernel: str, misses: dict) -> None:
-        """Compute and store the entries of ``misses``, which maps each time
-        to the sorted lams it lacks."""
+    def _fill(self, M: MemoryKernel, instants: list, lams: np.ndarray) -> tuple:
+        """x and sup |x| for every instant (rows, descending) and lam
+        (columns, sorted and distinct): one array evaluation of the closed
+        form, each entry bit-identical to one of its own, or else marched
+        (``_march``)."""
         form = M.exp_form()
-        if form is not None:
-            groups = list(misses.values())
-            sizes = [group.size for group in groups]
-            values, sups = _closed_form_entries(
-                np.concatenate(groups), *form, np.repeat(list(misses), sizes)
-            )
-            ends = np.cumsum(sizes).tolist()
-            filled = [
-                (item, values[end - size : end], sups[end - size : end])
-                for item, size, end in zip(misses.items(), sizes, ends)
-            ]
-        else:
-            filled = self._march(M, misses)
-        for (t, group), values, sups in filled:
-            stored = self._data.get((kernel, t))
-            if stored is not None:
-                group, values, sups = (
-                    np.concatenate(pair) for pair in zip(stored, (group, values, sups))
-                )
-                order = np.argsort(group)
-                group, values, sups = group[order], values[order], sups[order]
-            self._data[(kernel, t)] = (group, values, sups)
+        if form is None:
+            return self._march(M, instants, lams)
+        shape = (len(instants), lams.size)
+        values, sups = _closed_form_entries(
+            np.tile(lams, len(instants)), *form, np.repeat(instants, lams.size)
+        )
+        return values.reshape(shape), sups.reshape(shape)
 
-    def _march(self, M: MemoryKernel, misses: dict) -> list:
-        """x(t) and sup |x| on [0, t] for the entries of ``misses``, which
-        maps each time to the sorted lams it lacks: ((t, lams), x, sups)
-        per time, x and sups as arrays in the order of lams.
+    def _march(self, M: MemoryKernel, instants: list, lams: np.ndarray) -> tuple:
+        """``_fill`` for a kernel without a closed form.
 
-        Each lam's instants are split into runs (``_runs``), and the runs of
+        The instants are split into runs (``_runs``) per lam, and the runs of
         every lam that share a final time T and a step count n are one
         batched Richardson march.  A member t reads x at its node n t / T
         and the running max of |x| up to that node.
 
-        A lam's runs depend on the lam only through the step counts of its
-        instants, so the lams that lack the same instants at the same step
-        counts are split once, and each member is read for all of them by
-        one indexing of the march."""
-        lacking: dict[float, list[float]] = {}
-        for t in sorted(misses, reverse=True):
-            for lam in misses[t].tolist():
-                lacking.setdefault(lam, []).append(t)
-        alike: dict[tuple, list[float]] = {}
-        for lam, times in lacking.items():
-            steps = [_n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max) for t in times]
-            alike.setdefault((tuple(times), tuple(steps)), []).append(lam)
-        batches: dict[tuple[float, int], list[tuple[list[float], list[float]]]] = {}
-        for (times, _), lams in alike.items():
-            for T, n, members in _runs(lams[0], list(times), self.hlam_max):
-                batches.setdefault((T, n), []).append((lams, members))
-        out = {t: (np.empty(group.size), np.empty(group.size)) for t, group in misses.items()}
+        A lam's runs depend on the lam only through the step counts of the
+        instants, so the lams with the same step counts are split once, and
+        each member is read for all of them by one indexing of the march."""
+        alike: dict[tuple[int, ...], list[int]] = {}
+        for col, lam in enumerate(lams.tolist()):
+            steps = (_n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max) for t in instants)
+            alike.setdefault(tuple(steps), []).append(col)
+        batches: dict[tuple[float, int], list[tuple[list[int], list[float]]]] = {}
+        for steps, cols in alike.items():
+            for T, n, members in _runs(instants, steps):
+                batches.setdefault((T, n), []).append((cols, members))
+        row = {t: i for i, t in enumerate(instants)}
+        values = np.empty((len(instants), lams.size))
+        sups = np.empty((len(instants), lams.size))
         for (T, n), groups in batches.items():
-            batch = np.concatenate([lams for lams, _ in groups])
+            batch = np.concatenate([lams[cols] for cols, _ in groups])
             _, x = solve_modal_richardson(batch, M, T, n)
             peaks = np.maximum.accumulate(np.abs(x), axis=1)
             start = 0
-            for lams, members in groups:
-                rows = slice(start, start + len(lams))
-                start += len(lams)
+            for cols, members in groups:
+                rows = slice(start, start + len(cols))
+                start += len(cols)
                 for t in members:
                     node = round(n * t / T)
-                    at = np.searchsorted(misses[t], lams)
-                    out[t][0][at] = x[rows, node]
-                    out[t][1][at] = peaks[rows, node]
-        return [((t, group), *out[t]) for t, group in misses.items()]
+                    values[row[t], cols] = x[rows, node]
+                    sups[row[t], cols] = peaks[rows, node]
+        return values, sups
 
 
-def _runs(lam: float, times: list[float], hlam_max: float):
-    """Split ``times``, in descending order, into runs for one lam; each run
-    is (T, n, members), one march of n steps to its largest member T with
-    every member on a node.
+def _runs(times: list[float], steps) -> list[tuple[float, int, list[float]]]:
+    """Split ``times``, in descending order, into runs; ``steps`` holds
+    n_t, the steps each instant takes alone.  Each run is (T, n, members),
+    one march of n steps to its largest member T with every member on a
+    node.
 
     An instant joins the open run when t / T is p / q on the rational grid
-    of ``_common_grid`` and the run's step count grows by at most n_t, the
-    steps t takes alone; otherwise it opens a run.  n is the smallest
-    multiple of the run's common denominator that is at least
-    ceil(n_t q / p) for every member, so no member is marched on a coarser
-    step than its own policy gives.  A run of one instant is the march of
-    that instant alone."""
+    of ``_common_grid`` and the run's step count grows by at most n_t;
+    otherwise it opens a run.  n is the smallest multiple of the run's
+    common denominator that is at least ceil(n_t q / p) for every member,
+    so no member is marched on a coarser step than its own policy gives.
+    A run of one instant is the march of that instant alone."""
     runs: list[tuple[float, int, int, list[float]]] = []
-    for t in times:
-        n_t = _n_steps(t, lam, DEFAULT_N_MIN, hlam_max)
+    for t, n_t in zip(times, steps):
         if runs:
             T, den, n, members = runs[-1]
             grid = _common_grid(den, t / T)
@@ -229,8 +198,8 @@ def _runs(lam: float, times: list[float], hlam_max: float):
 def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: np.ndarray):
     """x(t) and sup |x| on [0, t] for every lam in ``lams``, for
     M(t) = c exp(alpha t), as two arrays from one evaluation of the closed
-    form.  ``t`` holds one time per lam (per row), so one call covers the
-    misses of every instant.  The input is already checked, so it goes
+    form.  ``t`` holds one time per lam (per row), so one call covers every
+    instant of a table.  The input is already checked, so it goes
     straight to the array core of ``closed_form_exp``.
 
     |x| peaks at 0, where it is 1, at t, or at a zero of x', and one zero

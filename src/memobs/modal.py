@@ -53,7 +53,14 @@ import numpy as np
 # scipy.linalg; cubic spline pieces (tabulated kernels, numeric nodal sets)
 # need only scipy.linalg, not scipy's CubicSpline.
 
-from .errors import NumericalError, StabilityError, ValidationError, integer, real
+from .errors import (
+    NumericalError,
+    StabilityError,
+    ValidationError,
+    integer,
+    real,
+    reals,
+)
 from .kernels import (
     KernelGridFunction,
     MemoryKernel,
@@ -416,7 +423,9 @@ def closed_form_exp(lam, c: float, alpha: float, t):
     broadcasts against it, lam running along the last axis: a number t
     gives x(t) for every lam, a 1-D t of the same length one x(t_i) per
     lam_i.  A number lam is evaluated as a one-entry sequence, so it equals
-    the row of lam in any batch bit for bit.
+    the row of lam in any batch bit for bit.  A number t passes through
+    ``real`` and must be nonnegative; an array t is checked as a whole for
+    finite, nonnegative entries.
 
     With s = (lam + alpha)**2 - 4 c, the roots w = alpha + u of the reduced
     second-order equation (u from ``_shifted_roots`` for s > 0) and
@@ -438,7 +447,11 @@ def closed_form_exp(lam, c: float, alpha: float, t):
     lam = _column(lam, "lam", 1 if one else len(lam))
     c = real(c, "c")
     alpha = real(alpha, "alpha")
-    tv = np.asarray(t, dtype=float)
+    if np.isscalar(t):
+        tv = np.asarray(real(t, "t", nonneg=True))
+    else:
+        tv = np.asarray(t, dtype=float)
+        reals(tv.ravel(), "t", nonneg=True)
     out = _closed_form(lam, c, alpha, tv[..., None] if one else tv)
     if not one:
         return out

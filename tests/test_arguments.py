@@ -153,6 +153,11 @@ ARGUMENTS = {
         -1.0,
         lambda v: closed_form_exp(1.0, 4.0, v, 1.0),
     ),
+    "closed_form_exp.t": (
+        "nonneg",
+        1.0,
+        lambda v: closed_form_exp(1.0, 4.0, 0.0, v),
+    ),
     "series_solution_grid.lam": (
         "positive",
         2.0,
@@ -350,6 +355,9 @@ CASES = st.sampled_from(sorted(ARGUMENTS)).flatmap(
 @example(case=("simulate_observations.samples_per_unit", math.inf))
 @example(case=("observation_gram.K", math.nan))
 @example(case=("SpectralBasis.K", 8.0))
+@example(case=("closed_form_exp.t", math.nan))
+@example(case=("closed_form_exp.t", -1.0))
+@example(case=("closed_form_exp.t", True))
 def test_bad_number_raises_validation_error(case):
     name, bad = case
     with pytest.raises(ValidationError):
@@ -401,3 +409,8 @@ def test_array_number_check_matches_per_entry_real(bounds):
         ModalCache().table(M, np.array([1.0, math.nan]), [0.5])
     with pytest.raises(ValidationError, match="lam must be positive"):
         ModalCache().table(M, np.array([1.0, 0.0]), [0.5])
+    # closed_form_exp checks an array t as a whole, in any shape
+    with pytest.raises(ValidationError, match="t must be finite"):
+        closed_form_exp(1.0, 4.0, 0.0, np.array([0.5, math.nan]))
+    with pytest.raises(ValidationError, match="t must be nonnegative"):
+        closed_form_exp([1.0, 4.0], 4.0, 0.0, np.array([[0.5], [-1.0]]))

@@ -60,7 +60,7 @@ def test_cache_batch_fill_matches_single_lookups():
     grid = np.linspace(0.0, 2.0, 41)
     M = TabulatedKernel(grid, 2.0 * np.exp(-grid))
     t = 1.5
-    # lam 300 needs more than DEFAULT_N_MIN steps, so the misses form two
+    # lam 300 needs more than DEFAULT_N_MIN steps, so the lams form two
     # step-count groups; lam 4 comes twice
     lams = [4.0, 9.0, 300.0, 4.0, 16.0]
     steps = {_n_steps(t, lam, DEFAULT_N_MIN, DEFAULT_HLAM_MAX) for lam in lams}
@@ -72,9 +72,10 @@ def test_cache_batch_fill_matches_single_lookups():
         fresh = ModalCache().value_and_sup(M, lam, t)
         assert x == fresh[0]
         assert cache.value_and_sup(M, lam, t) == fresh
-    assert len(cache) == 4
+    # each distinct lam's lookup is a one-value table of its own
+    assert len(cache) == 8
     assert cache.values(M, lams, 0.0).tolist() == [1.0] * len(lams)
-    assert len(cache) == 4
+    assert len(cache) == 8
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -123,10 +124,10 @@ def test_cache_sup_matches_dense_grid(lams, c, alpha, t):
     else:
         M = ConstantKernel(c) if c else ZeroKernel()
     form = M.exp_form()
-    entries = ModalCache().entries(M, lams, t)
+    values, sups = ModalCache().table(M, lams, [t])
     grid = np.linspace(0.0, t, 200001)
     dense = np.max(np.abs(closed_form_exp(lams, *form, grid[:, None])), axis=0)
-    for lam, (val, sup), top in zip(lams, entries, dense):
+    for lam, val, sup, top in zip(lams, values[0], sups[0], dense):
         assert val == closed_form_exp(lam, *form, t)
         assert sup >= top * (1.0 - 1e-12)
         assert sup <= top * (1.0 + 1e-6)
@@ -174,32 +175,44 @@ TABLE_KERNELS = {
 @example(
     kind="tabulated", c=4.0, alpha=1.5, lams=[1.0, 9.0], times=[1.0, 4.0, 2.0], held=0
 )
+# a cache that held lam 1 at 0.75 alone would march 1.0 and 0.6 in a run
+# of their own, on another step than the fresh table's run of all three
+@example(
+    kind="tabulated", c=2.0, alpha=-0.5, lams=[1.0, 4.0], times=[0.75, 1.0, 0.6], held=1
+)
+# a many-instants-style plan on a cache that held half of it
+@example(
+    kind="tabulated",
+    c=2.0,
+    alpha=-0.6,
+    lams=[1.0, 4.0, 9.0, 16.0, 25.0],
+    times=[0.5, 0.15, 0.85, 0.35, 0.725, 1.0],
+    held=3,
+)
 @example(kind="zero", c=1.0, alpha=0.0, lams=[1.0], times=[0.0], held=0)
 def test_table_equals_per_instant_lookups(kind, c, alpha, lams, times, held):
-    # One table call, over every instant at once and on a cache that may
-    # already hold part of the table; s > 0, s = 0 and s < 0 rows, repeated
-    # lams and times, and t = 0, which reads (1, 1) and stores nothing.  A
-    # closed-form entry, and a marched instant that marches alone, equals
-    # per-instant entries and per-lam value_and_sup on fresh caches bit for
-    # bit.  A marched instant that shares a run is the run's march at its
-    # node, with a step no coarser than its own and t on that node.
+    # One table call over every instant at once; s > 0, s = 0 and s < 0
+    # rows, repeated lams and times, and t = 0, which reads (1, 1) and
+    # stores nothing.  A closed-form entry, and a marched instant that
+    # marches alone, equals one-instant tables and per-lam value_and_sup on
+    # fresh caches bit for bit.  A marched instant that shares a run is the
+    # run's march at its node, with a step no coarser than its own and t on
+    # that node.  A cache that already holds a table over part of the
+    # instants and lams returns the fresh cache's table bit for bit.
     M = TABLE_KERNELS[kind](c, alpha)
     cache = ModalCache()
-    calls = [(lams[: held + 1 : 2], times[:held])] if held else []
-    calls.append((lams, times))
     with recorded_marches() as marches:
-        for call in calls:
-            values, sups = cache.table(M, *call)
+        values, sups = cache.table(M, lams, times)
     assert values.shape == sups.shape == (len(times), len(lams))
+    instants = sorted({t for t in times if t > 0}, reverse=True)
     runs = {}  # (lam, t) -> the run of a marched entry: (T, n, members)
     if kind == "tabulated":
-        stored = set()
-        for call_lams, call_times in calls:
-            for lam in dict.fromkeys(call_lams):
-                lacking = {t for t in call_times if t > 0 and (lam, t) not in stored}
-                stored |= {(lam, t) for t in lacking}
-                for run in _runs(lam, sorted(lacking, reverse=True), DEFAULT_HLAM_MAX):
-                    runs.update({(lam, t): run for t in run[2]})
+        for lam in dict.fromkeys(lams):
+            steps = [
+                _n_steps(t, lam, DEFAULT_N_MIN, DEFAULT_HLAM_MAX) for t in instants
+            ]
+            for run in _runs(instants, steps):
+                runs.update({(lam, t): run for t in run[2]})
     for row, t in enumerate(times):
         got = list(zip(values[row].tolist(), sups[row].tolist()))
         shared = [len(runs.get((lam, t), ((), (), [t]))[2]) > 1 for lam in lams]
@@ -207,7 +220,8 @@ def test_table_equals_per_instant_lookups(kind, c, alpha, lams, times, held):
         def alone(pairs):
             return [pair for pair, s in zip(pairs, shared) if not s]
 
-        assert alone(got) == alone(ModalCache().entries(M, lams, t))
+        one = ModalCache().table(M, lams, [t])
+        assert alone(got) == alone(zip(one[0][0].tolist(), one[1][0].tolist()))
         if not any(shared):
             assert values[row].tobytes() == ModalCache().values(M, lams, t).tobytes()
         if kind != "tabulated" or row == 0:
@@ -229,10 +243,17 @@ def test_table_equals_per_instant_lookups(kind, c, alpha, lams, times, held):
             n_t = _n_steps(t, lam, DEFAULT_N_MIN, DEFAULT_HLAM_MAX)
             assert T * n_t <= n * (t + 1e-12 * T)
             assert got[col] == (x[node], np.max(np.abs(x[: node + 1])))
-    assert len(cache) == len({(lam, t) for lam in lams for t in times if t > 0})
+    assert len(cache) == len(instants) * len(set(lams))
     again = cache.table(M, lams, times)
     assert again[0].tobytes() == values.tobytes()
     assert again[1].tobytes() == sups.tobytes()
+    assert len(cache) == len(instants) * len(set(lams))
+    if held:
+        warm = ModalCache()
+        warm.table(M, lams[: held + 1 : 2], times[:held])
+        after = warm.table(M, lams, times)
+        assert after[0].tobytes() == values.tobytes()
+        assert after[1].tobytes() == sups.tobytes()
 
 
 def aligned_kernel():
@@ -241,7 +262,7 @@ def aligned_kernel():
 
 
 def test_table_over_lam_subset_equals_full_columns():
-    # A lam's runs depend only on that lam and the instants it lacks: lams
+    # A lam's runs depend only on its step counts at the instants: lams
     # 900 and 2500 need more than DEFAULT_N_MIN steps, so their runs differ
     # from those of the small lams that share the call.
     M = aligned_kernel()
@@ -267,8 +288,9 @@ def test_instants_off_a_common_grid_march_alone():
     assert {(T, n) for _, T, n, _ in marches} == want
     assert len(marches) == len(want)
     for row, T in enumerate(times):
-        got = list(zip(values[row].tolist(), sups[row].tolist()))
-        assert got == ModalCache().entries(M, lams, T)
+        one = ModalCache().table(M, lams, [T])
+        assert values[row].tobytes() == one[0].tobytes()
+        assert sups[row].tobytes() == one[1].tobytes()
 
 
 @pytest.mark.parametrize("seed", [7, 11, 17])
@@ -298,12 +320,15 @@ def test_cache_length_counts_stored_pairs(exp_kernel):
     cache = ModalCache()
     cache.table(exp_kernel, [1.0, 4.0, 4.0], [0.5, 0.0, 0.5, 1.0])
     assert len(cache) == 4
-    cache.entries(exp_kernel, [9.0, 1.0], 0.5)
-    assert len(cache) == 5
+    cache.values(exp_kernel, [9.0, 1.0], 0.5)  # a table of its own
+    assert len(cache) == 6
+    cache.table(exp_kernel, [4.0, 1.0], [1.0, 0.5, 1.0])  # the first table
+    assert len(cache) == 6
     cache.table(ZeroKernel(), [1.0], [0.5])
-    assert len(cache) == 6
+    assert len(cache) == 7
     assert cache.table(exp_kernel, [], [0.5])[0].shape == (1, 0)
-    assert len(cache) == 6
+    assert cache.table(exp_kernel, [1.0], [0.0, 0.0])[0].tolist() == [[1.0], [1.0]]
+    assert len(cache) == 7
 
 
 def test_cache_sup_dominates_endpoint(exp_kernel):
