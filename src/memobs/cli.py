@@ -333,15 +333,14 @@ def _run_modal(cfg, M):
 
 
 def _run_nodal(cfg, M):
-    sec = obj(cfg["nodal"], "nodal", {"lam", "T_max"}, {"resolution", "method"})
+    sec = obj(cfg["nodal"], "nodal", {"lam", "T_max"}, {"method"})
     lam = _get(sec, "nodal", "lam", real, positive=True)
     T_max = _get(sec, "nodal", "T_max", real, positive=True)
-    resolution = _get(sec, "nodal", "resolution", integer, lo=64)
     method = _choice(sec, "nodal", "method", {"numeric", "closed"}, "numeric")
     if method == "closed":
         ns = nodal_set_exp_closed(lam, *_check_closed_form(M, "nodal"), T_max)
     else:
-        ns = nodal_set_numeric(lam, M, T_max, **_given(resolution=resolution))
+        ns = nodal_set_numeric(lam, M, T_max)
     payload = {
         "command": "nodal",
         "kernel": M.spec_dict(),
@@ -375,11 +374,10 @@ def _run_propagate(cfg, M, basis):
 
 
 def _run_residual(cfg, M, basis):
-    sec = obj(cfg["residual"], "residual", {"t"}, {"ks", "hlam_max"})
+    sec = obj(cfg["residual"], "residual", {"t"}, {"ks"})
     t = _get(sec, "residual", "t", real, positive=True)
-    hlam_max = _get(sec, "residual", "hlam_max", real, positive=True)
     ks = _get(sec, "residual", "ks", items, each=integer, lo=1)
-    table = decomposition_residual(M, t, basis, ks=ks, **_given(hlam_max=hlam_max))
+    table = decomposition_residual(M, t, basis, ks=ks)
     payload = {
         "command": "residual",
         "t": t,
@@ -467,6 +465,9 @@ def _run_reconstruct(cfg, M, basis, plan):
         data = simulate_observations(truth, plan, M, cache=cache, **options)
         reports.append(Report("observations", data.to_json()))
     else:
+        for key in ("samples_per_unit", "sigma", "seed"):
+            if key in sec:
+                raise ValidationError(f"reconstruct.{key} does not apply to data_file")
         path = sec["data_file"]
         if not isinstance(path, str):
             raise ValidationError("reconstruct.data_file must be a path string")
@@ -516,16 +517,16 @@ def _run_reconstruct(cfg, M, basis, plan):
 
 
 def _run_control(cfg, M, basis, plan):
-    sec = obj(
-        cfg["control"], "control", {"y0", "y1", "T"}, {"K", "rank_rtol", "verify"}
-    )
+    sec = obj(cfg["control"], "control", {"y0", "y1", "T"}, {"K"})
     T = _get(sec, "control", "T", real, positive=True)
     K = _get(sec, "control", "K", integer, lo=1)
-    rank_rtol = _get(sec, "control", "rank_rtol", real, positive=True)
-    verify = _get(sec, "control", "verify", flag, default=True)
     y0 = _field_from_spec(basis, sec["y0"], "control.y0")
     y1 = _field_from_spec(basis, sec["y1"], "control.y1")
-    result = impulse_control(y0, y1, plan, T, M, **_given(K=K, rank_rtol=rank_rtol))
+    result = impulse_control(y0, y1, plan, T, M, **_given(K=K))
+    sim = simulate_controlled(y0, result, M)
+    target = y1.coefficients[: result.K]
+    miss = float(np.linalg.norm(sim.coefficients - target))
+    denom = max(float(np.linalg.norm(target)), 1e-300)
     payload = {
         "command": "control",
         "T": T,
@@ -539,15 +540,9 @@ def _run_control(cfg, M, basis, plan):
         "target_reachable": result.target_reachable,
         "notes": list(result.notes),
         "achieved": result.achieved.coefficients.tolist(),
+        "simulated": sim.coefficients.tolist(),
+        "closed_loop_error_l2": miss / denom,
     }
-    if verify:
-        sim = simulate_controlled(y0, result, M)
-        target = y1.coefficients[: result.K]
-        denom = max(float(np.linalg.norm(target)), 1e-300)
-        payload["simulated"] = sim.coefficients.tolist()
-        payload["closed_loop_error_l2"] = (
-            float(np.linalg.norm(sim.coefficients - target)) / denom
-        )
     rows = []
     for j, imp in enumerate(result.impulses):
         for k in range(result.K):

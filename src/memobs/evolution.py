@@ -41,6 +41,8 @@ from .spectral import SpectralBasis, SpectralField
 
 DEFAULT_HLAM_MAX = 0.25
 DEFAULT_N_MIN = 1024
+# The step policy of decomposition_residual's marches, finer than the default.
+RESIDUAL_HLAM_MAX = 0.125
 
 
 class ModalCache:
@@ -269,7 +271,6 @@ def decomposition_residual(
     t: float,
     basis: SpectralBasis,
     ks=None,
-    hlam_max: float = 0.125,
 ) -> ResidualTable:
     """Table of lambda_k^2 x_k(t) + M(t) and the log-log decay slope.
 
@@ -278,7 +279,7 @@ def decomposition_residual(
     Residual magnitudes can sit many orders below lambda_k^2 x_k.  For a
     kernel c exp(alpha t) the modal values come from the closed form, which
     is accurate relative to |x_k|; every other kernel is marched in a cache
-    of its own with a tighter step policy (hlam_max) than the default one.
+    of its own with h lam <= RESIDUAL_HLAM_MAX, half the default step.
     """
     t = real(t, "t")
     if t <= 1e-9:
@@ -295,7 +296,7 @@ def decomposition_residual(
     lams = basis.eigenvalues[ks - 1]
     if lams.max() / lams.min() < 10.0:
         raise ValidationError("mode range must span at least a decade in lambda")
-    xs = ModalCache(hlam_max=hlam_max).values(M, lams, t)
+    xs = ModalCache(RESIDUAL_HLAM_MAX).values(M, lams, t)
     Mt = float(M(t))
     residuals = lams**2 * xs + Mt
     nz = np.abs(residuals) > 0

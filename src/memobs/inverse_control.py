@@ -36,6 +36,8 @@ NOISE_GENERATOR = "numpy.random.Generator(PCG64).standard_normal"
 CONTROLLED_N_MIN = 2560
 CONTROLLED_HLAM_MAX = 0.1
 
+# impulse_control keeps the Gram eigenvalues above this times the largest.
+RANK_RTOL = 1e-10
 # impulse_control calls the target reachable when the part of it outside the
 # Gram's kept range is at most this times max(|target|, 1).
 REACH_RTOL = 1e-8
@@ -163,13 +165,13 @@ class ObservationData:
     Weights are not serialized; they are rebuilt from the point layout, so a
     round trip through JSON reproduces the reconstruction exactly.  ``sigma``
     and ``seed`` are checked when the record is built, whoever builds it.
+    The noise always comes from NOISE_GENERATOR, which the JSON names.
     """
 
     plan: SamplingPlan
     sigma: float
     seed: int
     blocks: list[ObservationBlock]
-    generator: str = NOISE_GENERATOR
 
     def __post_init__(self):
         self.sigma = real(self.sigma, "sigma", nonneg=True)
@@ -180,7 +182,7 @@ class ObservationData:
             "plan": self.plan.to_json(),
             "sigma": self.sigma,
             "seed": self.seed,
-            "generator": self.generator,
+            "generator": NOISE_GENERATOR,
             "blocks": [
                 {
                     "t": b.t,
@@ -329,6 +331,10 @@ def reconstruct_initial(
     which carry the penalty as plain reg * ||b||^2 and keep the system
     balanced (lambda_k^2 x_k is O(1) across modes).  The reported condition
     number is that of the solved, regularized system.
+
+    The modal values are the first K columns of the cache's table of every
+    mode of ``basis``, the table ``simulate_observations`` reads, so data
+    simulated through the same cache costs no second table at any K.
     """
     reg = real(reg, "reg", nonneg=True)
     K = _resolve_K(basis, K)
@@ -339,7 +345,7 @@ def reconstruct_initial(
     rhs = np.zeros(K)
     data_sq = 0.0
     designs = []
-    X = cache.table(M, lams, data.plan.times)[0]
+    X = cache.table(M, basis.eigenvalues, data.plan.times)[0][:, :K]
     for x, block in zip(X, data.blocks):
         scale = lams**2 * x
         B = basis.modes_at(block.xs)[:, :K] * scale[None, :]
@@ -422,7 +428,6 @@ def impulse_control(
     T: float,
     M: MemoryKernel,
     K: int | None = None,
-    rank_rtol: float = 1e-10,
     cache: ModalCache | None = None,
 ) -> ImpulseControlResult:
     """Steer y0 to y1 at time T with impulses at the mirrored instants.
@@ -432,13 +437,12 @@ def impulse_control(
     x_k(t_j) times the impulse's k-th coefficient.  Stacking all impulses
     with profiles c_j = diag(x(t_j)) phi turns the matching condition into
     Q phi = y1 - x(T) * y0 with Q the observation Gram, solved here through
-    its eigendecomposition with small eigenvalues (relative to rank_rtol)
+    its eigendecomposition with small eigenvalues (relative to RANK_RTOL)
     discarded.  Modes living in the discarded subspace cannot be steered;
     they are reported, and the returned controls realize the minimum-norm
     solution on the reachable part.
     """
     T = real(T, "T", positive=True)
-    rank_rtol = real(rank_rtol, "rank_rtol", positive=True)
     basis = y0.basis
     if y1.basis.L != basis.L or y1.basis.K != basis.K:
         raise ValidationError("y0 and y1 must share one basis")
@@ -460,7 +464,7 @@ def impulse_control(
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigendecomposition failed: {exc}") from exc
     w_max = float(max(w[-1], 0.0))
-    keep = w > rank_rtol * w_max
+    keep = w > RANK_RTOL * w_max
     rank = int(np.count_nonzero(keep))
     notes = []
     if rank == 0:
@@ -555,13 +559,16 @@ def simulate_controlled(
     applied at the exact grid nodes, on n and 2n steps, and the final values
     are Richardson-extrapolated.  This path never uses the impulse-response
     shortcut, so agreement with the predicted final state is a genuine
-    closed-loop check.
+    closed-loop check.  y0 must lie on the result's domain and hold at
+    least its K modes.
     """
     T = result.T
     K = result.K
     basis = y0.basis
     if K > basis.K:
         raise ValidationError("control result exceeds the basis truncation")
+    if basis.L != result.achieved.basis.L:
+        raise ValidationError("y0 and the control result have different domains")
     taus = [imp.tau for imp in result.impulses]
     if any(not 0.0 < tau < T for tau in taus):
         raise ValidationError("impulse times must be interior to (0, T)")

@@ -77,6 +77,10 @@ SUSPECTED_TANGENTIAL = "suspected-tangential"
 # moves by FFT convolutions.
 _LEAF = 256
 
+# Step policy of the march that nodal_set_numeric scans for zeros.
+NODAL_N_MIN = 8192
+NODAL_HLAM_MAX = 0.05
+
 
 class NodalSet:
     """Sorted zeros of a modal solution in (0, T] with per-zero flags."""
@@ -548,26 +552,24 @@ def nodal_set_numeric(
     lam: float,
     M: MemoryKernel,
     T_max: float,
-    resolution: int = 2048,
 ) -> NodalSet:
     """Zeros of the modal solution on (0, T_max].
 
-    One Richardson-extrapolated march, of at least 4 ``resolution`` steps
-    with h lam <= 0.05, is scanned for sign changes.  The zero in a bracket
-    is the real root of the trajectory's cubic spline piece on it, which
-    changes sign there and so has one.  The pieces are the not-a-knot
+    One Richardson-extrapolated march, of at least NODAL_N_MIN steps with
+    h lam <= NODAL_HLAM_MAX, is scanned for sign changes.  The zero in a
+    bracket is the real root of the trajectory's cubic spline piece on it,
+    which changes sign there and so has one.  The pieces are the not-a-knot
     spline through the march nodes, from ``kernels._cubic_pieces`` (one
     banded solve); ``np.roots`` solves the piece from its coefficients, and
-    the root nearest the bracket is clamped into it against rounding.  A grid point where x is exactly 0 is a zero.  Grid
-    points where |x| dips below 1e-9 of the trajectory sup without a sign
-    change are reported as suspected tangential zeros, one per run at its
-    smallest |x|.
+    the root nearest the bracket is clamped into it against rounding.  A
+    grid point where x is exactly 0 is a zero.  Grid points where |x| dips
+    below 1e-9 of the trajectory sup without a sign change are reported as
+    suspected tangential zeros, one per run at its smallest |x|.
     """
-    resolution = integer(resolution, "resolution", lo=64)
     T_max = real(T_max, "T_max", positive=True)
     lam = real(lam, "lam", positive=True)
     t, x = solve_modal_richardson(
-        lam, M, T_max, _n_steps(T_max, lam, 4 * resolution, 0.05)
+        lam, M, T_max, _n_steps(T_max, lam, NODAL_N_MIN, NODAL_HLAM_MAX)
     )
     brackets, exact, suspects = _scan_brackets(x, float(np.max(np.abs(x))))
     found = [(float(t[i]), SIGN_CHANGE) for i in exact]

@@ -100,11 +100,6 @@ ARGUMENTS = {
         1,
         lambda v: decomposition_residual(M, 1.0, BASIS16, ks=[*range(9, 17), v]),
     ),
-    "decomposition_residual.hlam_max": (
-        "positive",
-        0.25,
-        lambda v: decomposition_residual(M, 1.0, BASIS16, hlam_max=v),
-    ),
     "ConstantKernel.value": ("real", -1.0, lambda v: ConstantKernel(v)),
     "ExponentialKernel.c": ("positive", 2.0, lambda v: ExponentialKernel(v, 0.0)),
     "ExponentialKernel.alpha": ("real", -1.0, lambda v: ExponentialKernel(1.0, v)),
@@ -173,11 +168,6 @@ ARGUMENTS = {
         "positive",
         2.0,
         lambda v: nodal_set_numeric(4.0, M, v),
-    ),
-    "nodal_set_numeric.resolution": (
-        "integer",
-        128,
-        lambda v: nodal_set_numeric(4.0, M, 6.0, v),
     ),
     "nodal_set_exp_closed.lam": (
         "real",
@@ -292,11 +282,6 @@ ARGUMENTS = {
         3,
         lambda v: impulse_control(Y0, Y0, PLAN, 1.0, M, K=v),
     ),
-    "impulse_control.rank_rtol": (
-        "positive",
-        1e-8,
-        lambda v: impulse_control(Y0, Y0, PLAN, 1.0, M, rank_rtol=v),
-    ),
 }
 
 # Not a finite number; then what each kind rejects beyond that.  Every
@@ -344,10 +329,8 @@ CASES = st.sampled_from(sorted(ARGUMENTS)).flatmap(
 @example(case=("simulate_observations.seed", math.nan))
 @example(case=("ModalCache.hlam_max", math.nan))
 @example(case=("ObservationRegion.L", math.nan))
-@example(case=("impulse_control.rank_rtol", -1.0))
 @example(case=("observation_gram.K", True))
 @example(case=("reconstruct_initial.reg", math.nan))
-@example(case=("impulse_control.rank_rtol", math.nan))
 @example(case=("SpectralBasis.K", math.inf))
 @example(case=("SpectralBasis.K", math.nan))
 @example(case=("solve_modal_volterra.n_steps", math.nan))

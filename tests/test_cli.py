@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memobs import (
+    ModalCache,
     SamplingPlan,
     SpectralBasis,
     SpectralField,
@@ -475,13 +476,6 @@ def test_exit_codes_in_process(tmp_path, capsys):
     assert main(["frobnicate", "--config", "x"]) == 1
 
 
-def test_residual_step_policy_out_of_range_exits_1(tmp_path, capsys):
-    over = ("--set", "residual.hlam_max=5")
-    res = run_main(capsys, "residual", CONFIGS["residual"], tmp_path, *over)
-    assert res.returncode == 1 and "error:" in res.stderr
-    assert "hlam_max" in res.stderr
-
-
 def test_reconstruct_round_trips_through_data_file(tmp_path, capsys):
     first = run_main(capsys, "reconstruct", CONFIGS["reconstruct"], tmp_path / "a")
     assert first.returncode == 0, first.stderr
@@ -516,6 +510,23 @@ def test_reconstruct_round_trips_through_data_file(tmp_path, capsys):
     assert "different plan" in third.stderr
 
 
+def test_reconstruct_below_basis_K_fills_one_table(tmp_path, capsys, monkeypatch):
+    # The observations table every mode of the basis, and the reconstruction
+    # at K = 5 of 8 reads its first 5 columns from that same table.
+    fills = []
+    fill = ModalCache._fill
+
+    def counted(self, *args):
+        fills.append(args)
+        return fill(self, *args)
+
+    monkeypatch.setattr(ModalCache, "_fill", counted)
+    over = ("--set", "reconstruct.K=5")
+    res = run_main(capsys, "reconstruct", CONFIGS["reconstruct"], tmp_path, *over)
+    assert res.returncode == 0, res.stderr
+    assert len(fills) == 1
+
+
 def test_certify_reports_failing_mode(tmp_path, capsys):
     cfg = {
         "basis": BASIS8,
@@ -546,8 +557,9 @@ def _observations_doc():
 def _bad(command, overrides, where, tamper=None, name=None):
     """A malformed input: ``--set`` overrides of the command's test config, or
     an in-place change ``tamper`` to a valid reconstruct data file (a value
-    that is not callable replaces the whole file); ``where`` is the text that
-    must name the offending path."""
+    that is not callable replaces the whole file), which the reconstruct
+    section then names before the overrides; ``where`` is the text that must
+    name the offending path."""
     return pytest.param(command, overrides, tamper, where, id=name)
 
 
@@ -664,6 +676,29 @@ BAD_INPUTS = [
         tamper=lambda d: d.update(generator=5),
         name="data-generator-number",
     ),
+    # A data file holds its own noise and sampling: the keys that simulate
+    # observations are rejected next to it, whatever their value.
+    _bad(
+        "reconstruct",
+        ["reconstruct.sigma=abc"],
+        "reconstruct.sigma",
+        tamper=lambda d: None,
+        name="data-file-with-sigma",
+    ),
+    _bad(
+        "reconstruct",
+        ["reconstruct.seed=-5"],
+        "reconstruct.seed",
+        tamper=lambda d: None,
+        name="data-file-with-seed",
+    ),
+    _bad(
+        "reconstruct",
+        ["reconstruct.samples_per_unit=2.5"],
+        "reconstruct.samples_per_unit",
+        tamper=lambda d: None,
+        name="data-file-with-samples-per-unit",
+    ),
     _bad(
         "constants",
         ['plan.instants=[{"t": 0.5, "region": []}]'],
@@ -688,11 +723,36 @@ BAD_INPUTS = [
     _bad(
         "probe", ["probe.r=1"], "probe: unknown fields ['r']", name="section-unknown"
     ),
+    # Removed options: each is an unknown key now.
     _bad(
         "nodal",
         ["nodal.refine_tol=1e-10"],
         "nodal: unknown fields ['refine_tol']",
         name="nodal-refine-tol",
+    ),
+    _bad(
+        "nodal",
+        ["nodal.resolution=2048"],
+        "nodal: unknown fields ['resolution']",
+        name="nodal-resolution",
+    ),
+    _bad(
+        "residual",
+        ["residual.hlam_max=0.125"],
+        "residual: unknown fields ['hlam_max']",
+        name="residual-hlam-max",
+    ),
+    _bad(
+        "control",
+        ["control.rank_rtol=1e-10"],
+        "control: unknown fields ['rank_rtol']",
+        name="control-rank-rtol",
+    ),
+    _bad(
+        "control",
+        ["control.verify=false"],
+        "control: unknown fields ['verify']",
+        name="control-verify",
     ),
     _bad(
         "modal", ["kernel=5"], "kernel: kernel spec must be a JSON object",
@@ -809,7 +869,8 @@ def test_bad_input_exits_1_naming_the_path(
             doc = tamper
         data_file = tmp_path / "observations.json"
         data_file.write_text(json.dumps(doc), encoding="utf-8")
-        overrides = [f"reconstruct={json.dumps({'data_file': str(data_file)})}"]
+        config = json.dumps({"data_file": str(data_file)})
+        overrides = [f"reconstruct={config}", *overrides]
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(CONFIGS[command]), encoding="utf-8")
     argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]

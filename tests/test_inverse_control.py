@@ -168,7 +168,7 @@ class TestObservations:
         for generator in (5, None, "numpy.random.default_rng"):
             with pytest.raises(ValidationError, match="generator"):
                 ObservationData.from_json({**doc, "generator": generator})
-        assert ObservationData.from_json(doc).generator == data.generator
+        assert doc["generator"] == inverse_control.NOISE_GENERATOR
 
     def test_record_checks_its_numbers(self, cache):
         _, _, plan, data = self.make_data(cache)
@@ -340,6 +340,13 @@ class TestControl:
         other = SpectralField(SpectralBasis(1.0, 4), np.zeros(4))
         with pytest.raises(ValidationError):
             impulse_control(zero, other, full_plan([0.5]), 1.0, exp_kernel, cache=cache)
+        # simulate_controlled starts from a y0 with the result's modes and domain
+        res = impulse_control(zero, zero, full_plan([0.5]), 1.0, exp_kernel)
+        short = SpectralField(SpectralBasis(math.pi, 2), np.zeros(2))
+        with pytest.raises(ValidationError, match="truncation"):
+            simulate_controlled(short, res, exp_kernel)
+        with pytest.raises(ValidationError, match="domains"):
+            simulate_controlled(other, res, exp_kernel)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
