@@ -10,8 +10,13 @@ with 17 significant digits, so identical configs produce byte-identical
 files.  Every artifact embeds the sha256 of the effective config (file plus
 --set overrides).  Timings and library versions go to run_meta.json, which
 is metadata, not an artifact: it is the one file allowed to differ between
-reruns.  ``--threads`` is accepted for compatibility, validated and recorded
-in run_meta.json, but has no effect: every command runs on one thread.
+reruns.  A rerun into an output directory that already holds the files
+rewrites each in place, with the same bytes in the same file: it writes over
+the old bytes and then cuts the file to length, without emptying it first.
+So a run killed mid-write can leave a file that mixes old and new bytes,
+where emptying first would leave a truncated one; rerunning regenerates it.
+``--threads`` is accepted for compatibility, validated and recorded in
+run_meta.json, but has no effect: every command runs on one thread.
 
 Exit status: 0 success, 1 validation error, 2 numerical failure.
 """
@@ -126,6 +131,22 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+# No O_TRUNC: emptying an existing file first is what makes a rerun's write
+# slow, so the writer overwrites the old bytes and cuts the file after them.
+_ARTIFACT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write_artifact(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``path.write_text(text, encoding="utf-8")``
+    does (the same bytes, newline handling and, for a new file, permission
+    bits), but over an existing file's bytes in place, then truncated at the
+    end of the new ones."""
+    fd = os.open(path, _ARTIFACT_FLAGS, 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        f.write(text)
+        f.truncate()
+
+
 @dataclass
 class Report:
     """One named result, rendered to <name>.json and/or <name>.csv."""
@@ -151,7 +172,7 @@ def emit_report(
             if isinstance(payload, dict) and config_sha is not None:
                 payload = {"config_sha256": config_sha, **payload}
             path = out / f"{rep.name}.json"
-            path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+            _write_artifact(path, _json_text(payload) + "\n")
             written.append(path)
         if rep.csv_header is not None:
             lines = []
@@ -161,7 +182,7 @@ def emit_report(
             for row in rep.csv_rows or []:
                 lines.append(",".join(_csv_cell(c) for c in row))
             path = out / f"{rep.name}.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write_artifact(path, "\n".join(lines) + "\n")
             written.append(path)
     return written
 
@@ -618,8 +639,7 @@ def run_command(name: str, config: ExperimentConfig) -> int:
         },
         "artifacts": sorted(p.name for p in paths),
     }
-    meta_path = Path(config.out_dir) / "run_meta.json"
-    meta_path.write_text(_json_text(meta) + "\n", encoding="utf-8")
+    _write_artifact(Path(config.out_dir) / "run_meta.json", _json_text(meta) + "\n")
     return EXIT_OK
 
 

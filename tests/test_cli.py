@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -164,14 +166,58 @@ NODAL_NUMERIC = {
 def test_repeat_runs_are_byte_identical(command, config, tmp_path, capsys):
     # Two runs in one process, so state a run leaves behind cannot change
     # the next run's artifacts; criterion 10 repeats every command in
-    # separate processes and at two --threads values.
+    # separate processes and at two --threads values.  Run b writes over
+    # longer, different bytes under every name run a wrote, so each file
+    # must be rewritten in place and cut to the new length.
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    for run in ("a", "b"):
-        code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / run)])
-        assert code == 0, capsys.readouterr().err
-    a = artifact_bytes(tmp_path / "a")
-    assert a and a == artifact_bytes(tmp_path / "b")
+    a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+    code = main([command, "--config", str(cfg_path), "--out", str(a_dir)])
+    assert code == 0, capsys.readouterr().err
+    b_dir.mkdir()
+    inodes = {}
+    for p in a_dir.iterdir():
+        stale = b_dir / p.name
+        stale.write_bytes(b"~" * (2 * p.stat().st_size + 100))
+        inodes[p.name] = stale.stat().st_ino
+    code = main([command, "--config", str(cfg_path), "--out", str(b_dir)])
+    assert code == 0, capsys.readouterr().err
+    a = artifact_bytes(a_dir)
+    assert a and a == artifact_bytes(b_dir)
+    assert "run_meta.json" in inodes
+    assert json.loads((b_dir / "run_meta.json").read_text())["command"] == command
+    assert {p.name: p.stat().st_ino for p in b_dir.iterdir()} == inodes
+
+
+# Newlines, and characters that take two to four bytes in UTF-8.
+WRITER_TEXT = "x,y\n1.5,λ = π²\n\n# ü → 𝔼\nlast line, no newline"
+
+
+@pytest.mark.parametrize("before", ["absent", "longer", "shorter"])
+def test_artifact_writer_matches_write_text(tmp_path, before):
+    reference = tmp_path / "reference.txt"
+    reference.write_text(WRITER_TEXT, encoding="utf-8")
+    want = reference.read_bytes()
+    path = tmp_path / "artifact.txt"
+    if before == "longer":
+        path.write_bytes(b"\xff" * (2 * len(want)))
+    elif before == "shorter":
+        path.write_bytes(b"\xff" * (len(want) // 2))
+    cli._write_artifact(path, WRITER_TEXT)
+    assert path.read_bytes() == want
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda m: f"umask{m:03o}")
+def test_artifact_writer_creates_files_as_write_text_does(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        (tmp_path / "reference.txt").write_text("x\n", encoding="utf-8")
+        cli._write_artifact(tmp_path / "artifact.txt", "x\n")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {0o666 & ~umask}
 
 
 def test_constants_artifacts_and_sha(tmp_path, capsys):

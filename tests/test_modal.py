@@ -1,8 +1,9 @@
 """Modal Volterra solver against frozen independent references.
 
 The exponential-kernel problems reduce to constant-coefficient second-order
-ODEs, so every frozen value below comes from the characteristic roots
-evaluated at 40 digits (mpmath), not from any code path under test.
+ODEs, and the linear kernel's to a third-order one, so every frozen value
+below comes from the characteristic roots evaluated at 40 or 60 digits
+(mpmath), not from any code path under test.
 """
 
 import json
@@ -131,6 +132,26 @@ X_EXP_HIGH_PRECISION = [
     (1.0, 4.0, 0.0, 1.2, -4.7868430420128650159e-1),
     (4.0, 4.0, 0.0, 1.2, -1.2700513460517750795e-1),
     (1.0, 4.0, 6.0, 1.2, -6.8201717281907840297e+1),
+]
+
+# (lam, t, x(t)) for M(t) = t at lam = k**2, k = 8, 32, 64 and 128 (L = pi),
+# at 60 digits (mpmath): x(t) = sum_i r_i exp(w_i t) over the roots w_i of
+# p**3 + lam p**2 + 1, with residues r_i = w_i**2 / (3 w_i**2 + 2 lam w_i).
+# An inverse Laplace transform of p**2 / (p**3 + lam p**2 + 1) by Talbot's
+# method agrees to every digit kept.
+X_LINEAR_HIGH_PRECISION = [
+    (64.0, 0.3, -6.5597556219921374824e-5),
+    (64.0, 1.2, -2.8436386114255940658e-4),
+    (64.0, 2.0, -4.7592576818289494938e-4),
+    (1024.0, 0.3, -2.8423558003005194462e-7),
+    (1024.0, 1.2, -1.1422802903133244108e-6),
+    (1024.0, 2.0, -1.904249910701993715e-6),
+    (4096.0, 0.3, -1.7852224596669920197e-8),
+    (4096.0, 1.2, -7.1492286689414213396e-8),
+    (4096.0, 2.0, -1.1916080541762078042e-7),
+    (16384.0, 0.3, -1.1171313208784053558e-9),
+    (16384.0, 1.2, -4.4698281574422829258e-9),
+    (16384.0, 2.0, -7.4498227716273775145e-9),
 ]
 
 
@@ -631,6 +652,19 @@ def test_batched_closed_form_matches_high_precision_values():
         assert np.max(np.abs(got - xs) / np.abs(xs)) <= 1e-13
         for lam, t, g in zip(lams, ts, got):
             assert g == closed_form_exp(float(lam), c, alpha, float(t))
+
+
+def test_cache_linear_kernel_matches_high_precision_values():
+    # The linear kernel has no closed form in the package, so these values
+    # are the marched table's independent check at high modes.  Measured
+    # error relative to |x|: 2.3e-12 at k = 8, at most 1.2e-13 for k >= 32.
+    lams = sorted({lam for lam, _, _ in X_LINEAR_HIGH_PRECISION})
+    times = [0.3, 1.2, 2.0]
+    x, _ = ModalCache().table(LinearKernel(), lams, times)
+    for lam, t, want in X_LINEAR_HIGH_PRECISION:
+        got = x[times.index(t), lams.index(lam)]
+        bound = 1e-11 if lam < 1000.0 else 5e-13
+        assert abs(got - want) <= bound * abs(want), (lam, t)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
