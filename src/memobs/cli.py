@@ -7,7 +7,16 @@ One JSON config per run, one subcommand per experiment family:
 
 Artifacts are JSON and CSV files with a fixed field order and floats printed
 with 17 significant digits, so identical configs produce byte-identical
-files.  Every artifact embeds the sha256 of the effective config (file plus
+files.  The text of each value is fixed:
+
+- floats are ``%.17g`` (so 0.1 is ``0.10000000000000001`` and -0.0 is
+  ``-0``); non-finite floats are the strings ``"nan"``, ``"inf"`` and
+  ``"-inf"`` in JSON and bare ``nan``, ``inf`` and ``-inf`` in CSV;
+- integers are written in full, and None is ``null`` in JSON and an empty
+  CSV cell;
+- booleans are ``true``/``false`` in JSON and ``True``/``False`` in CSV.
+
+Every artifact embeds the sha256 of the effective config (file plus
 --set overrides).  Timings and library versions go to run_meta.json, which
 is metadata, not an artifact: it is the one file allowed to differ between
 reruns.  A rerun into an output directory that already holds the files
@@ -79,8 +88,7 @@ EXIT_NUMERICAL = 2
 
 
 def _fmt_float(v: float) -> str:
-    """A float as JSON text: %.17g, or "nan", "inf" or "-inf" in quotes; a
-    CSV cell is the same text without the quotes."""
+    """A float as JSON text: %.17g, or "nan", "inf" or "-inf" in quotes."""
     if math.isnan(v):
         return '"nan"'
     if math.isinf(v):
@@ -95,10 +103,8 @@ def _json_text(value, indent: int = 0) -> str:
     inner = "  " * (indent + 1)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     if isinstance(value, str):
@@ -108,8 +114,16 @@ def _json_text(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = ",\n".join(inner + _json_text(v, indent + 1) for v in value)
-        return "[\n" + items + "\n" + pad + "]"
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        # A list of finite floats or of ints (never bools) is one % format;
+        # a float sum is finite only when every item is.
+        if kinds == {int} or kinds == {float} and math.isfinite(sum(value)):
+            spec = "%d" if kinds == {int} else "%.17g"
+            items = sep.join([spec] * len(value)) % tuple(value)
+        else:
+            items = sep.join([_json_text(v, indent + 1) for v in value])
+        return "[\n" + inner + items + "\n" + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -121,14 +135,31 @@ def _json_text(value, indent: int = 0) -> str:
     raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (np.floating, float)):
-        return _fmt_float(float(v)).strip('"')
-    if v is None:
-        return ""
-    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-        return str(int(v))
-    return str(v)
+def _cell_format(kind: type) -> str:
+    """The % format of a CSV cell of type ``kind``: %.17g for floats (nan,
+    inf and -inf bare), %d for integers, nothing for None, str() for the
+    rest, bools and strings included."""
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    if issubclass(kind, (int, np.integer)) and not issubclass(kind, bool):
+        return "%d"
+    if kind is type(None):
+        return "%.0s"
+    return "%s"
+
+
+def _csv_lines(rows) -> list[str]:
+    """One CSV line per row, each from one % against a format string built
+    once per tuple of cell types in the table."""
+    formats: dict[tuple, str] = {}
+    lines = []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(fmt % tuple(row))
+    return lines
 
 
 # No O_TRUNC: emptying an existing file first is what makes a rerun's write
@@ -179,8 +210,7 @@ def emit_report(
             if config_sha is not None:
                 lines.append(f"# config_sha256={config_sha}")
             lines.append(",".join(rep.csv_header))
-            for row in rep.csv_rows or []:
-                lines.append(",".join(_csv_cell(c) for c in row))
+            lines += _csv_lines(rep.csv_rows or [])
             path = out / f"{rep.name}.csv"
             _write_artifact(path, "\n".join(lines) + "\n")
             written.append(path)

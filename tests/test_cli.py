@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +219,229 @@ def test_artifact_writer_creates_files_as_write_text_does(tmp_path, umask):
         os.umask(old)
     modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == {0o666 & ~umask}
+
+
+# One Report that holds every kind of value an artifact can carry; its JSON
+# and CSV text below is the cell-text contract that the README states.
+GOLDEN_REPORT = cli.Report(
+    "golden",
+    {
+        "floats": [0.1, -0.0, 5e-324, 1e308, 1 / 3],
+        "non_finite": [math.nan, math.inf, -math.inf],
+        "numpy": [np.float64(0.1), np.float32(0.1), np.int64(-7)],
+        "ints": [0, -3, 2**70],
+        "int_and_bool": [1, True],
+        "flags": [True, False],
+        "none": None,
+        "text": "λ = π²",
+        "empty_list": [],
+        "empty_dict": {},
+        "records": [{"k": 1, "x": 0.5}, {"k": 2, "x": math.nan}],
+        "pair": (1.5, -2),
+        "array": np.array([0.25, 1e-300, 3.0]),
+    },
+    ["a", "b", "c", "d", "e"],
+    [
+        (0.1, -0.0, 5e-324, 1e308, 1 / 3),
+        [math.nan, math.inf, -math.inf, np.float64(2.5), np.float32(0.1)],
+        (np.int64(-7), 3, True, np.bool_(False), None),
+        ("λ = π²", None, 0, 2**70, ""),
+        (0.5, 1),
+    ],
+)
+GOLDEN_SHA = "0" * 64
+GOLDEN_JSON = """{
+  "config_sha256": "0000000000000000000000000000000000000000000000000000000000000000",
+  "floats": [
+    0.10000000000000001,
+    -0,
+    4.9406564584124654e-324,
+    1e+308,
+    0.33333333333333331
+  ],
+  "non_finite": [
+    "nan",
+    "inf",
+    "-inf"
+  ],
+  "numpy": [
+    0.10000000000000001,
+    0.10000000149011612,
+    -7
+  ],
+  "ints": [
+    0,
+    -3,
+    1180591620717411303424
+  ],
+  "int_and_bool": [
+    1,
+    true
+  ],
+  "flags": [
+    true,
+    false
+  ],
+  "none": null,
+  "text": "\\u03bb = \\u03c0\\u00b2",
+  "empty_list": [],
+  "empty_dict": {},
+  "records": [
+    {
+      "k": 1,
+      "x": 0.5
+    },
+    {
+      "k": 2,
+      "x": "nan"
+    }
+  ],
+  "pair": [
+    1.5,
+    -2
+  ],
+  "array": [
+    0.25,
+    1e-300,
+    3
+  ]
+}
+"""
+GOLDEN_CSV = """# config_sha256=0000000000000000000000000000000000000000000000000000000000000000
+a,b,c,d,e
+0.10000000000000001,-0,4.9406564584124654e-324,1e+308,0.33333333333333331
+nan,inf,-inf,2.5,0.10000000149011612
+-7,3,True,False,
+λ = π²,,0,1180591620717411303424,
+0.5,1
+"""
+
+
+def test_artifact_text_is_frozen(tmp_path):
+    paths = cli.emit_report([GOLDEN_REPORT], tmp_path, config_sha=GOLDEN_SHA)
+    assert [p.name for p in paths] == ["golden.json", "golden.csv"]
+    assert (tmp_path / "golden.json").read_text(encoding="utf-8") == GOLDEN_JSON
+    assert (tmp_path / "golden.csv").read_text(encoding="utf-8") == GOLDEN_CSV
+
+
+def test_json_renders_numpy_bools():
+    assert cli._json_text([np.bool_(True), np.bool_(False)]) == "[\n  true,\n  false\n]"
+
+
+# A per-cell renderer of the artifact text, one Python call per value, as
+# emit_report rendered it before it formatted whole rows and lists at once.
+
+
+def _ref_float(v):
+    if math.isnan(v):
+        return '"nan"'
+    if math.isinf(v):
+        return '"inf"' if v > 0 else '"-inf"'
+    return "%.17g" % v
+
+
+def _ref_json(value, indent=0):
+    if isinstance(value, (np.floating, float)):
+        return _ref_float(float(value))
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (np.integer, int)):
+        return str(int(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ",\n".join(inner + _ref_json(v, indent + 1) for v in value)
+        return "[\n" + items + "\n" + pad + "]"
+    if not value:
+        return "{}"
+    items = ",\n".join(
+        f"{inner}{json.dumps(str(k))}: {_ref_json(v, indent + 1)}"
+        for k, v in value.items()
+    )
+    return "{\n" + items + "\n" + pad + "}"
+
+
+def _ref_cell(v):
+    if isinstance(v, (np.floating, float)):
+        return _ref_float(float(v)).strip('"')
+    if v is None:
+        return ""
+    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
+        return str(int(v))
+    return str(v)
+
+
+# Text without surrogates (not UTF-8) or control characters (which the
+# newline handling of reading back would change).
+TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=6)
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+CELLS = [
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    TEXT,
+]
+# A few row signatures per table, so rows repeat and differ in cell types.
+ROWS = st.lists(
+    st.lists(st.sampled_from(range(len(CELLS))), max_size=5), min_size=1, max_size=3
+).flatmap(
+    lambda signatures: st.lists(
+        st.sampled_from(signatures).flatmap(
+            lambda s: st.tuples(*(CELLS[i] for i in s))
+        ).flatmap(lambda row: st.sampled_from([row, list(row)])),
+        max_size=8,
+    )
+)
+# Lists of one kind of number, which emit_report renders at once, beside
+# every scalar; then lists, tuples and objects of those.
+LEAVES = st.one_of(
+    *CELLS,
+    st.lists(FLOATS, max_size=6),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.floats(), max_size=6).map(np.array),
+    st.lists(st.integers(-99, 99), max_size=6).map(np.array),
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+).filter(lambda p: p is not None)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(payload=PAYLOADS, rows=ROWS, sha=st.sampled_from([None, GOLDEN_SHA]))
+def test_artifact_text_matches_per_cell_renderer(payload, rows, sha):
+    header = ["c%d" % i for i in range(max(map(len, rows), default=0))]
+    want_json = payload
+    if isinstance(payload, dict) and sha is not None:
+        want_json = {"config_sha256": sha, **payload}
+    want_csv = ([f"# config_sha256={sha}"] if sha is not None else []) + [
+        ",".join(header)
+    ]
+    want_csv += [",".join(_ref_cell(c) for c in row) for row in rows]
+    with tempfile.TemporaryDirectory() as d:
+        cli.emit_report([cli.Report("a", payload, header, rows)], d, config_sha=sha)
+        got_json = (Path(d) / "a.json").read_text(encoding="utf-8")
+        got_csv = (Path(d) / "a.csv").read_text(encoding="utf-8")
+    assert got_json == _ref_json(want_json) + "\n"
+    assert got_csv == "\n".join(want_csv) + "\n"
 
 
 def test_constants_artifacts_and_sha(tmp_path, capsys):
