@@ -66,14 +66,7 @@ from .sampling import (
     probe_coefficients,
     probe_upper_bound,
 )
-from .spectral import (
-    SpectralBasis,
-    SpectralField,
-    eigenpair,
-    eval_field,
-    hs_norm,
-    overlap_matrix,
-)
+from .spectral import SpectralBasis, SpectralField, overlap_matrix
 
 __all__ = [
     "__version__",
@@ -84,9 +77,6 @@ __all__ = [
     "SeriesDivergenceError",
     "SpectralBasis",
     "SpectralField",
-    "eigenpair",
-    "hs_norm",
-    "eval_field",
     "overlap_matrix",
     "Interval",
     "ObservationRegion",

@@ -355,6 +355,9 @@ def _run_modal(cfg, M):
     T = _get(sec, "modal", "T", real, positive=True)
     n_steps = _get(sec, "modal", "n_steps", integer, default=2048, lo=8)
     method = _choice(sec, "modal", "method", {"march", "series", "closed"}, "march")
+    for key, applies in (("richardson", "march"), ("tol", "series")):
+        if key in sec and method != applies:
+            raise ValidationError(f"modal.{key} does not apply to method '{method}'")
     richardson = _get(sec, "modal", "richardson", flag, default=True)
     tol = _get(sec, "modal", "tol", real, positive=True)
     if method == "march":

@@ -26,8 +26,8 @@ from .evolution import ModalCache
 from .kernels import MemoryKernel
 from .modal import _common_grid, _n_steps, solve_modal_richardson
 from .regions import ObservationRegion
-from .sampling import SamplingPlan, _plan_gram, _resolve_K
-from .spectral import SpectralBasis, SpectralField, overlap_matrix
+from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
+from .spectral import SpectralBasis, SpectralField
 
 NOISE_GENERATOR = "numpy.random.Generator(PCG64).standard_normal"
 
@@ -449,13 +449,10 @@ def impulse_control(
     if T <= max(plan.times):
         raise ValidationError("control horizon T must exceed every instant")
     K = _resolve_K(basis, K)
-    if cache is None:
-        cache = ModalCache()
     # x(T) comes from the table call of the instants, so the march that
     # reaches T can also serve the instants that lie on its grid.
-    values = cache.table(M, basis.eigenvalues[:K], [*plan.times, T])[0]
+    values, Gs = _plan_modes(plan, M, basis, K, cache, extra_times=[T])
     X, xT = values[:-1], values[-1]
-    Gs = [overlap_matrix(basis, e.region)[:K, :K] for e in plan.entries]
     Q = _plan_gram(X, Gs)
     target = y1.coefficients[:K] - xT * y0.coefficients[:K]
 

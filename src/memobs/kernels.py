@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -287,22 +287,6 @@ class KernelGridFunction:
     terms_used: int
     converged: bool
 
-    @property
-    def h(self) -> float:
-        return self.grid.h
-
-    @property
-    def T(self) -> float:
-        return self.grid.T
-
-
-def _kernel_samples(M: MemoryKernel, grid: UniformGrid) -> np.ndarray:
-    if grid.T > M.t_max * (1 + 1e-12):
-        raise ValidationError(
-            f"grid horizon {grid.T} exceeds the kernel range [0, {M.t_max}]"
-        )
-    return np.asarray(M(grid.nodes()), dtype=float)
-
 
 def _powers(f: np.ndarray, h: float):
     """f, f*f, f*f*f, ... under the trapezoidal product integral
@@ -338,7 +322,7 @@ def kernel_series_K(
     non-convergence signals an overly coarse grid or an extreme kernel.
     """
     tol = real(tol, "tol", positive=True)
-    powers = _powers(-_kernel_samples(M, grid), grid.h)
+    powers = _powers(-M(grid.nodes()), grid.h)
     rows = [next(powers)]
     s_max = grid.T  # max_j s_j**m / m! at m = len(rows)
     while True:

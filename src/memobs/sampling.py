@@ -159,13 +159,15 @@ def _plan_modes(
     basis: SpectralBasis,
     K: int,
     cache: ModalCache | None,
+    extra_times=(),
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """X[j, k] = x_k(t_j) and the overlaps G_j of the plan regions, both on
-    the first K modes of the basis."""
+    the first K modes of the basis.  Rows of X past the plan's hold the
+    ``extra_times``, read in the same ``table`` call as the instants."""
     if cache is None:
         cache = ModalCache()
     lams = basis.eigenvalues[:K]
-    X = cache.table(M, lams, plan.times)[0]
+    X = cache.table(M, lams, [*plan.times, *extra_times])[0]
     Gs = [overlap_matrix(basis, e.region)[:K, :K] for e in plan.entries]
     return X, Gs
 

@@ -1,12 +1,13 @@
 """Dirichlet spectral basis on an interval and Sobolev-scale coefficient fields.
 
-The domain is Omega = (0, L) with the Dirichlet Laplacian eigenpairs
+The domain is Omega = (0, L) with the Dirichlet Laplacian eigenvalues and
+modes
 
     lambda_k = (k pi / L)**2,      e_k(x) = sqrt(2/L) sin(k pi x / L),
 
 for 1 <= k <= K.  A field is a coefficient vector a_1..a_K against e_k, and
 its H^s norm is sqrt(sum a_k**2 lambda_k**s) for any real s.  Overlap
-integrals of eigenfunctions over interval unions are evaluated from the
+integrals of mode products over interval unions are evaluated from the
 closed-form antiderivatives of sine products, so no quadrature error enters
 the observability algebra built on top of them.
 """
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError, integer, items, obj, real
+from .errors import ValidationError, integer, real
 from .regions import ObservationRegion
 
 
@@ -38,21 +39,6 @@ class SpectralBasis:
         k = np.arange(1, self.K + 1)
         self.eigenvalues = (k * np.pi / self.L) ** 2
 
-    def eigenfunction(self, k: int):
-        """Callable evaluating e_k on [0, L]."""
-        self._check_index(k)
-        L = self.L
-        amp = math.sqrt(2.0 / L)
-
-        def e_k(x):
-            xv = np.asarray(x, dtype=float)
-            if not np.all((xv >= -1e-12) & (xv <= L + 1e-12)):
-                raise ValidationError(f"argument outside [0, {L}]")
-            out = amp * np.sin(k * np.pi * xv / L)
-            return float(out) if np.isscalar(x) else out
-
-        return e_k
-
     def modes_at(self, x) -> np.ndarray:
         """Matrix of e_k(x_i), shape (len(x), K)."""
         xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -60,10 +46,6 @@ class SpectralBasis:
             raise ValidationError(f"argument outside [0, {self.L}]")
         k = np.arange(1, self.K + 1)
         return math.sqrt(2.0 / self.L) * np.sin(np.outer(xv, k) * np.pi / self.L)
-
-    def _check_index(self, k: int) -> None:
-        if integer(k, "mode index k", lo=1) > self.K:
-            raise ValidationError(f"mode index {k} outside 1..{self.K}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -77,12 +59,6 @@ class SpectralBasis:
 
     def __repr__(self) -> str:
         return f"SpectralBasis(L={self.L!r}, K={self.K})"
-
-
-def eigenpair(basis: SpectralBasis, k: int):
-    """Return (lambda_k, e_k evaluator) for 1 <= k <= K."""
-    basis._check_index(k)
-    return float(basis.eigenvalues[k - 1]), basis.eigenfunction(k)
 
 
 class SpectralField:
@@ -100,7 +76,9 @@ class SpectralField:
         self.coefficients = coeffs
 
     def hs_norm(self, s: float) -> float:
-        return hs_norm(self, s)
+        """H^s norm sqrt(sum a_k**2 lambda_k**s)."""
+        a = self.coefficients
+        return float(np.sqrt(np.sum(a * a * self.basis.eigenvalues ** real(s, "s"))))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         if self.basis != other.basis:
@@ -115,35 +93,8 @@ class SpectralField:
     def __rmul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.basis, real(scalar, "scalar") * self.coefficients)
 
-    def to_json(self) -> dict:
-        return {
-            "L": self.basis.L,
-            "K": self.basis.K,
-            "coeffs": [float(a) for a in self.coefficients],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "SpectralField":
-        obj(data, "field", {"L", "K", "coeffs"})
-        basis = SpectralBasis(data["L"], data["K"])
-        return cls(basis, items(data["coeffs"], "coeffs", real))
-
     def __repr__(self) -> str:
         return f"SpectralField(K={self.basis.K}, L={self.basis.L!r})"
-
-
-def hs_norm(field: SpectralField, s: float) -> float:
-    """H^s norm sqrt(sum a_k**2 lambda_k**s)."""
-    a = field.coefficients
-    lam = field.basis.eigenvalues
-    return float(np.sqrt(np.sum(a * a * lam ** real(s, "s"))))
-
-
-def eval_field(field: SpectralField, x):
-    """Evaluate sum_k a_k e_k(x) for x in [0, L]."""
-    mat = field.basis.modes_at(x)
-    out = mat @ field.coefficients
-    return float(out[0]) if np.isscalar(x) else out
 
 
 def overlap_matrix(basis: SpectralBasis, region: ObservationRegion) -> np.ndarray:

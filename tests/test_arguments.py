@@ -31,8 +31,6 @@ from memobs import (
     complement,
     constants_table,
     decomposition_residual,
-    eigenpair,
-    hs_norm,
     impulse_control,
     kernel_series_K,
     nodal_set_exp_closed,
@@ -64,9 +62,7 @@ REGION = ObservationRegion([[0.0, 1.0]])
 ARGUMENTS = {
     "SpectralBasis.L": ("positive", 1.0, lambda v: SpectralBasis(v, 4)),
     "SpectralBasis.K": ("integer", 4, lambda v: SpectralBasis(1.0, v)),
-    "SpectralBasis.eigenfunction.k": ("integer", 2, lambda v: BASIS.eigenfunction(v)),
-    "eigenpair.k": ("integer", 2, lambda v: eigenpair(BASIS, v)),
-    "hs_norm.s": ("real", -4.0, lambda v: hs_norm(Y0, v)),
+    "SpectralField.hs_norm.s": ("real", -4.0, lambda v: Y0.hs_norm(v)),
     "SpectralField.__rmul__.scalar": ("real", 2.0, lambda v: Y0.__rmul__(v)),
     "ModalCache.hlam_max": ("positive", 0.5, lambda v: ModalCache(v)),
     "ModalCache.value_and_sup.lam": (

@@ -894,6 +894,32 @@ BAD_INPUTS = [
     ),
     _bad("modal", ['kernel={"kind": []}'], "kernel: unknown", name="kernel-kind-list"),
     _bad("modal", ["modal.method=[1]"], "modal.method", name="method-list"),
+    # richardson applies only to the march and tol only to the series: each
+    # is rejected next to another method, whatever its value.
+    _bad(
+        "modal",
+        ['modal.method="closed"', "modal.richardson=false"],
+        "modal.richardson does not apply to method 'closed'",
+        name="closed-with-richardson",
+    ),
+    _bad(
+        "modal",
+        ['modal.method="closed"', "modal.tol=1e-3"],
+        "modal.tol does not apply to method 'closed'",
+        name="closed-with-tol",
+    ),
+    _bad(
+        "modal",
+        ["modal.tol=1e-3"],
+        "modal.tol does not apply to method 'march'",
+        name="march-with-tol",
+    ),
+    _bad(
+        "modal",
+        ['modal.method="series"', "modal.richardson=false"],
+        "modal.richardson does not apply to method 'series'",
+        name="series-with-richardson",
+    ),
     _bad(
         "reconstruct", ["reconstruct.seed=-1"], "reconstruct.seed", name="seed-below-0"
     ),

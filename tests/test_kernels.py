@@ -234,6 +234,15 @@ def test_unconverged_series_is_refused():
         require_converged(stuck)
 
 
+def test_series_refuses_grid_past_tabulated_range():
+    # The series samples the kernel at every grid node, so a grid that
+    # outruns the table is refused, as a march past it is.
+    g = np.linspace(0.0, 1.0, 11)
+    M = TabulatedKernel(g, np.exp(-g))
+    with pytest.raises(ValidationError):
+        kernel_series_K(M, UniformGrid(64, 2.0))
+
+
 def test_series_K_zero_kernel_is_zero():
     grid = UniformGrid(64, 2.0)
     K = kernel_series_K(ZeroKernel(), grid)

@@ -13,9 +13,6 @@ from memobs import (
     SpectralField,
     ValidationError,
     complement,
-    eigenpair,
-    eval_field,
-    hs_norm,
     overlap_matrix,
 )
 
@@ -31,19 +28,21 @@ QUAD_G = {
 def test_eigenvalues_are_squared_wavenumbers():
     basis = SpectralBasis(math.pi, 4)
     np.testing.assert_allclose(basis.eigenvalues, [1.0, 4.0, 9.0, 16.0], rtol=1e-14)
-    lam, e2 = eigenpair(basis, 2)
-    assert lam == basis.eigenvalues[1]
-    assert e2(math.pi / 4) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
+    e2 = basis.modes_at(math.pi / 4)[:, 1]
+    assert e2.shape == (1,)
+    assert e2[0] == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
 
 
 def test_eigenfunctions_orthonormal_under_quadrature():
     basis = SpectralBasis(2.5, 5)
+
+    def e(k):
+        return lambda x: basis.modes_at(x)[0, k - 1]
+
     for k in range(1, 6):
-        ek = basis.eigenfunction(k)
-        val, _ = quad(lambda x: ek(x) ** 2, 0.0, 2.5, limit=100)
+        val, _ = quad(lambda x: e(k)(x) ** 2, 0.0, 2.5, limit=100)
         assert val == pytest.approx(1.0, abs=1e-12)
-    e1, e4 = basis.eigenfunction(1), basis.eigenfunction(4)
-    cross, _ = quad(lambda x: e1(x) * e4(x), 0.0, 2.5, limit=100)
+    cross, _ = quad(lambda x: e(1)(x) * e(4)(x), 0.0, 2.5, limit=100)
     assert abs(cross) < 1e-12
 
 
@@ -53,17 +52,14 @@ def test_basis_validation():
     with pytest.raises(ValidationError):
         SpectralBasis(1.0, 0)
     basis = SpectralBasis(1.0, 3)
-    with pytest.raises(ValidationError):
-        basis.eigenfunction(4)
-    with pytest.raises(ValidationError):
-        basis.eigenfunction(1)(1.5)  # outside [0, L]
+    for bad in (1.5, -0.1, [0.5, 1.5]):  # outside [0, L]
+        with pytest.raises(ValidationError, match="outside"):
+            basis.modes_at(bad)
     for bad in (math.nan, [0.5, math.nan]):
         with pytest.raises(ValidationError):
-            basis.eigenfunction(1)(bad)
-        with pytest.raises(ValidationError):
             basis.modes_at(bad)
-        with pytest.raises(ValidationError):
-            eval_field(SpectralField(basis, [1.0, 0.0, 0.0]), bad)
+    # the 1e-12 slack at the ends
+    assert basis.modes_at([-1e-13, 1.0 + 1e-13]).shape == (2, 3)
 
 
 def test_field_arithmetic_and_validation():
@@ -85,35 +81,27 @@ def test_field_arithmetic_and_validation():
 def test_hs_norm_hand_values():
     basis = SpectralBasis(math.pi, 2)  # lam = 1, 4
     f = SpectralField(basis, [3.0, 4.0])
-    assert hs_norm(f, 0.0) == pytest.approx(5.0, rel=1e-15)
+    assert f.hs_norm(0.0) == pytest.approx(5.0, rel=1e-15)
     assert f.hs_norm(-4.0) == pytest.approx(math.sqrt(9.0 + 16.0 / 256.0), rel=1e-14)
     assert f.hs_norm(2.0) == pytest.approx(math.sqrt(9.0 + 16.0 * 16.0), rel=1e-14)
 
 
 def test_eval_field_matches_sum():
+    # A field at points is modes_at(x) @ coefficients; check it against the
+    # sum of the closed-form modes a_k sqrt(2/L) sin(k pi x / L).
     basis = SpectralBasis(math.pi, 3)
     f = SpectralField(basis, [1.0, -0.5, 0.25])
-    x = 1.1
-    expect = sum(
-        f.coefficients[k - 1] * basis.eigenfunction(k)(x) for k in (1, 2, 3)
-    )
-    assert eval_field(f, x) == pytest.approx(expect, rel=1e-14)
-    arr = eval_field(f, [0.3, 1.1, 2.0])
+    xs = [0.3, 1.1, 2.0]
+    expect = [
+        sum(
+            f.coefficients[k - 1] * math.sqrt(2 / math.pi) * math.sin(k * x)
+            for k in (1, 2, 3)
+        )
+        for x in xs
+    ]
+    arr = basis.modes_at(xs) @ f.coefficients
     assert arr.shape == (3,)
-    assert arr[1] == pytest.approx(expect, rel=1e-14)
-
-
-def test_field_json_round_trip():
-    basis = SpectralBasis(2.0, 3)
-    f = SpectralField(basis, [0.1, -0.2, 0.3])
-    g = SpectralField.from_json(f.to_json())
-    assert g.basis == basis
-    np.testing.assert_array_equal(g.coefficients, f.coefficients)
-    with pytest.raises(ValidationError):
-        SpectralField.from_json({"L": 2.0, "K": 3, "coeffs": [1, 2, 3], "x": 1})
-    # readers take parsed JSON only; a string is not an object
-    with pytest.raises(ValidationError, match="must be a JSON object"):
-        SpectralField.from_json("{")
+    np.testing.assert_allclose(arr, expect, rtol=1e-14)
 
 
 def test_overlap_full_domain_is_identity():
