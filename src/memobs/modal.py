@@ -16,23 +16,26 @@ representation
 and, for M(t) = c exp(alpha t), the closed form obtained by reducing the
 problem to x'' + (lam - alpha) x' + (c - alpha lam) x = 0.
 
-A march of n steps costs O(n log^2 n) for every kernel: the scheme is a
-lower triangular Toeplitz system, solved by divide and conquer with FFT
-history updates.  This solves the scheme exactly, not an approximation of
-the kernel.  The O(n^2) loop with one history dot product per step computes
-the same scheme; no production path calls it, and it stays as the reference
-the fast solve is tested against.  For kernels c exp(alpha t) (the
-exponential, constant and zero kernels) ``ModalCache`` takes its values from
-the closed form and does not march.
+The scheme is a lower triangular Toeplitz system, solved by divide and
+conquer: dense leaves, and between them the history of the earlier leaves.
+For kernels c exp(alpha t) (``MemoryKernel.exp_form``) that history is one
+running sum per row and a march of n steps costs O(n); for other kernels
+it moves by FFT convolutions, in O(n log^2 n).  This solves the scheme
+exactly, not an approximation of the kernel.  The O(n^2) loop with one
+history dot product per step computes the same scheme; no production path
+calls it, and it stays as the reference the fast solve is tested against.
+For kernels c exp(alpha t) (the exponential, constant and zero kernels)
+``ModalCache`` takes its values from the closed form and does not march.
 
 Both entries march a batch: ``lam`` may be a 1-D sequence, with ``x0`` and
 each jump increment a number or one entry per lam, and x then has one row
 per lam, each bit-identical to the call for that lam alone.  The grid, the
-kernel samples, the history spectra, weights and leaf block are computed
-once per batch, and each history update is one FFT over all rows; only the
-leaf solves run row by row.  Modes that share a grid (the modes of one
-instant, or of one jump grid) are marched this way, which removes the
-per-call work of a march that does not depend on lam.
+kernel samples, the history powers or spectra and weights, and the leaf
+block are computed once per batch, and each history update is one update
+of the running sums, or one FFT, over all rows; only the leaf solves run
+row by row.  Modes that share a grid (the modes of one instant, or of one
+jump grid) are marched this way, which removes the per-call work of a
+march that does not depend on lam.
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically from one march, each zero
@@ -49,9 +52,10 @@ import numpy as np
 
 # scipy's submodules are imported inside the functions that call them, so
 # importing memobs loads numpy only, and a run that reads nothing but
-# closed-form values never loads them.  A march loads scipy.fft and
-# scipy.linalg; cubic spline pieces (tabulated kernels, numeric nodal sets)
-# need only scipy.linalg, not scipy's CubicSpline.
+# closed-form values never loads them.  A march loads scipy.linalg, and
+# scipy.fft only for a kernel without ``exp_form()``; the K_M series and the
+# series solution load scipy.fft.  Cubic spline pieces (tabulated kernels,
+# numeric nodal sets) need only scipy.linalg, not scipy's CubicSpline.
 
 from .errors import (
     NumericalError,
@@ -74,7 +78,7 @@ SIGN_CHANGE = "sign-change"
 SUSPECTED_TANGENTIAL = "suspected-tangential"
 
 # Steps per leaf of _march_dc, solved densely; across leaves the history
-# moves by FFT convolutions.
+# moves by running sums (c exp(alpha t) kernels) or FFT convolutions.
 _LEAF = 256
 
 # Step policy of the march that nodal_set_numeric scans for zeros.
@@ -180,13 +184,14 @@ def solve_modal_volterra(
     grid, ``x0`` and each jump increment may be a number (shared) or a
     sequence with one entry per lam, and x has one row per lam.  Each row
     is bit-identical to the call with that row's lam, x0 and increments.
-    A batch samples M once, shares the history spectra, weights and leaf
-    block, and runs each history update as one FFT over all rows.
+    A batch samples M once, shares the history spectra or powers, weights
+    and leaf block, and runs each history update once over all rows.
 
-    Every kernel takes the O(n log^2 n) divide-and-conquer solve of
-    ``_march_dc``.  It computes the same scheme as the O(n^2) dot-product
-    loop ``_march_loop``, which no production path calls: it is the oracle
-    the tests check it against.
+    Every kernel takes the divide-and-conquer solve of ``_march_dc``: O(n)
+    for a kernel with ``exp_form()``, O(n log^2 n) for the others.  It
+    computes the same scheme as the O(n^2) dot-product loop
+    ``_march_loop``, which no production path calls: it is the oracle the
+    tests check it against.
     """
     batch = _is_row(lam)
     lam = _column(lam, "lam", len(lam) if batch else 1, positive=True)
@@ -215,7 +220,7 @@ def solve_modal_volterra(
     denom = 1.0 + 0.5 * h * lam + 0.25 * h * h * Mg[0]
     if np.any(np.abs(denom) < 1e-14):
         raise StabilityError("implicit step is singular; refine the grid")
-    x = _march_dc(lam, Mg, h, denom, x0, jumps)
+    x = _march_dc(lam, Mg, h, denom, x0, jumps, M.exp_form())
     if not np.all(np.isfinite(x)):
         raise NumericalError("modal trajectory produced non-finite values")
     return t, x if batch else x[0]
@@ -251,14 +256,17 @@ def _march_loop(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
     t_i and J_{i+1} = h (M(t_{i+1}) x_0 / 2 + H_i) its part at t_{i+1} not
     involving x_{i+1}, step i solves
     x_{i+1} denom = x_i (1 - h lam / 2) - (h/2)(I_i + J_{i+1}).
+
+    It computes in the dtype of ``Mg``, so the tests can also run it in
+    np.longdouble.
     """
     n = Mg.size - 1
-    x = np.empty(n + 1)
+    x = np.empty(n + 1, dtype=Mg.dtype)
     x[0] = x0
     # Reversed copy of the history so the per-step dot product runs over a
     # contiguous slice: xrev[n - r] = x[r], or at a jump node the mean of the
     # two one-sided limits.
-    xrev = np.empty(n + 1)
+    xrev = np.empty(n + 1, dtype=Mg.dtype)
     xrev[n] = x0
     fac = 1.0 - 0.5 * h * lam
     half_h = 0.5 * h
@@ -269,7 +277,7 @@ def _march_loop(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
             if i == 0:
                 hist = 0.0
             else:
-                hist = float(np.dot(Mg[1 : i + 1], xrev[n - i : n]))
+                hist = np.dot(Mg[1 : i + 1], xrev[n - i : n])
             J1 = h * (0.5 * Mg[i + 1] * x[0] + hist)
             xn = (x[i] * fac - half_h * (I_i + J1)) / denom
             x[i + 1] = xn
@@ -282,7 +290,7 @@ def _march_loop(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
     return x
 
 
-def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
+def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     """The march as a lower-triangular Toeplitz solve, by divide and conquer.
 
     With the x_0 terms on the right-hand side, step i of ``_march_loop`` is
@@ -290,10 +298,23 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
     0, -fac + (h^2/4) M(0) + (h^2/2) M(t_1) at lag 1 and
     (h^2/2)(M(t_d) + M(t_{d-1})) at lag d >= 2 (Hairer, Lubich & Schlichte,
     SIAM J. Sci. Stat. Comput. 6, 1985).  Leaves of _LEAF rows are solved
-    densely against one Toeplitz block.  After leaf k the last 2^l leaves,
-    l the number of trailing zero bits of k + 1, subtract their history
-    from the next 2^l by one FFT convolution, so every pair of leaves is
-    coupled exactly once, in O(n log^2 n).
+    densely against one Toeplitz block.  ``form`` is ``M.exp_form()``; it
+    picks how the history of earlier leaves reaches the later rows.
+
+    With a form (c, alpha), the symbol at lag d >= 2 is a_d = A q^(d-1),
+    with q = e^(alpha h) and A = (h^2/2) c (1 + q), so that history is a
+    running sum: each row keeps P = sum_{j<lo} q^(lo-1-j) y_j over the rows
+    solved, leaf row lo subtracts A (P - y_{lo-1}) + a_1 y_{lo-1}, with
+    a_1 = (h^2/4) M(0) + (h^2/2) M(t_1), row lo + k, k >= 1, subtracts
+    A q^k P, and after the leaf P <- q^_LEAF P + sum_j q^(hi-1-j) y_j.
+    That is O(n).  The powers are exp(alpha h k) for k <= _LEAF, and no
+    power of q divides, since q^(-k) overflows for steep decay; rounding
+    compounds over the n / _LEAF leaves, not over the n steps.
+
+    With no form (None), after leaf k the last 2^l leaves, l the number of
+    trailing zero bits of k + 1, subtract their history from the next 2^l
+    by one FFT convolution, so every pair of leaves is coupled exactly
+    once, in O(n log^2 n).
 
     FFT rounding is relative to the largest term of the whole convolution.
     So only the (h^2/2) M part a_d of the symbol goes through the FFT: -fac
@@ -311,11 +332,11 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
 
     ``lam``, ``denom``, ``x0`` and each jump increment hold one entry per
     row.  Only the lag-0 and lag-1 symbol entries depend on lam, so the
-    rows share a_d, the history spectra and weights, and the leaf block,
-    whose two lam diagonals are rewritten before each row's leaf solve;
-    each history update is one FFT over all rows.
+    rows share a_d, the powers or the history spectra and weights, and the
+    leaf block, whose two lam diagonals are rewritten before each row's
+    leaf solve; each history update is one FFT, or one update of P, over
+    all rows.
     """
-    from scipy.fft import irfft, rfft
     from scipy.linalg import toeplitz
     from scipy.linalg.lapack import dtrtrs
 
@@ -346,7 +367,16 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
     x = np.empty((lam.size, n + 1))
     x[:, 0] = x0
     y = x[:, 1:]
-    updates: dict[int, tuple] = {}
+    if form is not None:
+        # Every leaf but the last has m rows, so one set of powers serves.
+        qpow = np.exp(form[1] * h * np.arange(m + 1))
+        A = hh2 * form[0] * (1.0 + qpow[1])
+        Aq = A * qpow[:m]
+        P = np.zeros(lam.size)
+    else:
+        from scipy.fft import irfft, rfft
+
+        updates: dict[int, tuple] = {}
     for lo in range(0, n, _LEAF):
         hi = min(lo + _LEAF, n)
         if lo:
@@ -362,17 +392,26 @@ def _march_dc(lam, Mg, h, denom, x0, jumps) -> np.ndarray:
                 )
         if hi == n:
             break
-        k = lo // _LEAF + 1
-        width = (k & -k) * _LEAF
-        if width not in updates:
-            updates[width] = _history_update(conv, width)
-        spectrum, w_in, w_out = updates[width]
-        stop = min(hi + width, n)
-        src = y[:, hi - width : hi]
-        prod = rfft(src if w_in is None else src * w_in, 2 * width)
-        prod *= spectrum
-        hist = irfft(prod)[:, width - 1 : width - 1 + stop - hi]
-        b[:, hi:stop] -= hist if w_out is None else hist * w_out[: stop - hi]
+        if form is not None:
+            # An elementwise product summed along each row, not a matrix
+            # product, so that a row's sum does not depend on the batch.
+            P = qpow[m] * P + np.sum(y[:, lo:hi] * qpow[m - 1 :: -1], axis=1)
+            stop = min(hi + _LEAF, n)
+            last = y[:, hi - 1]
+            b[:, hi] -= A * (P - last) + conv[1] * last
+            b[:, hi + 1 : stop] -= P[:, None] * Aq[1 : stop - hi]
+        else:
+            k = lo // _LEAF + 1
+            width = (k & -k) * _LEAF
+            if width not in updates:
+                updates[width] = _history_update(conv, width)
+            spectrum, w_in, w_out = updates[width]
+            stop = min(hi + width, n)
+            src = y[:, hi - width : hi]
+            prod = rfft(src if w_in is None else src * w_in, 2 * width)
+            prod *= spectrum
+            hist = irfft(prod)[:, width - 1 : width - 1 + stop - hi]
+            b[:, hi:stop] -= hist if w_out is None else hist * w_out[: stop - hi]
     for p, d in jumps.items():
         x[:, p] += d
     return x

@@ -693,13 +693,18 @@ def scipy_loaded(steps, tmp_path):
 def test_closed_form_runs_load_no_scipy_submodule(tmp_path):
     # Importing memobs and running the commands that read only closed-form
     # values (exponential kernels, nodal by the closed method) load none of
-    # scipy's numerical modules; a march then loads the FFT and LAPACK ones,
-    # so the imports are deferred, not dropped.
+    # scipy's numerical modules.  A march of an exponential kernel then
+    # loads the LAPACK ones and not the FFT, which the series solution
+    # loads, so the imports are deferred, not dropped.
     assert CONFIGS["nodal"]["nodal"]["method"] == "closed"
+    assert CONFIGS["modal"]["kernel"]["kind"] == "exponential"
     commands = ("check-plan", "constants", "certify", "nodal", "modal")
-    after = scipy_loaded([[c, CONFIGS[c]] for c in commands], tmp_path)
-    assert after[-2] == []
-    assert "scipy.fft" in after[-1] and "scipy.linalg" in after[-1]
+    series = {**CONFIGS["modal"], "modal": {"lam": 4.0, "T": 2.0, "method": "series"}}
+    steps = [[c, CONFIGS[c]] for c in commands] + [["modal", series]]
+    after = scipy_loaded(steps, tmp_path)
+    assert after[-3] == []
+    assert "scipy.linalg" in after[-2] and "scipy.fft" not in after[-2]
+    assert "scipy.fft" in after[-1]
 
 
 TAB_CONSTANTS = {
@@ -719,14 +724,17 @@ TAB_CONSTANTS = {
 )
 def test_spline_runs_load_no_scipy_interpolate(command, config, tmp_path):
     # A tabulated kernel and a numeric nodal set take their cubic spline
-    # pieces from one banded solve: such a run loads scipy.fft and
-    # scipy.linalg for its march, and no scipy module beyond what those two
-    # load themselves (an older scipy.linalg loads scipy.sparse itself).
+    # pieces from one banded solve: such a run loads scipy.linalg, and
+    # scipy.fft for the march of a tabulated kernel but not of an
+    # exponential one, and no scipy module beyond what those two load
+    # themselves (an older scipy.linalg loads scipy.sparse itself).
     # scipy.interpolate would bring optimize, sparse and spatial with it.
     own = scipy_loaded(["scipy.fft", "scipy.linalg"], tmp_path)[-1]
     (after,) = scipy_loaded([[command, config]], tmp_path)
+    marched_by_fft = config["kernel"]["kind"] == "tabulated"
     assert "scipy.interpolate" not in own
-    assert {"scipy.fft", "scipy.linalg"} <= set(after) <= set(own)
+    assert "scipy.linalg" in after and ("scipy.fft" in after) == marched_by_fft
+    assert set(after) <= set(own)
 
 
 def test_exit_codes_in_process(tmp_path, capsys):

@@ -263,10 +263,15 @@ _MARCH_DRAWS = dict(
 )
 
 
-def _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks):
+def _march_case(kind, lam, c, alpha, T, leaves, offset, kicks):
+    """The kernel, step count and jumps of one ``_MARCH_DRAWS`` draw."""
     M = _march_kernel(kind, c, alpha, T)
     n = max(leaves * modal._LEAF - offset, math.ceil(T * lam / 2.0))
-    jumps = _jumps(kicks, n)
+    return M, n, _jumps(kicks, n)
+
+
+def _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks):
+    M, n, jumps = _march_case(kind, lam, c, alpha, T, leaves, offset, kicks)
     t, x = solve_modal_volterra(lam, M, T, n, x0, jumps)
     t_ref, x_ref = _loop(lam, M, T, n, x0, jumps)
     np.testing.assert_array_equal(t, t_ref)
@@ -306,8 +311,74 @@ def test_dc_march_matches_dot_product_march_exp_family(
     kind, lam, c, alpha, T, leaves, offset, x0, kicks
 ):
     """The c exp(alpha t) family, whose kernel-cache values come from the
-    closed form, against the dot-product march."""
+    closed form, against the dot-product march, and its running-sum
+    history against the FFT history of the same samples."""
     _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks)
+    M, n, jumps = _march_case(kind, lam, c, alpha, T, leaves, offset, kicks)
+    t = np.linspace(0.0, T, n + 1)
+    Mg = np.asarray(M(t), dtype=float)
+    h = T / n
+    row = np.array([lam])
+    denom = 1.0 + 0.5 * h * row + 0.25 * h * h * Mg[0]
+    jumps = {p: np.array([d]) for p, d in jumps.items()}
+    x_form, x_fft = (
+        modal._march_dc(row, Mg, h, denom, np.array([x0]), jumps, form)[0]
+        for form in (M.exp_form(), None)
+    )
+    assert np.max(np.abs(x_form - x_fft)) <= 1e-13 * np.max(np.abs(x_fft))
+
+
+def _loop_longdouble(lam, M, T, n):
+    """``_loop`` from x0 = 1 on the same double samples, computed in
+    np.longdouble."""
+    t = np.linspace(0.0, T, n + 1)
+    Mg = np.asarray(M(t), dtype=float).astype(np.longdouble)
+    h = np.longdouble(T) / n
+    lam = np.longdouble(lam)
+    denom = 1 + h * lam / 2 + h * h * Mg[0] / 4
+    return modal._march_loop(lam, Mg, h, denom, np.longdouble(1.0), {})
+
+
+@pytest.mark.parametrize(
+    "lam, M, T, n",
+    [
+        # A growing kernel on a long horizon, where a per-step recurrence
+        # drifts: rounding must compound over the leaves, not the steps.
+        (0.5, ExponentialKernel(4.0, 3.0), 8.0, 4096),
+        # Steep decay, where q^(-n) = e^2000 overflows: the running sum
+        # must never divide by powers of q.
+        (1.0, ExponentialKernel(50.0, -2000.0), 1.0, 4096),
+    ],
+    ids=["growing", "steep-decay"],
+)
+def test_exp_march_matches_extended_precision_loop(lam, M, T, n):
+    x = solve_modal_volterra(lam, M, T, n)[1]
+    ref = _loop_longdouble(lam, M, T, n)
+    assert float(np.max(np.abs(x - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+
+def test_exp_form_marches_take_no_fft_history(monkeypatch):
+    # The c exp(alpha t) family carries its history as running sums, so an
+    # FFT history update that raises stops only the other kernels.
+    def no_fft(*args):
+        raise AssertionError("an FFT history update")
+
+    monkeypatch.setattr(modal, "_history_update", no_fft)
+    basis = SpectralBasis(math.pi, 3)
+    plan = SamplingPlan([(0.3, [[0.0, 2.0]]), (0.6, [[1.0, math.pi]])])
+    y0 = SpectralField(basis, [0.5, -0.25, 0.1])
+    y1 = SpectralField(basis, [1.0, 0.2, 0.0])
+    for M in (ExponentialKernel(2.0, -1.0), ConstantKernel(-1.0), ZeroKernel()):
+        solve_modal_richardson(9.0, M, 1.5, 4 * modal._LEAF)
+        solve_modal_volterra([9.0, 4.0], M, 1.5, 4 * modal._LEAF, 0.7, {600: -0.45})
+        nodal_set_numeric(4.0, M, 2.0)
+        res = impulse_control(y0, y1, plan, 1.0, M, cache=ModalCache())
+        assert res.impulses
+        simulate_controlled(y0, res, M)
+    grid = np.linspace(0.0, 2.0, 41)
+    for M in (LinearKernel(), TabulatedKernel(grid, 2.0 * np.exp(-grid))):
+        with pytest.raises(AssertionError, match="FFT history"):
+            solve_modal_volterra(9.0, M, 1.5, 4 * modal._LEAF)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -893,7 +964,8 @@ def test_nodal_numeric_zero_is_the_spline_piece_root(lam, M, T_max):
     # floats lands within 1e-13 of it.
     from scipy.interpolate import CubicSpline
 
-    n = modal._n_steps(T_max, lam, 4 * 2048, 0.05)  # nodal_set_numeric's march
+    # nodal_set_numeric's march
+    n = modal._n_steps(T_max, lam, modal.NODAL_N_MIN, modal.NODAL_HLAM_MAX)
     t, x = solve_modal_richardson(lam, M, T_max, n)
     spline = CubicSpline(t, x)
     zeros = nodal_set_numeric(lam, M, T_max).sign_change_zeros
