@@ -34,7 +34,6 @@ from .inverse_control import (
 from .kernels import (
     ConstantKernel,
     ExponentialKernel,
-    KernelGridFunction,
     LinearKernel,
     MemoryKernel,
     TabulatedKernel,
@@ -90,7 +89,6 @@ __all__ = [
     "TabulatedKernel",
     "kernel_from_spec",
     "UniformGrid",
-    "KernelGridFunction",
     "kernel_series_K",
     "NodalSet",
     "solve_modal_volterra",

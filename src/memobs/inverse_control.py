@@ -25,7 +25,7 @@ from .errors import NumericalError, ValidationError, integer, items, obj, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
 from .modal import _common_grid, _n_steps, solve_modal_richardson
-from .regions import ObservationRegion
+from .regions import Interval, ObservationRegion
 from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
 from .spectral import SpectralBasis, SpectralField
 
@@ -226,25 +226,39 @@ class ObservationData:
         return cls(plan=plan, sigma=data["sigma"], seed=data["seed"], blocks=blocks)
 
 
+def _segments(region: ObservationRegion) -> list[list[Interval]]:
+    """The region's intervals in runs that touch end to end, at a point
+    open on both sides.  A run is sampled and weighted as the closed
+    segment it spans: openness changes no integral."""
+    runs: list[list[Interval]] = []
+    for iv in region.intervals:
+        if runs and iv.a == runs[-1][-1].b:
+            runs[-1].append(iv)
+        else:
+            runs.append([iv])
+    return runs
+
+
 def _segment_weights(xs: np.ndarray, region: ObservationRegion) -> np.ndarray:
-    """Trapezoid weights for points grouped by the region's intervals."""
+    """Trapezoid weights for strictly increasing points, one rule over each
+    segment of ``_segments``.  Each interval takes the points up to its end
+    and needs one at least."""
+    if np.any(np.diff(xs) <= 0):
+        raise ValidationError("sample points must be strictly increasing")
     w = np.zeros_like(xs)
     pos = 0
-    for iv in region.intervals:
-        hi = pos
-        while hi < xs.size and xs[hi] <= iv.b + 1e-12:
-            hi += 1
-        pts = xs[pos:hi]
-        if pts.size == 0:
-            raise ValidationError(f"no sample points inside {iv}")
-        if np.any(pts < iv.a - 1e-12):
+    for run in _segments(region):
+        ends = np.searchsorted(xs, [iv.b + 1e-12 for iv in run], side="right")
+        empty = np.flatnonzero(np.diff(ends, prepend=pos) == 0)
+        if empty.size:
+            raise ValidationError(f"no sample points inside {run[empty[0]]}")
+        if xs[pos] < run[0].a - 1e-12:
             raise ValidationError("sample points outside their interval")
-        if pts.size == 1:
-            w[pos] = iv.b - iv.a
+        hi = int(ends[-1])
+        if hi - pos == 1:
+            w[pos] = run[-1].b - run[0].a
         else:
-            d = np.diff(pts)
-            if np.any(d <= 0):
-                raise ValidationError("sample points must be strictly increasing")
+            d = np.diff(xs[pos:hi])
             w[pos] = 0.5 * d[0]
             w[pos + 1 : hi - 1] = 0.5 * (d[:-1] + d[1:])
             w[hi - 1] = 0.5 * d[-1]
@@ -264,9 +278,9 @@ def simulate_observations(
     cache: ModalCache | None = None,
 ) -> ObservationData:
     """Propagate y0 to each instant and sample it on uniform grids over the
-    region intervals.  Gaussian noise (std sigma) is added from the seeded
-    generator in block order; with sigma = 0 the generator is never drawn,
-    so noiseless data is independent of the seed."""
+    region's segments (see ``_segments``).  Gaussian noise (std sigma) is
+    added from the seeded generator in block order; with sigma = 0 the
+    generator is never drawn, so noiseless data is independent of the seed."""
     samples_per_unit = integer(samples_per_unit, "samples_per_unit", lo=16)
     data = ObservationData(plan=plan, sigma=sigma, seed=seed, blocks=[])
     if cache is None:
@@ -277,9 +291,10 @@ def simulate_observations(
     for entry, x in zip(plan.entries, X):
         coeffs = y0.coefficients * x
         xs_parts = []
-        for iv in entry.region.intervals:
-            n_pts = max(2, int(math.ceil(samples_per_unit * (iv.b - iv.a))) + 1)
-            xs_parts.append(np.linspace(iv.a, iv.b, n_pts))
+        for run in _segments(entry.region):
+            a, b = run[0].a, run[-1].b
+            n_pts = max(2, int(math.ceil(samples_per_unit * (b - a))) + 1)
+            xs_parts.append(np.linspace(a, b, n_pts))
         xs = np.concatenate(xs_parts)
         values = basis.modes_at(xs) @ coeffs
         if rng is not None:

@@ -3,7 +3,7 @@
 A kernel M weights the history integral int_0^t M(t-s) y(s) ds added to the
 heat equation.  Supported variants: Zero, Constant(value), Linear (M(t) = t),
 Exponential(c, alpha) with M(t) = c exp(alpha t) and c > 0, and Tabulated
-data interpolated by a natural cubic spline (twice continuously
+data interpolated by a not-a-knot cubic spline (twice continuously
 differentiable, as the well-posedness assumption on M requires).  The
 spline's pieces come from ``_cubic_pieces``, one banded solve in
 ``scipy.linalg``, which ``nodal_set_numeric`` also uses on a marched
@@ -19,9 +19,9 @@ by trapezoidal product integration on a uniform grid, each sum as one FFT
 product, and the series is truncated once the sup norm of the added term
 drops below a tolerance.
 Each term is a function of t - s times the weight s**j / j!, so
-``kernel_series_K`` keeps one row per term, the power (-M)^{*j} at the grid
-nodes, and never the (t, s) triangle of K_M; the weights are applied where
-the series is used.
+``kernel_series_K`` returns one row per term, the power (-M)^{*j} at the
+grid nodes, and never the (t, s) triangle of K_M; the weights are applied
+where the series is used.  A series that does not converge raises.
 """
 
 from __future__ import annotations
@@ -35,7 +35,15 @@ import numpy as np
 
 # scipy's submodules are imported where they are called (see modal.py).
 
-from .errors import SeriesDivergenceError, ValidationError, integer, items, obj, real
+from .errors import (
+    SeriesDivergenceError,
+    ValidationError,
+    integer,
+    items,
+    obj,
+    real,
+    reals,
+)
 
 MAX_SERIES_TERMS = 64
 
@@ -141,16 +149,14 @@ class ExponentialKernel(MemoryKernel):
         return self.c, self.alpha
 
 
-def _cubic_pieces(x: np.ndarray, y: np.ndarray, natural: bool) -> np.ndarray:
-    """Coefficients of the cubic spline through (x, y), at least 4 points:
-    column i holds piece i, sum_m c[m, i] s**(3 - m) in s = t - x[i] on
-    [x[i], x[i + 1]], highest power first.
+def _cubic_pieces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the not-a-knot cubic spline through (x, y), at least
+    4 points: column i holds piece i, sum_m c[m, i] s**(3 - m) in
+    s = t - x[i] on [x[i], x[i + 1]], highest power first.
 
-    The end conditions are natural (zero second derivative) or, with
-    ``natural=False``, not-a-knot.  The knot slopes solve one tridiagonal
-    system through ``solve_banded``, with the equations, the operation order
-    and so the floats of scipy's ``CubicSpline``, which the tests check bit
-    for bit.
+    The knot slopes solve one tridiagonal system through ``solve_banded``,
+    with the equations, the operation order and so the floats of scipy's
+    default ``CubicSpline``, which the tests check bit for bit.
     """
     from scipy.linalg import solve_banded
 
@@ -163,25 +169,19 @@ def _cubic_pieces(x: np.ndarray, y: np.ndarray, natural: bool) -> np.ndarray:
     A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
     A[2, :-2] = dx[1:]
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    if natural:
-        A[0, 1], A[1, 0] = dx[0], 2 * dx[0]
-        b[0] = 3 * (y[1] - y[0])
-        A[2, -2], A[1, -1] = dx[-1], 2 * dx[-1]
-        b[-1] = 3 * (y[-1] - y[-2])
-    else:
-        d = x[2] - x[0]
-        A[0, 1], A[1, 0] = d, dx[1]
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        A[2, -2], A[1, -1] = d, dx[-2]
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    d = x[2] - x[0]
+    A[0, 1], A[1, 0] = d, dx[1]
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[2, -2], A[1, -1] = d, dx[-2]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
     s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 def _pieces_at(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The spline of ``_cubic_pieces(x, ...)`` at points ``t`` in [x[0], x[-1]].
+    """The spline of ``_cubic_pieces(x, y)`` at points ``t`` in [x[0], x[-1]].
 
     A point on a knot takes the piece to its right, and x[-1] the last
     piece: the piece index is the number of interior knots at or below the
@@ -196,25 +196,23 @@ def _pieces_at(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class TabulatedKernel(MemoryKernel):
-    """Sampled kernel values joined by a natural cubic spline."""
+    """Sampled kernel values joined by a not-a-knot cubic spline."""
 
     def __init__(self, times, values):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape:
+        if np.ndim(times) != 1 or np.shape(times) != np.shape(values):
             raise ValidationError("times and values must be 1-D arrays of equal length")
+        times = reals(times, "times", nonneg=True)
+        values = reals(values, "values")
         if times.size < 4:
             raise ValidationError("tabulated kernel needs at least 4 samples")
         if times[0] != 0.0:
             raise ValidationError("tabulated grid must start at t = 0")
         if not np.all(np.diff(times) > 0):
             raise ValidationError("tabulated grid must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("tabulated values must be finite")
         self.times = times
         self.values = values
         self.t_max = float(times[-1])
-        self._pieces = _cubic_pieces(times, values, natural=True)
+        self._pieces = _cubic_pieces(times, values)
 
     def __call__(self, t):
         tv = _points(t)
@@ -277,17 +275,6 @@ class UniformGrid:
         return np.linspace(0.0, self.T, self.n_steps + 1)
 
 
-@dataclass
-class KernelGridFunction:
-    """A kernel series on the nodes of a uniform grid: one row per term,
-    with the number of terms and whether they reached the tolerance."""
-
-    grid: UniformGrid
-    values: np.ndarray
-    terms_used: int
-    converged: bool
-
-
 def _powers(f: np.ndarray, h: float):
     """f, f*f, f*f*f, ... under the trapezoidal product integral
     (f*g)(tau_i) = h (sum_r f_{i-r} g_r - (f_i g_0 + f_0 g_i)/2), which is
@@ -310,16 +297,17 @@ def kernel_series_K(
     M: MemoryKernel,
     grid: UniformGrid,
     tol: float = 1e-12,
-) -> KernelGridFunction:
-    """The terms of K_M(t, s) on the grid: row m - 1 of ``values`` holds
-    (-M)^{*m} at the nodes, so K_M(t_i, s_j) = sum_m s_j**m / m! values[m-1, i-j]
-    for i >= j.
+) -> np.ndarray:
+    """The terms of K_M(t, s) on the grid, one (terms, n + 1) array: row
+    m - 1 holds (-M)^{*m} at the nodes, so
+    K_M(t_i, s_j) = sum_m s_j**m / m! terms[m-1, i-j] for i >= j.
 
     Terms are added until a rigorous bound on the last term's sup norm,
     max_j |s_j**m / m!| * max_i |(-M)^{*m}(tau_i)|, falls below ``tol``.  If
-    ``MAX_SERIES_TERMS`` terms do not reach the tolerance the result carries
-    ``converged=False``; the series is entire in s for smooth kernels, so
-    non-convergence signals an overly coarse grid or an extreme kernel.
+    ``MAX_SERIES_TERMS`` terms do not reach the tolerance,
+    ``SeriesDivergenceError`` is raised; the series is entire in s for
+    smooth kernels, so non-convergence signals an overly coarse grid or an
+    extreme kernel.
     """
     tol = real(tol, "tol", positive=True)
     powers = _powers(-M(grid.nodes()), grid.h)
@@ -327,18 +315,11 @@ def kernel_series_K(
     s_max = grid.T  # max_j s_j**m / m! at m = len(rows)
     while True:
         bound = s_max * float(np.max(np.abs(rows[-1])))
-        if bound <= tol or len(rows) == MAX_SERIES_TERMS:
-            break
+        if bound <= tol:
+            return np.array(rows)
+        if len(rows) == MAX_SERIES_TERMS:
+            raise SeriesDivergenceError(
+                f"kernel series did not converge within {len(rows)} terms"
+            )
         rows.append(next(powers))
         s_max = s_max * grid.T / len(rows)
-    return KernelGridFunction(
-        grid, np.array(rows), terms_used=len(rows), converged=bound <= tol
-    )
-
-
-def require_converged(series: KernelGridFunction) -> KernelGridFunction:
-    if not series.converged:
-        raise SeriesDivergenceError(
-            f"kernel series did not converge within {series.terms_used} terms"
-        )
-    return series

@@ -65,14 +65,7 @@ from .errors import (
     real,
     reals,
 )
-from .kernels import (
-    KernelGridFunction,
-    MemoryKernel,
-    UniformGrid,
-    _cubic_pieces,
-    kernel_series_K,
-    require_converged,
-)
+from .kernels import MemoryKernel, UniformGrid, _cubic_pieces, kernel_series_K
 
 SIGN_CHANGE = "sign-change"
 SUSPECTED_TANGENTIAL = "suspected-tangential"
@@ -536,7 +529,6 @@ def series_solution_grid(
     M: MemoryKernel,
     grid: UniformGrid,
     tol: float = 1e-12,
-    kernel_series: KernelGridFunction | None = None,
 ) -> np.ndarray:
     """Series solution exp(-lam t) + int_0^t K_M(t, s) exp(-lam s) ds on all
     grid nodes, with the s-integral by the trapezoid rule.
@@ -554,11 +546,7 @@ def series_solution_grid(
     from scipy.fft import irfft, next_fast_len, rfft
 
     lam = real(lam, "lam", positive=True)
-    if kernel_series is None:
-        kernel_series = kernel_series_K(M, grid, tol)
-    elif kernel_series.grid != grid:
-        raise ValidationError("kernel series was sampled on a different grid")
-    c = require_converged(kernel_series).values
+    c = kernel_series_K(M, grid, tol)
     s = grid.nodes()
     E = np.exp(-lam * s)
     wE = np.cumprod(np.outer(1.0 / np.arange(1, len(c) + 1), s), axis=0) * E
@@ -613,7 +601,7 @@ def nodal_set_numeric(
     brackets, exact, suspects = _scan_brackets(x, float(np.max(np.abs(x))))
     found = [(float(t[i]), SIGN_CHANGE) for i in exact]
     # Piece i is sum_m coeffs[m, i] s**(3 - m) in s = t - t_i on [t_i, t_i+1].
-    coeffs = _cubic_pieces(t, x, natural=False)
+    coeffs = _cubic_pieces(t, x)
     for i in brackets:
         h = t[i + 1] - t[i]
         roots = np.roots(coeffs[:, i])

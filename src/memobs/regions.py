@@ -30,6 +30,8 @@ class Interval:
             raise ValidationError(f"interval needs a < b, got [{a}, {b}]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        flag(self.closed_left, "closed_left")
+        flag(self.closed_right, "closed_right")
 
     @property
     def length(self) -> float:

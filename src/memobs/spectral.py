@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, integer, real, reals
 from .regions import ObservationRegion
 
 
@@ -65,15 +65,11 @@ class SpectralField:
     """Coefficient vector against the sine basis."""
 
     def __init__(self, basis: SpectralBasis, coefficients):
-        coeffs = np.asarray(coefficients, dtype=float).copy()
-        if coeffs.shape != (basis.K,):
-            raise ValidationError(
-                f"expected {basis.K} coefficients, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValidationError("coefficients must be finite")
+        shape = np.shape(coefficients)
+        if shape != (basis.K,):
+            raise ValidationError(f"expected {basis.K} coefficients, got shape {shape}")
         self.basis = basis
-        self.coefficients = coeffs
+        self.coefficients = reals(coefficients, "coefficients").copy()
 
     def hs_norm(self, s: float) -> float:
         """H^s norm sqrt(sum a_k**2 lambda_k**s)."""

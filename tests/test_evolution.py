@@ -321,20 +321,21 @@ def test_tabulated_table_matches_exponential_closed_form(c, alpha):
     # A spline sampled from c exp(alpha t) on knots fine enough that its own
     # error is below the target, so the closed form is an oracle that shares
     # no code with the march.  Measured error relative to max(|x|, 1e-10 sup):
-    # 1.9e-13 for (4, 0), where the spline is exact, 8.2e-13 for (2, -0.5)
-    # and 3.2e-12 for (1, 1.5).  The instants stay inside the table: at its
-    # end the natural end condition costs k = 64 about 1e-9.
-    g = np.linspace(0.0, 3.0, 2401)
-    M = TabulatedKernel(g, c * np.exp(alpha * g))
+    # 1.9e-13 for (4, 0), where the spline is exact, 3.8e-13 for (2, -0.5)
+    # and 4.0e-12 for (1, 1.5), on a table of [0, 3] and on one of [0, 2]
+    # that ends at the last instant, where the not-a-knot end condition
+    # holds the same bound (a natural end erred by 1.1e-9 and 9.9e-9 there).
     lams = [float(k * k) for k in (8, 16, 32, 64)]
     times = [0.3, 1.2, 2.0]
-    x, _ = ModalCache().table(M, lams, times)
-    for i, t in enumerate(times):
-        want = closed_form_exp(lams, c, alpha, t)
-        dense = np.linspace(0.0, t, 2001)[:, None]
-        sup = np.max(np.abs(closed_form_exp(lams, c, alpha, dense)), axis=0)
-        err = np.abs(x[i] - want) / np.maximum(np.abs(want), 1e-10 * sup)
-        assert np.max(err) <= 1e-11, (t, err)
+    for g in (np.linspace(0.0, 3.0, 2401), np.linspace(0.0, 2.0, 4001)):
+        M = TabulatedKernel(g, c * np.exp(alpha * g))
+        x, _ = ModalCache().table(M, lams, times)
+        for i, t in enumerate(times):
+            want = closed_form_exp(lams, c, alpha, t)
+            dense = np.linspace(0.0, t, 2001)[:, None]
+            sup = np.max(np.abs(closed_form_exp(lams, c, alpha, dense)), axis=0)
+            err = np.abs(x[i] - want) / np.maximum(np.abs(want), 1e-10 * sup)
+            assert np.max(err) <= 1e-11, (g[-1], t, err)
 
 
 def test_cache_length_counts_stored_pairs(exp_kernel):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from memobs import (
     ExponentialKernel,
+    Interval,
     NumericalError,
     ObservationData,
+    ObservationRegion,
     SamplingPlan,
     SpectralBasis,
     SpectralField,
@@ -180,6 +182,38 @@ class TestObservations:
         for key, value in (("sigma", -1.0), ("seed", 0.5)):
             with pytest.raises(ValidationError, match=key):
                 ObservationData.from_json({**doc, key: value})
+
+    def test_region_open_at_a_shared_point_is_observed_as_its_closure(self, cache):
+        # [0, L/2) u (L/2, L] misses one point, which changes no integral, so
+        # it is sampled and weighted over [0, L]: its data, read back from
+        # JSON too, and its reconstruction equal those of [0, L] bit for bit.
+        basis = SpectralBasis(math.pi, 6)
+        y0 = SpectralField(basis, [1.0, 0.5, -0.3, 0.2, 0.0, 0.1])
+        M = ExponentialKernel(1.0, 0.0)
+        half = math.pi / 2
+        split = [Interval(0.0, half, True, False), Interval(half, math.pi, False, True)]
+        runs = []
+        for region in (split, [[0.0, math.pi]]):
+            plan = SamplingPlan([(0.5, region), (0.8, [[0.2, 1.3]])])
+            data = simulate_observations(y0, plan, M, sigma=1e-3, seed=3, cache=cache)
+            rec = reconstruct_initial(data, M, basis, reg=1e-10, cache=cache)
+            runs.append((data, ObservationData.from_json(data.to_json()), rec))
+        (data, again, rec), (want, _, rec_want) = runs
+        assert len(data.plan.regions[0].intervals) == 2
+        for blocks in (data.blocks, again.blocks):
+            for b, w in zip(blocks, want.blocks, strict=True):
+                for name in ("xs", "values", "weights"):
+                    assert getattr(b, name).tobytes() == getattr(w, name).tobytes()
+        assert rec.coefficients.tobytes() == rec_want.coefficients.tobytes()
+        # each interval still needs a sample point, and the shared point is
+        # sampled once
+        region = data.plan.regions[0]
+        xs = data.blocks[0].xs
+        with pytest.raises(ValidationError, match="no sample points"):
+            inverse_control._segment_weights(xs[xs <= half], region)
+        doubled = np.insert(xs, np.searchsorted(xs, half), half)
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            inverse_control._segment_weights(doubled, region)
 
     def test_simulate_validation(self, cache, exp_kernel):
         basis = SpectralBasis(math.pi, 4)
@@ -404,3 +438,60 @@ def test_non_integer_K_is_rejected(solve, K, cache, exp_kernel):
     }
     with pytest.raises(ValidationError, match="K must be an integer"):
         calls[solve]()
+
+
+def per_point_weights(xs, region):
+    """Trapezoid weights found point by point, one rule per interval: each
+    interval takes the following points up to its end."""
+    w = np.zeros_like(xs)
+    pos = 0
+    for iv in region.intervals:
+        hi = pos
+        while hi < xs.size and xs[hi] <= iv.b + 1e-12:
+            hi += 1
+        pts = xs[pos:hi]
+        if pts.size == 0 or np.any(pts < iv.a - 1e-12):
+            raise ValidationError("rejected")
+        if pts.size == 1:
+            w[pos] = iv.b - iv.a
+        else:
+            d = np.diff(pts)
+            if np.any(d <= 0):
+                raise ValidationError("rejected")
+            w[pos] = 0.5 * d[0]
+            w[pos + 1 : hi - 1] = 0.5 * (d[:-1] + d[1:])
+            w[hi - 1] = 0.5 * d[-1]
+        pos = hi
+    if pos != xs.size:
+        raise ValidationError("rejected")
+    return w
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    cuts=st.lists(st.integers(0, 40), min_size=2, max_size=8, unique=True),
+    picks=st.lists(st.integers(0, 40), max_size=30, unique=True),
+    extra=st.lists(st.integers(-2, 42), max_size=3),
+    merge=st.booleans(),
+)
+@example(cuts=[0, 10, 20, 30], picks=[0, 5, 10, 20, 25, 30], extra=[], merge=True)
+@example(cuts=[0, 10, 20, 30], picks=[0, 5, 10], extra=[], merge=True)
+@example(cuts=[0, 10, 20, 30], picks=[0, 5, 10, 20, 30], extra=[10], merge=True)
+def test_segment_weights_match_per_point_rule(cuts, picks, extra, merge):
+    # Regions whose intervals share no point, against the point-by-point
+    # rule: the same points are rejected, and the others get the same
+    # weights bit for bit.  Points lie on a grid of step 1/8: the drawn
+    # ones inside the region, sorted, and a few anywhere, merged in order
+    # or appended.
+    cuts = sorted(cuts)
+    pairs = list(zip(cuts[:-1:2], cuts[1::2]))
+    region = ObservationRegion([(a / 8, b / 8) for a, b in pairs])
+    inside = sorted(t for t in picks if any(a <= t <= b for a, b in pairs))
+    xs = np.array(sorted(inside + extra) if merge else inside + extra, dtype=float) / 8
+    try:
+        want = per_point_weights(xs, region)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            inverse_control._segment_weights(xs, region)
+        return
+    assert inverse_control._segment_weights(xs, region).tobytes() == want.tobytes()

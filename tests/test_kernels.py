@@ -17,12 +17,7 @@ from memobs import (
     kernel_from_spec,
     kernel_series_K,
 )
-from memobs.kernels import (
-    KernelGridFunction,
-    _cubic_pieces,
-    _pieces_at,
-    require_converged,
-)
+from memobs.kernels import MAX_SERIES_TERMS, _cubic_pieces, _pieces_at
 
 
 def test_kernel_point_values():
@@ -96,7 +91,7 @@ def test_from_spec_validation():
 
 
 def test_tabulated_tracks_smooth_kernel():
-    # dense samples of 2 exp(-t); the natural spline should track it to ~1e-7
+    # dense samples of 2 exp(-t); the not-a-knot spline tracks it to ~1e-7
     ts = np.linspace(0.0, 3.0, 301)
     M = TabulatedKernel(ts, 2.0 * np.exp(-ts))
     probe = np.linspace(0.0, 3.0, 57)
@@ -113,6 +108,20 @@ def test_tabulated_validation():
         TabulatedKernel([0.1, 1.0, 2.0, 3.0], [1.0] * 4)  # must start at 0
     with pytest.raises(ValidationError):
         TabulatedKernel([0.0, 1.0, 1.0, 3.0], [1.0] * 4)  # not increasing
+    # every time and value passes the number rule, arrays included
+    bad_tables = [
+        ([0.0, 1.0, 2.0, math.inf], [1.0] * 4, "times must be finite"),
+        (np.array([0.0, math.nan, 2.0, 3.0]), [1.0] * 4, "times must be finite"),
+        ([0.0, 1.0, 2.0, 3.0], np.array([1.0, 2.0, math.inf, 1.0]), "values must be"),
+        ([0.0, 1.0, 2.0, 3.0], [True, False, True, True], "values must be a number"),
+        ([0.0, 1.0, 2.0, 3.0], np.ones(4, dtype=bool), "values must be a number"),
+        ([False, True, 2.0, 3.0], [1.0] * 4, "times must be a number"),
+        ([0.0, 1.0, "2", 3.0], [1.0] * 4, "times must be a number"),
+        ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], "1-D"),
+    ]
+    for times, values, message in bad_tables:
+        with pytest.raises(ValidationError, match=message):
+            TabulatedKernel(times, values)
     M = TabulatedKernel([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.0, 1.0])
     for bad in (math.nan, [0.5, math.nan], 3.5):
         with pytest.raises(ValidationError):
@@ -129,9 +138,9 @@ def test_tabulated_validation():
 @example(values=[1.0, 2.0, 0.0, 1.0], gaps=None, fractions=[0.5])
 @example(values=[1.0, -2.0, 0.5, 3.0], gaps=[0.1, 2.5, 0.7] + [1.0] * 36, fractions=[])
 def test_spline_pieces_match_scipy_cubic_spline(values, gaps, fractions):
-    # scipy's CubicSpline is the independent oracle: the pieces, for both end
-    # conditions, and the kernel's values equal its floats, on every knot,
-    # at t_max, and at drawn points between.
+    # scipy's default (not-a-knot) CubicSpline is the independent oracle:
+    # the pieces and the kernel's values equal its floats, on every knot, at
+    # t_max, and at drawn points between.
     from scipy.interpolate import CubicSpline
 
     y = np.array(values)
@@ -140,17 +149,15 @@ def test_spline_pieces_match_scipy_cubic_spline(values, gaps, fractions):
     else:
         x = np.concatenate(([0.0], np.cumsum(gaps[: y.size - 1])))
     t = np.concatenate((x, x[-1] * np.array(fractions), [x[-1]]))
-    for natural, bc in ((True, "natural"), (False, "not-a-knot")):
-        spline = CubicSpline(x, y, bc_type=bc)
-        pieces = _cubic_pieces(x, y, natural)
-        np.testing.assert_array_equal(pieces, spline.c)
-        np.testing.assert_array_equal(_pieces_at(x, pieces, t), spline(t))
+    spline = CubicSpline(x, y)
+    pieces = _cubic_pieces(x, y)
+    np.testing.assert_array_equal(pieces, spline.c)
+    np.testing.assert_array_equal(_pieces_at(x, pieces, t), spline(t))
     M = TabulatedKernel(x, y)
-    natural = CubicSpline(x, y, bc_type="natural")
-    np.testing.assert_array_equal(M(t), natural(t))
-    assert M(M.t_max) == natural(x[-1])
+    np.testing.assert_array_equal(M(t), spline(t))
+    assert M(M.t_max) == spline(x[-1])
     # a point within the range's rounding allowance is read at t_max
-    assert M(M.t_max * (1 + 1e-13)) == natural(x[-1])
+    assert M(M.t_max * (1 + 1e-13)) == spline(x[-1])
 
 
 def test_every_kernel_rejects_non_finite_points():
@@ -169,14 +176,14 @@ def test_every_kernel_rejects_non_finite_points():
         assert np.isfinite(M(0.5))
 
 
-def series_triangle(series):
-    """K_M(t_i, s_j) assembled from the rows of a kernel series:
-    sum_m s_j**m / m! values[m-1, i-j] for i >= j, zero above the diagonal."""
-    s = series.grid.nodes()
+def series_triangle(terms, grid):
+    """K_M(t_i, s_j) assembled from the rows of a kernel series on ``grid``:
+    sum_m s_j**m / m! terms[m-1, i-j] for i >= j, zero above the diagonal."""
+    s = grid.nodes()
     lag = np.subtract.outer(np.arange(s.size), np.arange(s.size))
     K = np.zeros(lag.shape)
     w = np.ones(s.size)
-    for m, row in enumerate(series.values, 1):
+    for m, row in enumerate(terms, 1):
         w = w * s / m
         K += np.where(lag >= 0, w * row[np.maximum(lag, 0)], 0.0)
     return K
@@ -185,10 +192,9 @@ def series_triangle(series):
 def test_series_K_constant_kernel_positive():
     # K_M for M = -1 sums s**j/j! * t-convolutions of +1, all nonnegative
     grid = UniformGrid(200, 5.0)
-    K = kernel_series_K(ConstantKernel(-1.0), grid)
-    assert K.converged
-    assert K.values.shape == (K.terms_used, 201)
-    assert series_triangle(K).min() >= -1e-12
+    terms = kernel_series_K(ConstantKernel(-1.0), grid)
+    assert terms.ndim == 2 and terms.shape[1] == 201
+    assert series_triangle(terms, grid).min() >= -1e-12
 
 
 # The kernels and grids of criteria 01 and 03 with the number of terms their
@@ -210,9 +216,8 @@ def test_series_rows_are_trapezoid_products(M, grid, tol, terms):
     # Row m + 1 is the trapezoidal product of -M with row m,
     # h (sum_r f[i-r] g[r] - (f[i] g[0] + f[0] g[i]) / 2); the series forms
     # the sum over r as an FFT product, here it is summed directly.
-    series = kernel_series_K(M, grid, tol)
-    assert series.converged and series.terms_used == terms
-    rows = series.values
+    rows = kernel_series_K(M, grid, tol)
+    assert len(rows) == terms
     f = rows[0]
     np.testing.assert_array_equal(f, -M(grid.nodes()))
     for g, row in zip(rows[:-1], rows[1:]):
@@ -221,17 +226,10 @@ def test_series_rows_are_trapezoid_products(M, grid, tol, terms):
 
 
 def test_unconverged_series_is_refused():
-    # Every series records its term count and convergence; a series that
-    # did not converge is refused where it would be used.
-    grid = UniformGrid(64, 2.0)
-    series = kernel_series_K(ExponentialKernel(1.0, 0.0), grid)
-    with pytest.raises(TypeError):
-        KernelGridFunction(grid, series.values)
-    assert require_converged(series) is series
-    stuck = KernelGridFunction(grid, series.values, series.terms_used, False)
-    terms = f"within {series.terms_used} terms"
-    with pytest.raises(SeriesDivergenceError, match=terms):
-        require_converged(stuck)
+    # On [0, 40] the bound on term m of M = 1, 40**(2m - 1) / (m! (m - 1)!),
+    # is still about 1e27 at the last term allowed, so the series raises.
+    with pytest.raises(SeriesDivergenceError, match=f"within {MAX_SERIES_TERMS} terms"):
+        kernel_series_K(ExponentialKernel(1.0, 0.0), UniformGrid(256, 40.0))
 
 
 def test_series_refuses_grid_past_tabulated_range():
@@ -245,9 +243,7 @@ def test_series_refuses_grid_past_tabulated_range():
 
 def test_series_K_zero_kernel_is_zero():
     grid = UniformGrid(64, 2.0)
-    K = kernel_series_K(ZeroKernel(), grid)
-    assert K.converged
-    tri = series_triangle(K)
+    tri = series_triangle(kernel_series_K(ZeroKernel(), grid), grid)
     np.testing.assert_array_equal(tri, np.zeros_like(tri))
 
 

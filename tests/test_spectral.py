@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from memobs import (
     Interval,
     ObservationRegion,
+    SamplingPlan,
     SpectralBasis,
     SpectralField,
     ValidationError,
@@ -73,6 +75,10 @@ def test_field_arithmetic_and_validation():
         SpectralField(basis, [1.0, 2.0])
     with pytest.raises(ValidationError):
         SpectralField(basis, [1.0, float("nan"), 0.0])
+    # bools and strings are not numbers, in a list or in an array
+    for bad in ([True, False, True], np.ones(3, dtype=bool), [1.0, "2", 0.0]):
+        with pytest.raises(ValidationError, match="coefficients must be a number"):
+            SpectralField(basis, bad)
     other = SpectralField(SpectralBasis(1.0, 3), [1, 2, 3])
     with pytest.raises(ValidationError):
         f + other
@@ -226,5 +232,18 @@ def test_region_json_round_trip():
     reg = ObservationRegion([[0.1, 0.4], Interval(0.6, 0.9, False, True)])
     back = ObservationRegion.from_json(reg.to_json())
     assert back == reg
+    # a flag is written as it is stored, so only true or false is stored,
+    # and every pair of flags reads back through a plan's JSON
+    for bad in (0, 1, "true", None):
+        with pytest.raises(ValidationError, match="closed_left"):
+            Interval(0.0, 1.0, bad, True)
+        with pytest.raises(ValidationError, match="closed_right"):
+            Interval(0.0, 1.0, True, bad)
+    for left in (True, False):
+        for right in (True, False):
+            plan = SamplingPlan([(0.5, [Interval(0.0, 1.0, left, right), [1.5, 2.0]])])
+            back = SamplingPlan.from_json(json.loads(json.dumps(plan.to_json())))
+            assert back == plan
+            assert back.regions[0].intervals[0] == Interval(0.0, 1.0, left, right)
     with pytest.raises(ValidationError):
         ObservationRegion.from_json({"a": 1})
