@@ -242,7 +242,8 @@ def _segments(region: ObservationRegion) -> list[list[Interval]]:
 def _segment_weights(xs: np.ndarray, region: ObservationRegion) -> np.ndarray:
     """Trapezoid weights for strictly increasing points, one rule over each
     segment of ``_segments``.  Each interval takes the points up to its end
-    and needs one at least."""
+    and needs one at least.  A segment's first and last points lie within
+    one local spacing (plus 1e-12) of its ends, so that its rule spans it."""
     if np.any(np.diff(xs) <= 0):
         raise ValidationError("sample points must be strictly increasing")
     w = np.zeros_like(xs)
@@ -252,13 +253,16 @@ def _segment_weights(xs: np.ndarray, region: ObservationRegion) -> np.ndarray:
         empty = np.flatnonzero(np.diff(ends, prepend=pos) == 0)
         if empty.size:
             raise ValidationError(f"no sample points inside {run[empty[0]]}")
-        if xs[pos] < run[0].a - 1e-12:
+        a, b = run[0].a, run[-1].b
+        if xs[pos] < a - 1e-12:
             raise ValidationError("sample points outside their interval")
         hi = int(ends[-1])
         if hi - pos == 1:
-            w[pos] = run[-1].b - run[0].a
+            w[pos] = b - a
         else:
             d = np.diff(xs[pos:hi])
+            if xs[pos] - a > d[0] + 1e-12 or b - xs[hi - 1] > d[-1] + 1e-12:
+                raise ValidationError(f"sample points do not span [{a}, {b}]")
             w[pos] = 0.5 * d[0]
             w[pos + 1 : hi - 1] = 0.5 * (d[:-1] + d[1:])
             w[hi - 1] = 0.5 * d[-1]

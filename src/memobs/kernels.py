@@ -209,8 +209,12 @@ class TabulatedKernel(MemoryKernel):
             raise ValidationError("tabulated grid must start at t = 0")
         if not np.all(np.diff(times) > 0):
             raise ValidationError("tabulated grid must be strictly increasing")
-        self.times = times
-        self.values = values
+        # Read-only copies: a caller's array changed later must not move
+        # the spec, the cache key or equality away from the pieces.
+        self.times = times.copy()
+        self.values = values.copy()
+        self.times.flags.writeable = False
+        self.values.flags.writeable = False
         self.t_max = float(times[-1])
         self._pieces = _cubic_pieces(times, values)
 

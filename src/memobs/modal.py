@@ -17,13 +17,16 @@ and, for M(t) = c exp(alpha t), the closed form obtained by reducing the
 problem to x'' + (lam - alpha) x' + (c - alpha lam) x = 0.
 
 The scheme is a lower triangular Toeplitz system, solved by divide and
-conquer: dense leaves, and between them the history of the earlier leaves.
-For kernels c exp(alpha t) (``MemoryKernel.exp_form``) that history is one
-running sum per row and a march of n steps costs O(n); for other kernels
-it moves by FFT convolutions, in O(n log^2 n).  This solves the scheme
-exactly, not an approximation of the kernel.  The O(n^2) loop with one
-history dot product per step computes the same scheme; no production path
-calls it, and it stays as the reference the fast solve is tested against.
+conquer: leaves, and between them the history of the earlier leaves.  For
+kernels c exp(alpha t) (``MemoryKernel.exp_form``) the history within a
+leaf is a first-order recurrence, so a leaf of 1024 steps is one band
+solve, between leaves the history is one running sum per row, and a march
+of n steps costs O(n).  For other kernels leaves of 256 steps are solved
+densely and the history moves by FFT convolutions, in O(n log^2 n).  This
+solves the scheme exactly, not an approximation of the kernel.  The O(n^2)
+loop with one history dot product per step computes the same scheme; no
+production path calls it, and it stays as the reference the fast solve is
+tested against.
 For kernels c exp(alpha t) (the exponential, constant and zero kernels)
 ``ModalCache`` takes its values from the closed form and does not march.
 
@@ -31,11 +34,11 @@ Both entries march a batch: ``lam`` may be a 1-D sequence, with ``x0`` and
 each jump increment a number or one entry per lam, and x then has one row
 per lam, each bit-identical to the call for that lam alone.  The grid, the
 kernel samples, the history powers or spectra and weights, and the leaf
-block are computed once per batch, and each history update is one update
-of the running sums, or one FFT, over all rows; only the leaf solves run
-row by row.  Modes that share a grid (the modes of one instant, or of one
-jump grid) are marched this way, which removes the per-call work of a
-march that does not depend on lam.
+band or block are computed once per batch, and each history update is one
+update of the running sums, or one FFT, over all rows; only the leaf
+solves run row by row.  Modes that share a grid (the modes of one
+instant, or of one jump grid) are marched this way, which removes the
+per-call work of a march that does not depend on lam.
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically from one march, each zero
@@ -70,8 +73,10 @@ from .kernels import MemoryKernel, UniformGrid, _cubic_pieces, kernel_series_K
 SIGN_CHANGE = "sign-change"
 SUSPECTED_TANGENTIAL = "suspected-tangential"
 
-# Steps per leaf of _march_dc, solved densely; across leaves the history
-# moves by running sums (c exp(alpha t) kernels) or FFT convolutions.
+# Steps per leaf of _march_dc: _BAND_LEAF for c exp(alpha t) kernels, each
+# leaf one band solve with running sums across leaves; _LEAF for the other
+# kernels, each leaf a dense solve with FFT convolutions across leaves.
+_BAND_LEAF = 1024
 _LEAF = 256
 
 # Step policy of the march that nodal_set_numeric scans for zeros.
@@ -178,7 +183,8 @@ def solve_modal_volterra(
     sequence with one entry per lam, and x has one row per lam.  Each row
     is bit-identical to the call with that row's lam, x0 and increments.
     A batch samples M once, shares the history spectra or powers, weights
-    and leaf block, and runs each history update once over all rows.
+    and leaf band or block, and runs each history update once over all
+    rows.
 
     Every kernel takes the divide-and-conquer solve of ``_march_dc``: O(n)
     for a kernel with ``exp_form()``, O(n log^2 n) for the others.  It
@@ -290,23 +296,42 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     row i + 1 of a Toeplitz system in x_1..x_n whose symbol is denom at lag
     0, -fac + (h^2/4) M(0) + (h^2/2) M(t_1) at lag 1 and
     (h^2/2)(M(t_d) + M(t_{d-1})) at lag d >= 2 (Hairer, Lubich & Schlichte,
-    SIAM J. Sci. Stat. Comput. 6, 1985).  Leaves of _LEAF rows are solved
-    densely against one Toeplitz block.  ``form`` is ``M.exp_form()``; it
-    picks how the history of earlier leaves reaches the later rows.
+    SIAM J. Sci. Stat. Comput. 6, 1985).  ``form`` is ``M.exp_form()``; it
+    picks how a leaf is solved and how the history of earlier leaves
+    reaches the later rows.
 
     With a form (c, alpha), the symbol at lag d >= 2 is a_d = A q^(d-1),
-    with q = e^(alpha h) and A = (h^2/2) c (1 + q), so that history is a
-    running sum: each row keeps P = sum_{j<lo} q^(lo-1-j) y_j over the rows
-    solved, leaf row lo subtracts A (P - y_{lo-1}) + a_1 y_{lo-1}, with
-    a_1 = (h^2/4) M(0) + (h^2/2) M(t_1), row lo + k, k >= 1, subtracts
-    A q^k P, and after the leaf P <- q^_LEAF P + sum_j q^(hi-1-j) y_j.
-    That is O(n).  The powers are exp(alpha h k) for k <= _LEAF, and no
-    power of q divides, since q^(-k) overflows for steep decay; rounding
-    compounds over the n / _LEAF leaves, not over the n steps.
+    with q = e^(alpha h) and A = (h^2/2) c (1 + q), and the history is a
+    first-order recurrence.  A leaf of _BAND_LEAF rows l is one lower band
+    solve (kd = 3) in the interleaved unknowns (y_l, S_l):
 
-    With no form (None), after leaf k the last 2^l leaves, l the number of
-    trailing zero bits of k + 1, subtract their history from the next 2^l
-    by one FFT convolution, so every pair of leaves is coupled exactly
+        denom y_l + a'_1 y_{l-1} + v_l S_{l-2} = b_l,
+        S_l - rho S_{l-1} - w_l y_l = 0,
+
+    a'_1 the lag-1 entry and l counted from the leaf's first row.  For
+    alpha <= 0, rho = q, w_l = 1 and v_l = A q, so S_l = sum_j q^(l-j) y_j.
+    For alpha > 0 the leaf is tilted: rho = 1, w_l = e^(-alpha h l) and v_l
+    the lag-l symbol from the samples, so no weight is a power of q that
+    drifts as it compounds.  With alpha <= 0 the tilt would overflow
+    (e^1000 for alpha = -2000, h = 1/2048, l = 1024).  On the growing
+    kernel 4 e^(3t) (lam 0.5, T 8, n 4096), against a long-double loop and
+    relative to sup|x|, tilted leaves err by 3.5e-13 at 1024 rows and
+    1.07e-12 at 2048, one band over the whole march by 1.03e-12 tilted and
+    3.6e-11 not; untilted leaves keep 1e-12 only up to 256 rows.  So the
+    leaf is 1024 rows, the largest that keeps the march's 1e-12.
+
+    Between leaves each row keeps P = sum_{j<lo} q^(lo-1-j) y_j over the
+    rows solved: leaf row lo subtracts A (P - y_{lo-1}) + a_1 y_{lo-1},
+    with a_1 = (h^2/4) M(0) + (h^2/2) M(t_1), row lo + k, k >= 1, subtracts
+    A q^k P, and after the leaf P <- q^m P + sum_j q^(hi-1-j) y_j, m its
+    rows.  That is O(n).  The powers are exp(alpha h k) for k <= m, and no
+    power of q divides, since q^(-k) overflows for steep decay; rounding
+    compounds over the n / _BAND_LEAF leaves, not over the n steps.
+
+    With no form (None), leaves of _LEAF rows are solved densely against
+    one Toeplitz block, and after leaf k the last 2^l leaves, l the number
+    of trailing zero bits of k + 1, subtract their history from the next
+    2^l by one FFT convolution, so every pair of leaves is coupled exactly
     once, in O(n log^2 n).
 
     FFT rounding is relative to the largest term of the whole convolution.
@@ -326,12 +351,11 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     ``lam``, ``denom``, ``x0`` and each jump increment hold one entry per
     row.  Only the lag-0 and lag-1 symbol entries depend on lam, so the
     rows share a_d, the powers or the history spectra and weights, and the
-    leaf block, whose two lam diagonals are rewritten before each row's
+    leaf matrix, whose two lam diagonals are rewritten before each row's
     leaf solve; each history update is one FFT, or one update of P, over
     all rows.
     """
-    from scipy.linalg import toeplitz
-    from scipy.linalg.lapack import dtrtrs
+    from scipy.linalg.lapack import dtbtrs, dtrtrs
 
     n = Mg.size - 1
     fac = 1.0 - 0.5 * h * lam
@@ -348,54 +372,77 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     for p, d in jumps.items():
         b[:, p] += (fac - 0.5 * hh2 * Mg[1]) * d
         b[:, p + 1 :] -= (0.5 * d)[:, None] * conv[2 : n - p + 1]
-    m = min(_LEAF, n)
-    # The leaf block is the transpose of this upper-triangular Toeplitz
-    # matrix, so it is Fortran-ordered for dtrtrs; diagonal entries of
-    # ``upper`` sit every m + 1 places in its flat view, the lag-1 entries
-    # one place after them.
-    upper = toeplitz(np.zeros(m), conv[:m])
-    block = upper.T
-    flat = upper.reshape(-1)
     lag1 = conv[1] - fac
     x = np.empty((lam.size, n + 1))
     x[:, 0] = x0
     y = x[:, 1:]
     if form is not None:
+        m = min(_BAND_LEAF, n)
         # Every leaf but the last has m rows, so one set of powers serves.
         qpow = np.exp(form[1] * h * np.arange(m + 1))
         A = hh2 * form[0] * (1.0 + qpow[1])
         Aq = A * qpow[:m]
         P = np.zeros(lam.size)
+        # The leaf's band in LAPACK's lower storage, Fortran-ordered for
+        # dtbtrs: column j holds entries (j, j) to (j + 3, j), column 2l
+        # those of y_l and column 2l + 1 those of S_l.  Rows 0 and 2 of the
+        # y columns, denom and a'_1, are rewritten per row of the batch.
+        band = np.zeros((4, 2 * m), order="F")
+        band[0, 1::2] = 1.0
+        if form[1] > 0.0:
+            band[1, 0::2] = -np.exp(-form[1] * h * np.arange(m))
+            band[2, 1::2] = -1.0
+            band[3, 1 : 2 * m - 4 : 2] = conv[2:m]
+        else:
+            band[1, 0::2] = -1.0
+            band[2, 1::2] = -qpow[1]
+            band[3, 1 : 2 * m - 4 : 2] = Aq[1]
+        rhs = np.zeros(2 * m)
     else:
         from scipy.fft import irfft, rfft
+        from scipy.linalg import toeplitz
 
+        m = min(_LEAF, n)
+        # The leaf block is the transpose of this upper-triangular Toeplitz
+        # matrix, so it is Fortran-ordered for dtrtrs; diagonal entries of
+        # ``upper`` sit every m + 1 places in its flat view, the lag-1
+        # entries one place after them.
+        upper = toeplitz(np.zeros(m), conv[:m])
+        block = upper.T
+        flat = upper.reshape(-1)
         updates: dict[int, tuple] = {}
-    for lo in range(0, n, _LEAF):
-        hi = min(lo + _LEAF, n)
+    for lo in range(0, n, m):
+        hi = min(lo + m, n)
         if lo:
             b[:, lo] += fac * y[:, lo - 1]
-        leaf = block[: hi - lo, : hi - lo]
         for r in range(lam.size):
-            flat[:: m + 1] = denom[r]
-            flat[1 :: m + 1] = lag1[r]
-            y[r, lo:hi], info = dtrtrs(leaf, b[r, lo:hi], lower=1)
+            if form is not None:
+                band[0, 0::2] = denom[r]
+                band[2, 0::2] = lag1[r]
+                cols = 2 * (hi - lo)
+                rhs[0:cols:2] = b[r, lo:hi]
+                z, info = dtbtrs(band[:, :cols], rhs[:cols], uplo="L")
+                y[r, lo:hi] = z[0::2]
+            else:
+                flat[:: m + 1] = denom[r]
+                flat[1 :: m + 1] = lag1[r]
+                leaf = block[: hi - lo, : hi - lo]
+                y[r, lo:hi], info = dtrtrs(leaf, b[r, lo:hi], lower=1)
             if info != 0:
-                raise StabilityError(
-                    f"Toeplitz modal solve failed (LAPACK info {info})"
-                )
+                raise StabilityError(f"modal leaf solve failed (LAPACK info {info})")
         if hi == n:
             break
         if form is not None:
             # An elementwise product summed along each row, not a matrix
             # product, so that a row's sum does not depend on the batch.
             P = qpow[m] * P + np.sum(y[:, lo:hi] * qpow[m - 1 :: -1], axis=1)
-            stop = min(hi + _LEAF, n)
+            stop = min(hi + m, n)
             last = y[:, hi - 1]
             b[:, hi] -= A * (P - last) + conv[1] * last
             b[:, hi + 1 : stop] -= P[:, None] * Aq[1 : stop - hi]
         else:
-            k = lo // _LEAF + 1
-            width = (k & -k) * _LEAF
+            k = lo // m + 1
+            width = (k & -k) * m
             if width not in updates:
                 updates[width] = _history_update(conv, width)
             spectrum, w_in, w_out = updates[width]

@@ -172,6 +172,38 @@ class TestObservations:
                 ObservationData.from_json({**doc, "generator": generator})
         assert doc["generator"] == inverse_control.NOISE_GENERATOR
 
+    def test_block_must_span_its_segment(self, cache):
+        # A block cut to the first 64 of the 129 points that sample [0, 2]
+        # would weigh [0, 63/64] alone; it is refused, at either end.
+        basis = SpectralBasis(math.pi, 4)
+        y0 = SpectralField(basis, [1.0, 0.5, -0.3, 0.2])
+        plan = SamplingPlan([(0.5, [[0.0, 2.0]])])
+        doc = simulate_observations(y0, plan, ExponentialKernel(1.0, 0.0)).to_json()
+        block = doc["blocks"][0]
+        assert len(block["xs"]) == 129
+        for cut in (slice(None, 64), slice(65, None)):
+            bad = {k: v[cut] if isinstance(v, list) else v for k, v in block.items()}
+            with pytest.raises(ValidationError, match="do not span"):
+                ObservationData.from_json({**doc, "blocks": [bad]})
+        # one spacing short of an end is still a span: the trapezoid rule
+        # then ends at the last point, as a grid that misses the end by
+        # less than its step would
+        inner = {k: v[1:] if isinstance(v, list) else v for k, v in block.items()}
+        ObservationData.from_json({**doc, "blocks": [inner]})
+
+    @pytest.mark.parametrize("per_unit", [16, 17, 64, 100])
+    def test_simulated_blocks_round_trip_with_identical_weights(self, per_unit, cache):
+        basis = SpectralBasis(math.pi, 4)
+        y0 = SpectralField(basis, [1.0, 0.5, -0.3, 0.2])
+        regions = [[[0.1, 0.37], [1.0 / 3.0, 2.9]], [[0.0, math.pi]]]
+        plan = SamplingPlan([(0.5, regions[0]), (0.8, regions[1])])
+        data = simulate_observations(
+            y0, plan, ExponentialKernel(1.0, 0.0), per_unit, cache=cache
+        )
+        again = ObservationData.from_json(data.to_json())
+        for b1, b2 in zip(data.blocks, again.blocks, strict=True):
+            assert b1.weights.tobytes() == b2.weights.tobytes()
+
     def test_record_checks_its_numbers(self, cache):
         _, _, plan, data = self.make_data(cache)
         bad = [(math.nan, 0), (-1.0, 0), ("0.1", 0), (0.0, 1.5), (0.0, -1), (0.0, True)]
@@ -442,7 +474,8 @@ def test_non_integer_K_is_rejected(solve, K, cache, exp_kernel):
 
 def per_point_weights(xs, region):
     """Trapezoid weights found point by point, one rule per interval: each
-    interval takes the following points up to its end."""
+    interval takes the following points up to its end, and its first and
+    last points lie within one of their spacings (plus 1e-12) of its ends."""
     w = np.zeros_like(xs)
     pos = 0
     for iv in region.intervals:
@@ -457,6 +490,8 @@ def per_point_weights(xs, region):
         else:
             d = np.diff(pts)
             if np.any(d <= 0):
+                raise ValidationError("rejected")
+            if pts[0] - iv.a > d[0] + 1e-12 or iv.b - pts[-1] > d[-1] + 1e-12:
                 raise ValidationError("rejected")
             w[pos] = 0.5 * d[0]
             w[pos + 1 : hi - 1] = 0.5 * (d[:-1] + d[1:])
@@ -477,6 +512,9 @@ def per_point_weights(xs, region):
 @example(cuts=[0, 10, 20, 30], picks=[0, 5, 10, 20, 25, 30], extra=[], merge=True)
 @example(cuts=[0, 10, 20, 30], picks=[0, 5, 10], extra=[], merge=True)
 @example(cuts=[0, 10, 20, 30], picks=[0, 5, 10, 20, 30], extra=[10], merge=True)
+# points that stop short of an end by more than their spacing
+@example(cuts=[0, 10, 20, 30], picks=[0, 2, 20, 25, 30], extra=[], merge=True)
+@example(cuts=[0, 10, 20, 30], picks=[0, 5, 10, 27, 30], extra=[], merge=True)
 def test_segment_weights_match_per_point_rule(cuts, picks, extra, merge):
     # Regions whose intervals share no point, against the point-by-point
     # rule: the same points are rejected, and the others get the same

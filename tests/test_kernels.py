@@ -128,6 +128,24 @@ def test_tabulated_validation():
             M(bad)
 
 
+def test_tabulated_kernel_keeps_its_own_arrays():
+    # The kernel copies the caller's float64 arrays: zeroing them afterwards
+    # moves neither its values, its spec, its equality nor its cache key.
+    g = np.linspace(0.0, 3.0, 31)
+    v = np.exp(-g)
+    M = TabulatedKernel(g, v)
+    same = TabulatedKernel(g.copy(), v.copy())
+    before = (M(1.0), M.spec_dict(), M.cache_key())
+    v[:] = 0.0
+    assert (M(1.0), M.spec_dict(), M.cache_key()) == before
+    assert M == same and M.cache_key() == same.cache_key()
+    assert M != TabulatedKernel(g, v)
+    # and its own arrays are read-only
+    for arr in (M.times, M.values):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(
     values=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=40),

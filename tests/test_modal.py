@@ -256,17 +256,27 @@ _MARCH_DRAWS = dict(
     kicks=st.lists(
         st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), max_size=2
     ),
-    # n = leaves * _LEAF - offset.  Drawn last, and as a leaf count and the
-    # fill of the last leaf, so the examples spread over distinct n.
+    # n = leaves * leaf - offset, leaf the kernel's leaf (``_leaf``), with
+    # offset < leaf.  Drawn last, and as a leaf count and the fill of the
+    # last leaf, so the examples spread over distinct n: below one leaf,
+    # exactly one, and several.
     leaves=st.integers(1, 9),
-    offset=st.integers(0, modal._LEAF - 8),
+    offset=st.floats(0.0, 1.0),
 )
 
 
+def _leaf(M):
+    """Steps per leaf of ``_march_dc`` for kernel M."""
+    return modal._LEAF if M.exp_form() is None else modal._BAND_LEAF
+
+
 def _march_case(kind, lam, c, alpha, T, leaves, offset, kicks):
-    """The kernel, step count and jumps of one ``_MARCH_DRAWS`` draw."""
+    """The kernel, step count and jumps of one ``_MARCH_DRAWS`` draw; the
+    offset is a fraction of the leaf, at most leaf - 8 steps."""
     M = _march_kernel(kind, c, alpha, T)
-    n = max(leaves * modal._LEAF - offset, math.ceil(T * lam / 2.0))
+    leaf = _leaf(M)
+    n = leaves * leaf - round(offset * (leaf - 8))
+    n = max(n, math.ceil(T * lam / 2.0))
     return M, n, _jumps(kicks, n)
 
 
@@ -287,12 +297,24 @@ def _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks
     c=3.9,
     alpha=2.0,
     T=3.0,
-    leaves=64,
-    offset=0,
+    leaves=16384 // modal._BAND_LEAF,
+    offset=0.0,
     x0=1.0,
     kicks=[],
 )
-# Jumps at the last node of the first leaf and the first of the second.
+# Exactly one band leaf.
+@example(
+    kind="exponential",
+    lam=4.0,
+    c=2.0,
+    alpha=0.5,
+    T=1.0,
+    leaves=1,
+    offset=0.0,
+    x0=1.0,
+    kicks=[(0.5, 0.3)],
+)
+# Jumps at the last node of the first band leaf and the first of the second.
 @example(
     kind="exponential",
     lam=9.0,
@@ -300,11 +322,26 @@ def _assert_march_matches_loop(kind, lam, c, alpha, T, leaves, offset, x0, kicks
     alpha=-1.0,
     T=1.5,
     leaves=3,
-    offset=modal._LEAF - 100,
+    offset=(modal._BAND_LEAF - 100) / (modal._BAND_LEAF - 8),
     x0=0.7,
     kicks=[
-        ((modal._LEAF - 1.5) / (2 * modal._LEAF + 98), -0.45),
-        ((modal._LEAF - 0.5) / (2 * modal._LEAF + 98), 1.2),
+        ((modal._BAND_LEAF - 1.5) / (2 * modal._BAND_LEAF + 98), -0.45),
+        ((modal._BAND_LEAF - 0.5) / (2 * modal._BAND_LEAF + 98), 1.2),
+    ],
+)
+# The same jumps under a growing kernel, whose band leaves are tilted.
+@example(
+    kind="exponential",
+    lam=9.0,
+    c=2.0,
+    alpha=1.0,
+    T=1.5,
+    leaves=3,
+    offset=(modal._BAND_LEAF - 100) / (modal._BAND_LEAF - 8),
+    x0=0.7,
+    kicks=[
+        ((modal._BAND_LEAF - 1.5) / (2 * modal._BAND_LEAF + 98), -0.45),
+        ((modal._BAND_LEAF - 0.5) / (2 * modal._BAND_LEAF + 98), 1.2),
     ],
 )
 def test_dc_march_matches_dot_product_march_exp_family(
@@ -345,11 +382,17 @@ def _loop_longdouble(lam, M, T, n):
         # A growing kernel on a long horizon, where a per-step recurrence
         # drifts: rounding must compound over the leaves, not the steps.
         (0.5, ExponentialKernel(4.0, 3.0), 8.0, 4096),
+        # Several band leaves under a growing kernel, whose leaves are
+        # tilted by e^(-alpha h l).
+        (1.0, ExponentialKernel(4.0, 2.0), 3.0, 8192),
         # Steep decay, where q^(-n) = e^2000 overflows: the running sum
         # must never divide by powers of q.
         (1.0, ExponentialKernel(50.0, -2000.0), 1.0, 4096),
+        # Steep decay with |alpha| h _BAND_LEAF = 1000: a tilted leaf would
+        # overflow, so leaves of a decaying kernel are not tilted.
+        (1.0, ExponentialKernel(50.0, -2000.0), 1.0, 2048),
     ],
-    ids=["growing", "steep-decay"],
+    ids=["growing", "growing-leaves", "steep-decay", "steep-decay-leaf"],
 )
 def test_exp_march_matches_extended_precision_loop(lam, M, T, n):
     x = solve_modal_volterra(lam, M, T, n)[1]
@@ -368,9 +411,10 @@ def test_exp_form_marches_take_no_fft_history(monkeypatch):
     plan = SamplingPlan([(0.3, [[0.0, 2.0]]), (0.6, [[1.0, math.pi]])])
     y0 = SpectralField(basis, [0.5, -0.25, 0.1])
     y1 = SpectralField(basis, [1.0, 0.2, 0.0])
+    n = 3 * modal._BAND_LEAF
     for M in (ExponentialKernel(2.0, -1.0), ConstantKernel(-1.0), ZeroKernel()):
-        solve_modal_richardson(9.0, M, 1.5, 4 * modal._LEAF)
-        solve_modal_volterra([9.0, 4.0], M, 1.5, 4 * modal._LEAF, 0.7, {600: -0.45})
+        solve_modal_richardson(9.0, M, 1.5, n)
+        solve_modal_volterra([9.0, 4.0], M, 1.5, n, 0.7, {600: -0.45})
         nodal_set_numeric(4.0, M, 2.0)
         res = impulse_control(y0, y1, plan, 1.0, M, cache=ModalCache())
         assert res.impulses
@@ -392,7 +436,7 @@ def test_exp_form_marches_take_no_fft_history(monkeypatch):
     alpha=2.0,
     T=8.0,
     leaves=16,
-    offset=0,
+    offset=0.0,
     x0=1.0,
     kicks=[],
 )
@@ -403,7 +447,7 @@ def test_exp_form_marches_take_no_fft_history(monkeypatch):
     alpha=2.0,
     T=8.0,
     leaves=16,
-    offset=0,
+    offset=0.0,
     x0=1.0,
     kicks=[],
 )
@@ -415,7 +459,7 @@ def test_exp_form_marches_take_no_fft_history(monkeypatch):
     alpha=1.0,
     T=1.5,
     leaves=5,
-    offset=modal._LEAF - 100,
+    offset=(modal._LEAF - 100) / (modal._LEAF - 8),
     x0=0.7,
     kicks=[
         ((modal._LEAF - 1.5) / (4 * modal._LEAF + 98), -0.45),
@@ -439,6 +483,7 @@ def _batch_kernel(kind):
     return {
         "linear": LinearKernel(),
         "exponential": ExponentialKernel(2.0, -1.0),
+        "exponential-growing": ExponentialKernel(4.0, 2.0),  # tilted leaves
         "constant": ConstantKernel(-1.0),
         "zero": ZeroKernel(),
     }[kind]
@@ -447,30 +492,92 @@ def _batch_kernel(kind):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(
     kind=st.sampled_from(
-        ["linear", "tabulated", "tabulated-growing", "exponential", "constant", "zero"]
+        [
+            "linear",
+            "tabulated",
+            "tabulated-growing",
+            "exponential",
+            "exponential-growing",
+            "constant",
+            "zero",
+        ]
     ),
     lams=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=4),
     T=st.floats(0.1, 3.0),
-    # below one leaf, exactly one leaf, and off the multiples of a leaf
-    n=st.one_of(
-        st.integers(8, modal._LEAF - 1),
-        st.just(modal._LEAF),
-        st.integers(modal._LEAF + 1, 5 * modal._LEAF).filter(
-            lambda n: n % modal._LEAF
-        ),
+    # n in leaves of the kernel (``_leaf``): below one leaf, exactly one,
+    # and several, off the multiples of a leaf
+    leaves=st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.just(1.0),
+        st.floats(1.0, 5.0, exclude_min=True),
     ),
+    # x0 is the first value, shared, or the first len(lams), one per row
+    x0s=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
     shared_x0=st.booleans(),
-    data=st.data(),
+    # jump nodes as fractions of the march: the first jump takes one
+    # increment per row, the second 0.3 on every row
+    kicks=st.lists(st.floats(0.0, 1.0), max_size=2),
+    incs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
 )
-def test_batch_rows_equal_single_marches(kind, lams, T, n, shared_x0, data):
+# Exactly one band leaf, and three rows over several tilted band leaves
+# with jumps at the last node of the first leaf and the first of the second.
+@example(
+    kind="exponential",
+    lams=[9.0, 4.0],
+    T=1.5,
+    leaves=1.0,
+    x0s=[0.7, -1.0, 0.5, 2.0],
+    shared_x0=False,
+    kicks=[0.5],
+    incs=[0.3, -0.2, 1.0, 0.0],
+)
+@example(
+    kind="exponential-growing",
+    lams=[9.0, 4.0, 150.0],
+    T=1.5,
+    leaves=2.1,
+    x0s=[0.7, -1.0, 0.5, 2.0],
+    shared_x0=False,
+    kicks=[
+        (modal._BAND_LEAF - 1.5) / (math.floor(2.1 * modal._BAND_LEAF) - 2),
+        (modal._BAND_LEAF - 0.5) / (math.floor(2.1 * modal._BAND_LEAF) - 2),
+    ],
+    incs=[0.3, -0.2, 1.0, 0.0],
+)
+# Several dense leaves under FFT histories, weighted and not.
+@example(
+    kind="tabulated-growing",
+    lams=[9.0, 0.5],
+    T=3.0,
+    leaves=4.5,
+    x0s=[1.0, -0.5, 0.0, 0.0],
+    shared_x0=False,
+    kicks=[0.3, 0.6],
+    incs=[0.3, -0.2, 0.0, 0.0],
+)
+@example(
+    kind="linear",
+    lams=[1.0, 25.0, 100.0],
+    T=2.0,
+    leaves=3.7,
+    x0s=[0.7, 0.0, 0.0, 0.0],
+    shared_x0=True,
+    kicks=[0.25],
+    incs=[0.3, -0.2, 1.0, 0.0],
+)
+def test_batch_rows_equal_single_marches(
+    kind, lams, T, leaves, x0s, shared_x0, kicks, incs
+):
     M = _batch_kernel(kind)
     rows = len(lams)
+    leaf = _leaf(M)
+    n = max(8, math.floor(leaves * leaf))
+    n += leaves > 1.0 and n % leaf == 0
     n = max(n, math.ceil(T * max(lams) / 2.0))
-    values = st.lists(st.floats(-2.0, 2.0), min_size=rows, max_size=rows)
-    x0 = data.draw(st.floats(-2.0, 2.0)) if shared_x0 else data.draw(values)
-    # one jump with an increment per row, one shared by every row
-    nodes = data.draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True))
-    jumps = {p: data.draw(values) if i == 0 else 0.3 for i, p in enumerate(nodes)}
+    x0 = x0s[0] if shared_x0 else x0s[:rows]
+    jumps = {}
+    for i, f in enumerate(kicks):
+        jumps.setdefault(1 + int(f * (n - 2)), incs[:rows] if i == 0 else 0.3)
     for solve in (solve_modal_volterra, solve_modal_richardson):
         t, x = solve(lams, M, T, n, x0, jumps)
         assert x.shape == (rows, n + 1)
