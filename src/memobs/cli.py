@@ -188,28 +188,22 @@ class Report:
     csv_rows: list | None = None
 
 
-def emit_report(
-    results: list[Report],
-    out_dir,
-    config_sha: str | None = None,
-) -> list[Path]:
-    """Write the artifacts with stable ordering and float formatting."""
+def emit_report(results: list[Report], out_dir, config_sha: str) -> list[Path]:
+    """Write the artifacts with stable ordering and float formatting; each
+    JSON object and CSV file opens with the config's SHA-256."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for rep in results:
         if rep.json_payload is not None:
             payload = rep.json_payload
-            if isinstance(payload, dict) and config_sha is not None:
+            if isinstance(payload, dict):
                 payload = {"config_sha256": config_sha, **payload}
             path = out / f"{rep.name}.json"
             _write_artifact(path, _json_text(payload) + "\n")
             written.append(path)
         if rep.csv_header is not None:
-            lines = []
-            if config_sha is not None:
-                lines.append(f"# config_sha256={config_sha}")
-            lines.append(",".join(rep.csv_header))
+            lines = [f"# config_sha256={config_sha}", ",".join(rep.csv_header)]
             lines += _csv_lines(rep.csv_rows or [])
             path = out / f"{rep.name}.csv"
             _write_artifact(path, "\n".join(lines) + "\n")

@@ -14,7 +14,8 @@ kernel c exp(alpha t) (exponential, constant and zero kernels) the table
 comes from one array evaluation of the closed form, and no march runs.
 For every other kernel an entry comes from a Richardson pair (n and 2n
 steps), which cancels the leading h^2 error of the product-trapezoidal
-march; the step policy belongs to the cache and is fixed when it is built.
+march; the step policy (``modal.DEFAULT_N_MIN`` and the cache's
+hlam_max) is fixed when the cache is built.
 The instants are marched in runs: one march to the run's largest instant,
 on a grid with every member on a node and fine enough for each member's
 own step policy, serves them all, and the modes whose runs share the
@@ -31,6 +32,8 @@ import numpy as np
 from .errors import ValidationError, integer, real, reals
 from .kernels import MemoryKernel
 from .modal import (
+    DEFAULT_HLAM_MAX,
+    DEFAULT_N_MIN,
     _closed_form,
     _common_grid,
     _exp_first_zero,
@@ -38,11 +41,6 @@ from .modal import (
     solve_modal_richardson,
 )
 from .spectral import SpectralBasis, SpectralField
-
-DEFAULT_HLAM_MAX = 0.25
-DEFAULT_N_MIN = 1024
-# The step policy of decomposition_residual's marches, finer than the default.
-RESIDUAL_HLAM_MAX = 0.125
 
 
 class ModalCache:
@@ -276,10 +274,10 @@ def decomposition_residual(
 
     The slope certifies the 1/lambda remainder when it is at most -0.8;
     sup_k lambda_k^2 |x_k(t)| is reported as the numeric smoothing bound.
-    Residual magnitudes can sit many orders below lambda_k^2 x_k.  For a
-    kernel c exp(alpha t) the modal values come from the closed form, which
-    is accurate relative to |x_k|; every other kernel is marched in a cache
-    of its own with h lam <= RESIDUAL_HLAM_MAX, half the default step.
+    Residual magnitudes can sit many orders below lambda_k^2 x_k.  The
+    values come from a default ``ModalCache``: the closed form for
+    c exp(alpha t), accurate relative to |x_k|, or marches whose residuals
+    agree with a march at h lam <= 1/128 to about 1e-9 relative.
     """
     t = real(t, "t")
     if t <= 1e-9:
@@ -296,7 +294,7 @@ def decomposition_residual(
     lams = basis.eigenvalues[ks - 1]
     if lams.max() / lams.min() < 10.0:
         raise ValidationError("mode range must span at least a decade in lambda")
-    xs = ModalCache(RESIDUAL_HLAM_MAX).values(M, lams, t)
+    xs = ModalCache().values(M, lams, t)
     Mt = float(M(t))
     residuals = lams**2 * xs + Mt
     nz = np.abs(residuals) > 0

@@ -24,17 +24,13 @@ import numpy as np
 from .errors import NumericalError, ValidationError, integer, items, obj, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
-from .modal import _common_grid, _n_steps, solve_modal_richardson
+from .modal import CONTROLLED_HLAM_MAX, CONTROLLED_N_MIN, _common_grid, _n_steps
+from .modal import solve_modal_richardson
 from .regions import Interval, ObservationRegion
 from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
 from .spectral import SpectralBasis, SpectralField
 
 NOISE_GENERATOR = "numpy.random.Generator(PCG64).standard_normal"
-
-# Step policy of the closed-loop march in simulate_controlled, finer than a
-# default ModalCache: its result is checked against the predicted final state.
-CONTROLLED_N_MIN = 2560
-CONTROLLED_HLAM_MAX = 0.1
 
 # impulse_control keeps the Gram eigenvalues above this times the largest.
 RANK_RTOL = 1e-10

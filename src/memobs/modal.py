@@ -79,9 +79,15 @@ SUSPECTED_TANGENTIAL = "suspected-tangential"
 _BAND_LEAF = 1024
 _LEAF = 256
 
-# Step policy of the march that nodal_set_numeric scans for zeros.
-NODAL_N_MIN = 8192
-NODAL_HLAM_MAX = 0.05
+# The step policies, (n_min, hlam_max) pairs for _n_steps: ModalCache's, which
+# decomposition_residual reads too, nodal_set_numeric's and simulate_controlled's.
+# Each constant names a test that fails when it is loosened.
+DEFAULT_N_MIN = 1024  # test_cache_linear_kernel_matches_high_precision_values
+DEFAULT_HLAM_MAX = 0.25  # test_tabulated_table_matches_exponential_closed_form
+NODAL_N_MIN = 8192  # test_nodal_numeric_drops_flat_neighbourhood_of_sign_change
+NODAL_HLAM_MAX = 0.05  # test_nodal_numeric_layer_zero_at_high_lam
+CONTROLLED_N_MIN = 2560  # test_closed_loop_error_on_tabulated_kernel
+CONTROLLED_HLAM_MAX = 0.1  # test_closed_loop_rows_equal_single_mode_marches
 
 
 class NodalSet:
@@ -596,9 +602,12 @@ def series_solution_grid(
     c = kernel_series_K(M, grid, tol)
     s = grid.nodes()
     E = np.exp(-lam * s)
-    wE = np.cumprod(np.outer(1.0 / np.arange(1, len(c) + 1), s), axis=0) * E
+    wE = np.cumprod(np.outer(1.0 / np.arange(1, len(c) + 1), s), axis=0)
+    wE *= E
     size = next_fast_len(2 * s.size - 1, True)
-    conv = irfft(np.sum(rfft(c, size) * rfft(wE, size), axis=0), size)[: s.size]
+    spec = rfft(c, size)
+    spec *= rfft(wE, size)
+    conv = irfft(np.sum(spec, axis=0), size)[: s.size]
     return E + grid.h * (conv - 0.5 * (c[:, 0] @ wE))
 
 

@@ -1008,6 +1008,16 @@ def test_nodal_numeric_drops_flat_neighbourhood_of_sign_change():
     np.testing.assert_allclose(ns.zeros, closed.zeros, rtol=0, atol=1e-8)
 
 
+def test_nodal_numeric_layer_zero_at_high_lam():
+    # lam = 200: the one zero lies in the e^{-lam t} layer, at t = 0.046,
+    # and is found within criterion 02's 1e-8 of the closed form (measured
+    # 1.4e-9).  At h lam <= 0.1 it is off by 2.3e-8, at 0.25 by 3.3e-7.
+    ns = nodal_set_numeric(200.0, ExponentialKernel(4.0, 0.0), 8.0)
+    closed = nodal_set_exp_closed(200.0, 4.0, 0.0, 8.0)
+    assert len(closed) == 1 and ns.flags == ("sign-change",)
+    np.testing.assert_allclose(ns.zeros, closed.zeros, rtol=0, atol=1e-8)
+
+
 def test_linear_kernel_grows_with_cubic_root_rate():
     """M(t) = t feeds energy back: the slow characteristic pair sits at
     Re z = +0.2328, so zeros recur every pi/Im z and the envelope grows."""

@@ -108,6 +108,31 @@ class TestGeometry:
         assert v.kind == "Weak"
         assert v.uncovered_points == (1.0,)
 
+    def test_weak_open_right_end(self):
+        # [0, L) leaves exactly the end point L uncovered
+        region = ObservationRegion([Interval(0.0, math.pi, closed_right=False)])
+        v = check_geometric_condition(
+            SamplingPlan([(0.5, region)]), ExponentialKernel(1.0, 0.0), math.pi
+        )
+        assert v.kind == "Weak"
+        assert v.uncovered_intervals == () and v.uncovered_points == (math.pi,)
+
+    def test_common_end_keeps_the_closed_side(self):
+        # [0, 1) u [0.5, 1] ends closed at 1, so (1, L] joins it: [0, L]
+        region = ObservationRegion(
+            [
+                Interval(0.0, 1.0, closed_right=False),
+                Interval(0.5, 1.0),
+                Interval(1.0, math.pi, closed_left=False),
+            ]
+        )
+        assert region.intervals == (Interval(0.0, math.pi),)
+        v = check_geometric_condition(
+            SamplingPlan([(0.5, region)]), ExponentialKernel(1.0, 0.0), math.pi
+        )
+        assert v.kind == "Strong"
+        assert v.uncovered_intervals == () and v.uncovered_points == ()
+
     def test_fail_reports_gap(self):
         plan = SamplingPlan([(0.5, [[0.0, 1.0]]), (0.8, [[2.0, math.pi]])])
         v = check_geometric_condition(plan, ExponentialKernel(1.0, 0.0), math.pi)
