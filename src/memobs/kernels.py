@@ -5,8 +5,8 @@ heat equation.  Supported variants: Zero, Constant(value), Linear (M(t) = t),
 Exponential(c, alpha) with M(t) = c exp(alpha t) and c > 0, and Tabulated
 data interpolated by a not-a-knot cubic spline (twice continuously
 differentiable, as the well-posedness assumption on M requires).  The
-spline's pieces come from ``_cubic_pieces``, one banded solve in
-``scipy.linalg``, which ``nodal_set_numeric`` also uses on a marched
+spline's pieces come from ``_cubic_pieces``, one tridiagonal solve by
+LAPACK's ``dgtsv``, which ``nodal_set_numeric`` also uses on a marched
 trajectory.  Neither takes scipy's ``CubicSpline``, whose import loads
 several scipy packages that memobs does not use.
 
@@ -36,6 +36,7 @@ import numpy as np
 # scipy's submodules are imported where they are called (see modal.py).
 
 from .errors import (
+    NumericalError,
     SeriesDivergenceError,
     ValidationError,
     integer,
@@ -149,35 +150,46 @@ class ExponentialKernel(MemoryKernel):
         return self.c, self.alpha
 
 
-def _cubic_pieces(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _cubic_pieces(x: np.ndarray, y: np.ndarray, cols=None) -> np.ndarray:
     """Coefficients of the not-a-knot cubic spline through (x, y), at least
     4 points: column i holds piece i, sum_m c[m, i] s**(3 - m) in
-    s = t - x[i] on [x[i], x[i + 1]], highest power first.
+    s = t - x[i] on [x[i], x[i + 1]], highest power first.  With ``cols``
+    (interval indices), column j holds piece cols[j] instead, the same
+    floats as that column of the full table.
 
-    The knot slopes solve one tridiagonal system through ``solve_banded``,
-    with the equations, the operation order and so the floats of scipy's
-    default ``CubicSpline``, which the tests check bit for bit.
+    The knot slopes solve one tridiagonal system by LAPACK's ``dgtsv``, the
+    routine ``solve_banded((1, 1), ...)`` runs, with the equations, the
+    operation order and so the floats of scipy's default ``CubicSpline``,
+    which the tests check bit for bit.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    # Rows of the band: superdiagonal, diagonal, subdiagonal.
-    A = np.zeros((3, x.size))
+    # Sub-, main and superdiagonal; the not-a-knot rows are the ends.
+    lower = np.append(dx[1:], x[-1] - x[-3])
+    diag = np.empty(x.size)
+    upper = np.insert(dx[:-1], 0, x[2] - x[0])
     b = np.empty(x.size)
-    A[0, 2:] = dx[:-1]
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[2, :-2] = dx[1:]
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = x[2] - x[0]
-    A[0, 1], A[1, 0] = d, dx[1]
+    d = upper[0]
+    diag[0] = dx[1]
     b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[2, -2], A[1, -1] = d, dx[-2]
+    d = lower[-1]
+    diag[-1] = dx[-2]
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    s, info = dgtsv(
+        lower, diag, upper, b,
+        overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
+    )[3:]
+    if info != 0:
+        raise NumericalError(f"spline slope solve failed (LAPACK info {info})")
+    left, right, y = s[:-1], s[1:], y[:-1]
+    if cols is not None:
+        left, right, slope, dx, y = (v[cols] for v in (left, right, slope, dx, y))
+    t = (left + right - 2 * slope) / dx
+    return np.stack((t / dx, (slope - left) / dx - t, left, y))
 
 
 def _pieces_at(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:

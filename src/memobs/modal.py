@@ -34,16 +34,18 @@ Both entries march a batch: ``lam`` may be a 1-D sequence, with ``x0`` and
 each jump increment a number or one entry per lam, and x then has one row
 per lam, each bit-identical to the call for that lam alone.  The grid, the
 kernel samples, the history powers or spectra and weights, and the leaf
-band or block are computed once per batch, and each history update is one
-update of the running sums, or one FFT, over all rows; only the leaf
+band or block are computed once per batch.  A c exp(alpha t) batch then
+marches row by row, each row with its own running sum; for the other
+kernels each history update is one FFT over all rows, and only the leaf
 solves run row by row.  Modes that share a grid (the modes of one
 instant, or of one jump grid) are marched this way, which removes the
 per-call work of a march that does not depend on lam.
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically from one march, each zero
-the exact root of the trajectory's cubic spline piece across a sign change,
-and in closed form for kernels c exp(alpha t).
+the root of the trajectory's cubic spline piece across a sign change, found
+for all pieces at once by a safeguarded Newton pass, and in closed form for
+kernels c exp(alpha t).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 # closed-form values never loads them.  A march loads scipy.linalg, and
 # scipy.fft only for a kernel without ``exp_form()``; the K_M series and the
 # series solution load scipy.fft.  Cubic spline pieces (tabulated kernels,
-# numeric nodal sets) need only scipy.linalg, not scipy's CubicSpline.
+# numeric nodal sets) need only LAPACK's dgtsv, not scipy's CubicSpline.
 
 from .errors import (
     NumericalError,
@@ -88,6 +90,9 @@ NODAL_N_MIN = 8192  # test_nodal_numeric_drops_flat_neighbourhood_of_sign_change
 NODAL_HLAM_MAX = 0.05  # test_nodal_numeric_layer_zero_at_high_lam
 CONTROLLED_N_MIN = 2560  # test_closed_loop_error_on_tabulated_kernel
 CONTROLLED_HLAM_MAX = 0.1  # test_closed_loop_rows_equal_single_mode_marches
+
+# A cap on _piece_roots' iterations; bisection alone would take 50.
+_NEWTON_MAX = 100
 
 
 class NodalSet:
@@ -188,9 +193,10 @@ def solve_modal_volterra(
     grid, ``x0`` and each jump increment may be a number (shared) or a
     sequence with one entry per lam, and x has one row per lam.  Each row
     is bit-identical to the call with that row's lam, x0 and increments.
-    A batch samples M once, shares the history spectra or powers, weights
-    and leaf band or block, and runs each history update once over all
-    rows.
+    A batch samples M once and shares the history spectra or powers,
+    weights and leaf band or block; a kernel with ``exp_form()`` then
+    marches the rows one after another, and the others run each history
+    update once over all rows.
 
     Every kernel takes the divide-and-conquer solve of ``_march_dc``: O(n)
     for a kernel with ``exp_form()``, O(n log^2 n) for the others.  It
@@ -327,12 +333,15 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     leaf is 1024 rows, the largest that keeps the march's 1e-12.
 
     Between leaves each row keeps P = sum_{j<lo} q^(lo-1-j) y_j over the
-    rows solved: leaf row lo subtracts A (P - y_{lo-1}) + a_1 y_{lo-1},
-    with a_1 = (h^2/4) M(0) + (h^2/2) M(t_1), row lo + k, k >= 1, subtracts
-    A q^k P, and after the leaf P <- q^m P + sum_j q^(hi-1-j) y_j, m its
-    rows.  That is O(n).  The powers are exp(alpha h k) for k <= m, and no
-    power of q divides, since q^(-k) overflows for steep decay; rounding
-    compounds over the n / _BAND_LEAF leaves, not over the n steps.
+    rows solved, as a Python float: leaf row lo subtracts
+    A (P - y_{lo-1}) + a_1 y_{lo-1}, with a_1 = (h^2/4) M(0) + (h^2/2) M(t_1),
+    row lo + k, k >= 1, subtracts A q^k P, and after the leaf
+    P <- q^m P + sum_j q^(hi-1-j) y_j, m its rows, the sum taken pairwise as
+    ``np.sum`` takes it.  That is O(n), and the symbol is read only up to
+    lag m unless a jump reads further.  The powers are exp(alpha h k) for
+    k <= m, and no power of q divides, since q^(-k) overflows for steep
+    decay; rounding compounds over the n / _BAND_LEAF leaves, not over the
+    n steps.
 
     With no form (None), leaves of _LEAF rows are solved densely against
     one Toeplitz block, and after leaf k the last 2^l leaves, l the number
@@ -357,20 +366,24 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     ``lam``, ``denom``, ``x0`` and each jump increment hold one entry per
     row.  Only the lag-0 and lag-1 symbol entries depend on lam, so the
     rows share a_d, the powers or the history spectra and weights, and the
-    leaf matrix, whose two lam diagonals are rewritten before each row's
-    leaf solve; each history update is one FFT, or one update of P, over
-    all rows.
+    leaf matrix, whose two lam diagonals are written per row.  With a form
+    each row marches on its own, through all its leaves on its 1-D slices,
+    so the diagonals are written once per row; with none, the diagonals
+    are rewritten before each row's leaf solve, and each history update is
+    one FFT over all rows.
     """
     from scipy.linalg.lapack import dtbtrs, dtrtrs
 
     n = Mg.size - 1
     fac = 1.0 - 0.5 * h * lam
     hh2 = 0.5 * h * h
-    # conv[d]: the (h^2/2) M part of the symbol at lag d >= 1.
-    conv = np.empty(n + 1)
+    # conv[d]: the (h^2/2) M part of the symbol at lag d >= 1.  A band
+    # march without jumps reads it only up to lag _BAND_LEAF.
+    top = n if form is None or jumps else min(n, _BAND_LEAF)
+    conv = np.empty(top + 1)
     conv[0] = 0.0
     conv[1] = 0.5 * hh2 * Mg[0] + hh2 * Mg[1]
-    conv[2:] = hh2 * (Mg[2:] + Mg[1:-1])
+    conv[2:] = hh2 * (Mg[2 : top + 1] + Mg[1:top])
     # b[:, r - 1] is the right-hand side of row r; y = x[:, 1:] solves for
     # x_1..x_n.
     b = -0.5 * hh2 * x0[:, None] * (Mg[:-1] + Mg[1:])
@@ -388,11 +401,10 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
         qpow = np.exp(form[1] * h * np.arange(m + 1))
         A = hh2 * form[0] * (1.0 + qpow[1])
         Aq = A * qpow[:m]
-        P = np.zeros(lam.size)
         # The leaf's band in LAPACK's lower storage, Fortran-ordered for
         # dtbtrs: column j holds entries (j, j) to (j + 3, j), column 2l
         # those of y_l and column 2l + 1 those of S_l.  Rows 0 and 2 of the
-        # y columns, denom and a'_1, are rewritten per row of the batch.
+        # y columns, denom and a'_1, are written once per row of the batch.
         band = np.zeros((4, 2 * m), order="F")
         band[0, 1::2] = 1.0
         if form[1] > 0.0:
@@ -404,6 +416,34 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
             band[2, 1::2] = -qpow[1]
             band[3, 1 : 2 * m - 4 : 2] = Aq[1]
         rhs = np.zeros(2 * m)
+        rev = qpow[m - 1 :: -1].copy()
+        qm, A, a1 = float(qpow[m]), float(A), float(conv[1])
+        for r in range(lam.size):
+            band[0, 0::2] = denom[r]
+            band[2, 0::2] = lag1[r]
+            f = float(fac[r])
+            br, yr = b[r], y[r]
+            P = 0.0
+            for lo in range(0, n, m):
+                hi = min(lo + m, n)
+                if lo:
+                    br[lo] += f * yr[lo - 1]
+                cols = 2 * (hi - lo)
+                rhs[0:cols:2] = br[lo:hi]
+                z, info = dtbtrs(band[:, :cols], rhs[:cols], uplo="L")
+                if info != 0:
+                    raise StabilityError(f"modal leaf solve failed (LAPACK info {info})")
+                yr[lo:hi] = z[0::2]
+                if hi == n:
+                    break
+                # The pairwise sum of np.sum (np.add.reduce, without its
+                # wrapper) of an elementwise product, not a BLAS dot
+                # product, whose summation order may vary by build.
+                P = qm * P + float(np.add.reduce(yr[lo:hi] * rev))
+                stop = min(hi + m, n)
+                last = float(yr[hi - 1])
+                br[hi] -= A * (P - last) + a1 * last
+                br[hi + 1 : stop] -= P * Aq[1 : stop - hi]
     else:
         from scipy.fft import irfft, rfft
         from scipy.linalg import toeplitz
@@ -417,36 +457,19 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
         block = upper.T
         flat = upper.reshape(-1)
         updates: dict[int, tuple] = {}
-    for lo in range(0, n, m):
-        hi = min(lo + m, n)
-        if lo:
-            b[:, lo] += fac * y[:, lo - 1]
-        for r in range(lam.size):
-            if form is not None:
-                band[0, 0::2] = denom[r]
-                band[2, 0::2] = lag1[r]
-                cols = 2 * (hi - lo)
-                rhs[0:cols:2] = b[r, lo:hi]
-                z, info = dtbtrs(band[:, :cols], rhs[:cols], uplo="L")
-                y[r, lo:hi] = z[0::2]
-            else:
+        for lo in range(0, n, m):
+            hi = min(lo + m, n)
+            if lo:
+                b[:, lo] += fac * y[:, lo - 1]
+            for r in range(lam.size):
                 flat[:: m + 1] = denom[r]
                 flat[1 :: m + 1] = lag1[r]
                 leaf = block[: hi - lo, : hi - lo]
                 y[r, lo:hi], info = dtrtrs(leaf, b[r, lo:hi], lower=1)
-            if info != 0:
-                raise StabilityError(f"modal leaf solve failed (LAPACK info {info})")
-        if hi == n:
-            break
-        if form is not None:
-            # An elementwise product summed along each row, not a matrix
-            # product, so that a row's sum does not depend on the batch.
-            P = qpow[m] * P + np.sum(y[:, lo:hi] * qpow[m - 1 :: -1], axis=1)
-            stop = min(hi + m, n)
-            last = y[:, hi - 1]
-            b[:, hi] -= A * (P - last) + conv[1] * last
-            b[:, hi + 1 : stop] -= P[:, None] * Aq[1 : stop - hi]
-        else:
+                if info != 0:
+                    raise StabilityError(f"modal leaf solve failed (LAPACK info {info})")
+            if hi == n:
+                break
             k = lo // m + 1
             width = (k & -k) * m
             if width not in updates:
@@ -631,6 +654,41 @@ def _scan_brackets(x: np.ndarray, sup: float):
     return brackets.tolist(), exact.tolist(), suspects
 
 
+def _piece_roots(c, h, f0, f1) -> np.ndarray:
+    """A root in [0, h] of each cubic piece, column j of ``c`` (highest
+    power first, in s from the piece's left end), whose end values f0 and
+    f1 have opposite signs.
+
+    One vectorized Newton pass over all pieces, started at the secant point
+    and safeguarded by the sign bracket: each iterate narrows the bracket,
+    and a Newton step that leaves it (or a zero slope) bisects instead.  A
+    piece ends its iteration at an exact zero or once a step is at most
+    2^-50 of its width.
+    """
+    c0, c1, c2, c3 = c
+    lo, hi = np.zeros(h.size), h.copy()
+    s = h * (f0 / (f0 - f1))
+    rising = f0 < 0.0  # the piece is negative left of its root
+    active = np.ones(h.size, dtype=bool)
+    for _ in range(_NEWTON_MAX):
+        s2 = s * s
+        f = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        active &= f != 0.0
+        left = (f < 0.0) == rising  # the root lies right of s
+        lo = np.where(left, s, lo)
+        hi = np.where(left, hi, s)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            new = s - f / (c2 + 2.0 * c1 * s + 3.0 * c0 * s2)
+        out = ~((lo <= new) & (new <= hi))
+        new[out] = 0.5 * (lo[out] + hi[out])
+        step = np.abs(new - s)
+        s = np.where(active, new, s)
+        active &= step > 2.0**-50 * h
+        if not active.any():
+            break
+    return s
+
+
 def nodal_set_numeric(
     lam: float,
     M: MemoryKernel,
@@ -643,11 +701,12 @@ def nodal_set_numeric(
     bracket is the real root of the trajectory's cubic spline piece on it,
     which changes sign there and so has one.  The pieces are the not-a-knot
     spline through the march nodes, from ``kernels._cubic_pieces`` (one
-    banded solve); ``np.roots`` solves the piece from its coefficients, and
-    the root nearest the bracket is clamped into it against rounding.  A
-    grid point where x is exactly 0 is a zero.  Grid points where |x| dips
-    below 1e-9 of the trajectory sup without a sign change are reported as
-    suspected tangential zeros, one per run at its smallest |x|.
+    tridiagonal solve), formed only on the brackets; ``_piece_roots`` finds
+    every bracket's root in one vectorized Newton pass, started at the
+    secant point and kept inside the bracket.  A grid point where x is
+    exactly 0 is a zero.  Grid points where |x| dips below 1e-9 of the
+    trajectory sup without a sign change are reported as suspected
+    tangential zeros, one per run at its smallest |x|.
     """
     T_max = real(T_max, "T_max", positive=True)
     lam = real(lam, "lam", positive=True)
@@ -656,16 +715,10 @@ def nodal_set_numeric(
     )
     brackets, exact, suspects = _scan_brackets(x, float(np.max(np.abs(x))))
     found = [(float(t[i]), SIGN_CHANGE) for i in exact]
-    # Piece i is sum_m coeffs[m, i] s**(3 - m) in s = t - t_i on [t_i, t_i+1].
-    coeffs = _cubic_pieces(t, x)
-    for i in brackets:
-        h = t[i + 1] - t[i]
-        roots = np.roots(coeffs[:, i])
-        # How far each root is from a real s in [0, h]; rounding can push a
-        # root at an end just outside, so the nearest one is clamped in.
-        off = np.abs(roots.imag) + np.maximum(-roots.real, roots.real - h).clip(0.0)
-        s = min(max(float(roots.real[np.argmin(off)]), 0.0), h)
-        found.append((float(t[i] + s), SIGN_CHANGE))
+    if brackets:
+        i = np.array(brackets)
+        s = _piece_roots(_cubic_pieces(t, x, i), t[i + 1] - t[i], x[i], x[i + 1])
+        found += [(z, SIGN_CHANGE) for z in (t[i] + s).tolist()]
     for run in suspects:
         best = min(run, key=lambda i: abs(x[i]))
         found.append((float(t[best]), SUSPECTED_TANGENTIAL))

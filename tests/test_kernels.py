@@ -178,6 +178,21 @@ def test_spline_pieces_match_scipy_cubic_spline(values, gaps, fractions):
     assert M(M.t_max * (1 + 1e-13)) == spline(x[-1])
 
 
+@given(
+    values=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=40),
+    data=st.data(),
+)
+def test_spline_piece_columns_equal_the_full_table(values, data):
+    # The pieces of chosen intervals are the full table's columns, bit for bit.
+    y = np.array(values)
+    x = np.linspace(0.0, 2.0, y.size) ** 1.5
+    cols = np.array(
+        data.draw(st.lists(st.integers(0, y.size - 2), max_size=10), label="cols"),
+        dtype=int,
+    )
+    np.testing.assert_array_equal(_cubic_pieces(x, y, cols), _cubic_pieces(x, y)[:, cols])
+
+
 def test_every_kernel_rejects_non_finite_points():
     grid = [0.0, 1.0, 2.0, 3.0]
     kernels = [

@@ -1071,13 +1071,15 @@ def _bisect_to_adjacent_floats(f, lo, hi):
         (4.0, ExponentialKernel(5.0, 0.05), 10.0),
         (4.0, ExponentialKernel(4.75, 0.0), 8.0),
         (1.0, LinearKernel(), 12.0),
+        (4.0, ExponentialKernel(40.0, 0.0), 30.0),
     ],
-    ids=["exp", "exp-flat-tail", "linear"],
+    ids=["exp", "exp-flat-tail", "linear", "exp-deep-decay"],
 )
 def test_nodal_numeric_zero_is_the_spline_piece_root(lam, M, T_max):
     # Each sign-change zero is the root of the trajectory's spline piece on
     # its bracket, to rounding: bisecting the same piece down to adjacent
-    # floats lands within 1e-13 of it.
+    # floats lands within 1e-13 of it.  The deep-decay case has about 58
+    # zeros, the last where |x| is about 1e-20 of its sup.
     from scipy.interpolate import CubicSpline
 
     # nodal_set_numeric's march
@@ -1090,6 +1092,24 @@ def test_nodal_numeric_zero_is_the_spline_piece_root(lam, M, T_max):
     for z, i in zip(zeros, brackets):
         ref = _bisect_to_adjacent_floats(lambda s: float(spline(s)), t[i], t[i + 1])
         assert abs(z - ref) <= 1e-13
+
+
+def test_piece_roots_stop_at_exact_zeros_and_bisect_outside_steps():
+    # Piece 0, (s - 0.5)^3 on [0, 1], is exactly 0 at its secant point 0.5,
+    # where its slope is 0 too: the zero must end its iteration before the
+    # 0/0 Newton step bisects away from it.  Piece 1, (s - 0.3)^3 on [0, 1],
+    # has a zero slope at its root, so Newton creeps and the bracket must
+    # end it.  Piece 2, (2s + 1)(s^2 - 1/2) on [0, 1], has slope -1/8 at its
+    # secant point 0.25: the Newton step to -5 leaves the bracket and must
+    # bisect, since unguarded Newton converges to the root -1/sqrt(2).
+    c = np.array(
+        [[1.0, 1.0, 2.0], [-1.5, -0.9, 1.0], [0.75, 0.27, -1.0], [-0.125, -0.027, -0.5]]
+    )
+    h = np.ones(3)
+    s = modal._piece_roots(c, h, c[3], np.polyval(c, h))
+    assert s[0] == 0.5
+    assert abs(s[1] - 0.3) <= 1e-5  # a triple root holds about eps^(1/3)
+    assert s[2] == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
 
 def test_nodal_validation():
