@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, integer, items, obj, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
-from .modal import CONTROLLED_HLAM_MAX, CONTROLLED_N_MIN, _common_grid, _n_steps
+from .modal import CONTROLLED_N_MIN, DEFAULT_HLAM_MAX, _common_grid, _n_steps
 from .modal import solve_modal_richardson
 from .regions import Interval, ObservationRegion
 from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
@@ -555,7 +555,7 @@ def _jump_grids(lams, taus, T: float) -> dict[int, list[int]]:
             raise NumericalError("impulse times require an impractically fine grid")
     grids: dict[int, list[int]] = {}
     for idx, lam in enumerate(lams.tolist()):
-        n_target = _n_steps(T, lam, CONTROLLED_N_MIN, CONTROLLED_HLAM_MAX)
+        n_target = _n_steps(T, lam, CONTROLLED_N_MIN, DEFAULT_HLAM_MAX)
         grids.setdefault(((n_target + den - 1) // den) * den, []).append(idx)
     return grids
 

@@ -6,9 +6,10 @@ Exponential(c, alpha) with M(t) = c exp(alpha t) and c > 0, and Tabulated
 data interpolated by a not-a-knot cubic spline (twice continuously
 differentiable, as the well-posedness assumption on M requires).  The
 spline's pieces come from ``_cubic_pieces``, one tridiagonal solve by
-LAPACK's ``dgtsv``, which ``nodal_set_numeric`` also uses on a marched
-trajectory.  Neither takes scipy's ``CubicSpline``, whose import loads
-several scipy packages that memobs does not use.
+LAPACK's ``dgtsv``, which ``nodal_set_numeric`` also uses on windows of a
+marched trajectory, each window its own spline in the one solve.  Neither
+takes scipy's ``CubicSpline``, whose import loads several scipy packages
+that memobs does not use.
 
 The resolvent-type series kernel is
 
@@ -150,46 +151,74 @@ class ExponentialKernel(MemoryKernel):
         return self.c, self.alpha
 
 
-def _cubic_pieces(x: np.ndarray, y: np.ndarray, cols=None) -> np.ndarray:
+def _cubic_pieces(x: np.ndarray, y: np.ndarray, starts=(0,)) -> np.ndarray:
     """Coefficients of the not-a-knot cubic spline through (x, y), at least
     4 points: column i holds piece i, sum_m c[m, i] s**(3 - m) in
-    s = t - x[i] on [x[i], x[i + 1]], highest power first.  With ``cols``
-    (interval indices), column j holds piece cols[j] instead, the same
-    floats as that column of the full table.
+    s = t - x[i] on [x[i], x[i + 1]], highest power first.
 
-    The knot slopes solve one tridiagonal system by LAPACK's ``dgtsv``, the
-    routine ``solve_banded((1, 1), ...)`` runs, with the equations, the
-    operation order and so the floats of scipy's default ``CubicSpline``,
-    which the tests check bit for bit.
+    ``starts`` cuts the knots into segments laid end to end, segment k
+    beginning at index starts[k] (starts[0] = 0, each at least 4 knots,
+    x strictly increasing throughout), and each segment takes its own
+    spline: the columns are the pieces of each segment in turn, m - 1 for
+    a segment of m knots, and none spans two segments.
+
+    The knot slopes of all segments solve one tridiagonal system by
+    LAPACK's ``dgtsv``, the routine ``solve_banded((1, 1), ...)`` runs, in
+    which the segments are independent blocks.  One segment has the
+    equations, the operation order and so the floats of scipy's default
+    ``CubicSpline``, which the tests check bit for bit.
     """
     from scipy.linalg.lapack import dgtsv
 
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    # Sub-, main and superdiagonal; the not-a-knot rows are the ends.
-    lower = np.append(dx[1:], x[-1] - x[-3])
+    first = np.asarray(starts)
+    last = np.concatenate((first[1:], [x.size])) - 1
+    dx = x[1:] - x[:-1]
+    slope = (y[1:] - y[:-1]) / dx
+    # Sub-, main and superdiagonal.  A segment's ends take the not-a-knot
+    # rows, which also cut its coupling to its neighbours.
+    lower = np.empty(dx.size)
     diag = np.empty(x.size)
-    upper = np.insert(dx[:-1], 0, x[2] - x[0])
+    upper = np.empty(dx.size)
     b = np.empty(x.size)
+    lower[:-1] = dx[1:]
+    upper[1:] = dx[:-1]
     diag[1:-1] = 2 * (dx[:-1] + dx[1:])
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d = upper[0]
-    diag[0] = dx[1]
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = lower[-1]
-    diag[-1] = dx[-2]
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    d = x[first + 2] - x[first]
+    upper[first] = d
+    diag[first] = dx[first + 1]
+    b[first] = (
+        (dx[first] + 2 * d) * dx[first + 1] * slope[first]
+        + dx[first] ** 2 * slope[first + 1]
+    ) / d
+    d = x[last] - x[last - 2]
+    lower[last - 1] = d
+    diag[last] = dx[last - 2]
+    b[last] = (
+        dx[last - 1] ** 2 * slope[last - 2]
+        + (2 * d + dx[last - 1]) * dx[last - 2] * slope[last - 1]
+    ) / d
+    lower[first[1:] - 1] = 0.0
+    upper[last[:-1]] = 0.0
     s, info = dgtsv(
         lower, diag, upper, b,
         overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
     )[3:]
     if info != 0:
         raise NumericalError(f"spline slope solve failed (LAPACK info {info})")
-    left, right, y = s[:-1], s[1:], y[:-1]
-    if cols is not None:
-        left, right, slope, dx, y = (v[cols] for v in (left, right, slope, dx, y))
+    left, right = s[:-1], s[1:]
     t = (left + right - 2 * slope) / dx
-    return np.stack((t / dx, (slope - left) / dx - t, left, y))
+    c = np.empty((4, dx.size))
+    c[0] = t / dx
+    c[1] = (slope - left) / dx - t
+    c[2] = left
+    c[3] = y[:-1]
+    if first.size == 1:
+        return c
+    # Drop the intervals from one segment's last knot to the next one's first.
+    keep = np.ones(dx.size, dtype=bool)
+    keep[last[:-1]] = False
+    return c[:, keep]
 
 
 def _pieces_at(x: np.ndarray, c: np.ndarray, t: np.ndarray) -> np.ndarray:

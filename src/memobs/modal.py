@@ -20,13 +20,13 @@ The scheme is a lower triangular Toeplitz system, solved by divide and
 conquer: leaves, and between them the history of the earlier leaves.  For
 kernels c exp(alpha t) (``MemoryKernel.exp_form``) the history within a
 leaf is a first-order recurrence, so a leaf of 1024 steps is one band
-solve, between leaves the history is one running sum per row, and a march
-of n steps costs O(n).  For other kernels leaves of 256 steps are solved
-densely and the history moves by FFT convolutions, in O(n log^2 n).  This
-solves the scheme exactly, not an approximation of the kernel.  The O(n^2)
-loop with one history dot product per step computes the same scheme; no
-production path calls it, and it stays as the reference the fast solve is
-tested against.
+solve (BLAS ``dtbsv``), between leaves the history is one running sum per
+row, and a march of n steps costs O(n).  For other kernels leaves of 256
+steps are solved densely and the history moves by FFT convolutions, in
+O(n log^2 n).  This solves the scheme exactly, not an approximation of the
+kernel.  The O(n^2) loop with one history dot product per step computes
+the same scheme; no production path calls it, and it stays as the
+reference the fast solve is tested against.
 For kernels c exp(alpha t) (the exponential, constant and zero kernels)
 ``ModalCache`` takes its values from the closed form and does not march.
 
@@ -43,9 +43,10 @@ per-call work of a march that does not depend on lam.
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically from one march, each zero
-the root of the trajectory's cubic spline piece across a sign change, found
-for all pieces at once by a safeguarded Newton pass, and in closed form for
-kernels c exp(alpha t).
+the root of the trajectory's cubic spline piece across a sign change, the
+piece taken from the spline of the nodes near that sign change and the
+roots found for all pieces at once by a safeguarded Newton pass, and in
+closed form for kernels c exp(alpha t).
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ import numpy as np
 
 # scipy's submodules are imported inside the functions that call them, so
 # importing memobs loads numpy only, and a run that reads nothing but
-# closed-form values never loads them.  A march loads scipy.linalg, and
-# scipy.fft only for a kernel without ``exp_form()``; the K_M series and the
-# series solution load scipy.fft.  Cubic spline pieces (tabulated kernels,
-# numeric nodal sets) need only LAPACK's dgtsv, not scipy's CubicSpline.
+# closed-form values never loads them.  A march loads scipy.linalg (BLAS's
+# dtbsv for a kernel with ``exp_form()``, LAPACK's dtrtrs and scipy.fft for
+# the others); the K_M series and the series solution load scipy.fft.  Cubic
+# spline pieces (tabulated kernels, numeric nodal sets) need only LAPACK's
+# dgtsv, not scipy's CubicSpline.
 
 from .errors import (
     NumericalError,
@@ -82,17 +84,20 @@ _BAND_LEAF = 1024
 _LEAF = 256
 
 # The step policies, (n_min, hlam_max) pairs for _n_steps: ModalCache's, which
-# decomposition_residual reads too, nodal_set_numeric's and simulate_controlled's.
+# decomposition_residual reads too, nodal_set_numeric's and simulate_controlled's,
+# which keeps its own n_min with DEFAULT_HLAM_MAX.
 # Each constant names a test that fails when it is loosened.
 DEFAULT_N_MIN = 1024  # test_cache_linear_kernel_matches_high_precision_values
 DEFAULT_HLAM_MAX = 0.25  # test_tabulated_table_matches_exponential_closed_form
 NODAL_N_MIN = 8192  # test_nodal_numeric_drops_flat_neighbourhood_of_sign_change
 NODAL_HLAM_MAX = 0.05  # test_nodal_numeric_layer_zero_at_high_lam
 CONTROLLED_N_MIN = 2560  # test_closed_loop_error_on_tabulated_kernel
-CONTROLLED_HLAM_MAX = 0.1  # test_closed_loop_rows_equal_single_mode_marches
 
 # A cap on _piece_roots' iterations; bisection alone would take 50.
 _NEWTON_MAX = 100
+
+# Knots on either side of a bracket in the spline window of _bracket_pieces.
+_SPLINE_WINDOW = 40
 
 
 class NodalSet:
@@ -315,7 +320,7 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     With a form (c, alpha), the symbol at lag d >= 2 is a_d = A q^(d-1),
     with q = e^(alpha h) and A = (h^2/2) c (1 + q), and the history is a
     first-order recurrence.  A leaf of _BAND_LEAF rows l is one lower band
-    solve (kd = 3) in the interleaved unknowns (y_l, S_l):
+    solve (kd = 3, BLAS ``dtbsv``) in the interleaved unknowns (y_l, S_l):
 
         denom y_l + a'_1 y_{l-1} + v_l S_{l-2} = b_l,
         S_l - rho S_{l-1} - w_l y_l = 0,
@@ -330,7 +335,10 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     relative to sup|x|, tilted leaves err by 3.5e-13 at 1024 rows and
     1.07e-12 at 2048, one band over the whole march by 1.03e-12 tilted and
     3.6e-11 not; untilted leaves keep 1e-12 only up to 256 rows.  So the
-    leaf is 1024 rows, the largest that keeps the march's 1e-12.
+    leaf is 1024 rows, the largest that keeps the march's 1e-12.  The
+    band's diagonal holds denom and 1, so it is nonsingular once
+    ``solve_modal_volterra`` has checked denom, and the leaf solve needs no
+    check of its own.
 
     Between leaves each row keeps P = sum_{j<lo} q^(lo-1-j) y_j over the
     rows solved, as a Python float: leaf row lo subtracts
@@ -372,7 +380,8 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
     are rewritten before each row's leaf solve, and each history update is
     one FFT over all rows.
     """
-    from scipy.linalg.lapack import dtbtrs, dtrtrs
+    from scipy.linalg.blas import dtbsv
+    from scipy.linalg.lapack import dtrtrs
 
     n = Mg.size - 1
     fac = 1.0 - 0.5 * h * lam
@@ -401,8 +410,8 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
         qpow = np.exp(form[1] * h * np.arange(m + 1))
         A = hh2 * form[0] * (1.0 + qpow[1])
         Aq = A * qpow[:m]
-        # The leaf's band in LAPACK's lower storage, Fortran-ordered for
-        # dtbtrs: column j holds entries (j, j) to (j + 3, j), column 2l
+        # The leaf's band in BLAS's lower storage, Fortran-ordered for
+        # dtbsv: column j holds entries (j, j) to (j + 3, j), column 2l
         # those of y_l and column 2l + 1 those of S_l.  Rows 0 and 2 of the
         # y columns, denom and a'_1, are written once per row of the batch.
         band = np.zeros((4, 2 * m), order="F")
@@ -430,10 +439,7 @@ def _march_dc(lam, Mg, h, denom, x0, jumps, form) -> np.ndarray:
                     br[lo] += f * yr[lo - 1]
                 cols = 2 * (hi - lo)
                 rhs[0:cols:2] = br[lo:hi]
-                z, info = dtbtrs(band[:, :cols], rhs[:cols], uplo="L")
-                if info != 0:
-                    raise StabilityError(f"modal leaf solve failed (LAPACK info {info})")
-                yr[lo:hi] = z[0::2]
+                yr[lo:hi] = dtbsv(3, band[:, :cols], rhs[:cols], lower=1)[0::2]
                 if hi == n:
                     break
                 # The pairwise sum of np.sum (np.add.reduce, without its
@@ -689,6 +695,40 @@ def _piece_roots(c, h, f0, f1) -> np.ndarray:
     return s
 
 
+def _bracket_pieces(t: np.ndarray, x: np.ndarray, brackets: np.ndarray) -> np.ndarray:
+    """The cubic pieces of the not-a-knot spline through (t, x) on the
+    intervals ``brackets`` (sorted, distinct), one column each, taken from
+    the spline of the knots within _SPLINE_WINDOW of each bracket.
+
+    Bracket i takes knots i - _SPLINE_WINDOW .. i + 1 + _SPLINE_WINDOW,
+    clipped to the grid, and windows that share a knot merge, so no knot
+    is in two and the one ``_cubic_pieces`` solve is never larger than the
+    whole grid's.  On a uniform grid the slope equations damp a change at
+    one knot by 2 - sqrt(3) per knot, so a window's end conditions reach
+    its bracket damped by (2 - sqrt(3))^40, about 1e-23, times the
+    trajectory's growth across the window: e^2 for a mode that changes by
+    at most e^(h lam) per step, with h lam <= NODAL_HLAM_MAX.  The pieces
+    are the whole grid's to rounding.
+    """
+    n = t.size - 1
+    lo = np.maximum(brackets - _SPLINE_WINDOW, 0)
+    hi = np.minimum(brackets + (_SPLINE_WINDOW + 1), n)
+    # Windows are sorted with their brackets; one opens a new segment
+    # unless it shares a knot with the window before it.
+    opens = np.concatenate(([True], lo[1:] > hi[:-1]))
+    seg_lo = lo[opens]
+    seg_hi = hi[np.concatenate((opens[1:], [True]))]
+    sizes = seg_hi - seg_lo + 1
+    starts = np.cumsum(sizes) - sizes
+    shift = seg_lo - starts
+    knots = np.arange(starts[-1] + sizes[-1]) + np.repeat(shift, sizes)
+    pieces = _cubic_pieces(t[knots], x[knots], starts)
+    # Bracket i of segment k sits at knot i - shift[k] of the segments laid
+    # end to end, and each segment before it has one knot more than pieces.
+    seg = np.cumsum(opens) - 1
+    return pieces[:, brackets - shift[seg] - seg]
+
+
 def nodal_set_numeric(
     lam: float,
     M: MemoryKernel,
@@ -699,14 +739,15 @@ def nodal_set_numeric(
     One Richardson-extrapolated march, of at least NODAL_N_MIN steps with
     h lam <= NODAL_HLAM_MAX, is scanned for sign changes.  The zero in a
     bracket is the real root of the trajectory's cubic spline piece on it,
-    which changes sign there and so has one.  The pieces are the not-a-knot
-    spline through the march nodes, from ``kernels._cubic_pieces`` (one
-    tridiagonal solve), formed only on the brackets; ``_piece_roots`` finds
-    every bracket's root in one vectorized Newton pass, started at the
-    secant point and kept inside the bracket.  A grid point where x is
-    exactly 0 is a zero.  Grid points where |x| dips below 1e-9 of the
-    trajectory sup without a sign change are reported as suspected
-    tangential zeros, one per run at its smallest |x|.
+    which changes sign there and so has one.  The pieces are those of the
+    not-a-knot spline through the march nodes, to rounding, from
+    ``_bracket_pieces``: each bracket's piece comes from the spline of the
+    nodes within _SPLINE_WINDOW of it, all windows in one tridiagonal
+    solve.  ``_piece_roots`` finds every bracket's root in one vectorized
+    Newton pass, started at the secant point and kept inside the bracket.
+    A grid point where x is exactly 0 is a zero.  Grid points where |x|
+    dips below 1e-9 of the trajectory sup without a sign change are
+    reported as suspected tangential zeros, one per run at its smallest |x|.
     """
     T_max = real(T_max, "T_max", positive=True)
     lam = real(lam, "lam", positive=True)
@@ -717,7 +758,7 @@ def nodal_set_numeric(
     found = [(float(t[i]), SIGN_CHANGE) for i in exact]
     if brackets:
         i = np.array(brackets)
-        s = _piece_roots(_cubic_pieces(t, x, i), t[i + 1] - t[i], x[i], x[i + 1])
+        s = _piece_roots(_bracket_pieces(t, x, i), t[i + 1] - t[i], x[i], x[i + 1])
         found += [(z, SIGN_CHANGE) for z in (t[i] + s).tolist()]
     for run in suspects:
         best = min(run, key=lambda i: abs(x[i]))

@@ -341,3 +341,40 @@ def test_criterion_10_cli_determinism(record_criterion, tmp_path):
         f"thread counts; {elapsed:.1f}s",
     )
     assert identical
+
+
+def test_criterion_11_tabulated_kernel_matches_its_closed_form(record_criterion):
+    """A tabulated c exp(alpha t), which marches, gives the closed form's
+    constants at K = 128 and certifies the same modes."""
+    t0 = time.monotonic()
+    basis = SpectralBasis(PI, 128)
+    plan = SamplingPlan([(0.5, [[0.0, PI]]), (0.8, [[0.0, PI]])])
+    knots = np.linspace(0.0, 2.0, 1601)
+    worst = 0.0
+    for c, alpha in ((1.0, 0.0), (2.0, -0.5)):
+        tab = TabulatedKernel(knots, c * np.exp(alpha * knots))
+        exact = ExponentialKernel(c, alpha)
+        rows = [
+            constants_table(plan, M, basis, [64, 128], cache=ModalCache())
+            for M in (tab, exact)
+        ]
+        for got, want in zip(*rows):
+            for a, b in ((got.c_min, want.c_min), (got.c_max, want.c_max)):
+                worst = max(worst, abs(a - b) / abs(b))
+    pair = [0.4, 0.4 + PI / 4]
+    certs = [
+        backward_uniqueness_certificate(pair, M, basis, cache=ModalCache())
+        for M in (TabulatedKernel(knots, np.ones_like(knots)), ExponentialKernel(1.0, 0.0))
+    ]
+    same = all(cert.certified for cert in certs) and certs[0].verdict == certs[1].verdict
+    elapsed = time.monotonic() - t0
+    ok = worst <= 1e-12 and same and elapsed < 60.0
+    record_criterion(
+        "11",
+        ok,
+        f"c_min and c_max of tabulated against closed form {worst:.2e} <= 1e-12, "
+        f"pair verdicts: {certs[0].verdict} / {certs[1].verdict}; {elapsed:.1f}s < 60s",
+    )
+    assert worst <= 1e-12
+    assert same
+    assert elapsed < 60.0

@@ -178,19 +178,37 @@ def test_spline_pieces_match_scipy_cubic_spline(values, gaps, fractions):
     assert M(M.t_max * (1 + 1e-13)) == spline(x[-1])
 
 
+# The first example may import scipy.interpolate, which takes longer than
+# hypothesis's default deadline on a loaded machine.
+@settings(derandomize=True, deadline=None)
 @given(
-    values=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=40),
-    data=st.data(),
-)
-def test_spline_piece_columns_equal_the_full_table(values, data):
-    # The pieces of chosen intervals are the full table's columns, bit for bit.
-    y = np.array(values)
-    x = np.linspace(0.0, 2.0, y.size) ** 1.5
-    cols = np.array(
-        data.draw(st.lists(st.integers(0, y.size - 2), max_size=10), label="cols"),
-        dtype=int,
+    segments=st.lists(
+        st.tuples(
+            st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=12),
+            st.lists(st.floats(0.01, 3.0), min_size=12, max_size=12),
+        ),
+        min_size=1,
+        max_size=5,
     )
-    np.testing.assert_array_equal(_cubic_pieces(x, y, cols), _cubic_pieces(x, y)[:, cols])
+)
+# four-knot segments, the shortest
+@example(segments=[([1.0, 2.0, 0.0, 1.0], [1.0] * 12)] * 3)
+def test_spline_segments_are_each_their_own_spline(segments):
+    # Segments laid end to end in one solve take the pieces of their own
+    # scipy CubicSpline, bit for bit: no equation couples two segments.
+    from scipy.interpolate import CubicSpline
+
+    xs, ys, want = [], [], []
+    end = 0.0
+    for values, gaps in segments:
+        x = end + np.concatenate(([0.5], 0.5 + np.cumsum(gaps[: len(values) - 1])))
+        end = x[-1]
+        xs.append(x)
+        ys.append(np.array(values))
+        want.append(CubicSpline(x, ys[-1]).c)
+    starts = np.cumsum([0] + [x.size for x in xs[:-1]])
+    got = _cubic_pieces(np.concatenate(xs), np.concatenate(ys), starts)
+    np.testing.assert_array_equal(got, np.concatenate(want, axis=1))
 
 
 def test_every_kernel_rejects_non_finite_points():

@@ -1094,6 +1094,51 @@ def test_nodal_numeric_zero_is_the_spline_piece_root(lam, M, T_max):
         assert abs(z - ref) <= 1e-13
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(3, 600),
+    rates=st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)),
+    freq=st.floats(0.0, 0.05),
+    phase=st.floats(0.0, 2 * math.pi),
+    weight=st.floats(-1.0, 1.0),
+    picks=st.lists(st.integers(0, 599), min_size=1),
+)
+# one window clipped at both ends, and two each clipped at one
+@example(n=50, rates=(0.05, -0.05), freq=0.05, phase=1.0, weight=0.5, picks=[25])
+@example(n=100, rates=(0.05, -0.05), freq=0.05, phase=1.0, weight=0.5, picks=[0, 99])
+# windows that overlap, that share one knot, and that do not touch
+@example(n=400, rates=(-0.05, 0.02), freq=0.03, phase=0.0, weight=-1.0, picks=[100, 150])
+@example(n=400, rates=(-0.05, 0.02), freq=0.03, phase=0.0, weight=-1.0, picks=[100, 181])
+@example(n=400, rates=(-0.05, 0.02), freq=0.03, phase=0.0, weight=-1.0, picks=[100, 182])
+# 80 windows of 82 knots on 401 knots
+@example(
+    n=400, rates=(0.05, 0.0), freq=0.05, phase=2.0, weight=0.1, picks=list(range(0, 400, 5))
+)
+def test_bracket_pieces_match_the_whole_grid_spline(n, rates, freq, phase, weight, picks):
+    # On a uniform grid, with the trajectory changing by at most e^0.05 per
+    # knot (h lam <= NODAL_HLAM_MAX), each bracket's piece from its window
+    # is the whole grid's to within 4 eps of the piece's size on its
+    # interval.  No knot is in two windows: the one solve is never larger
+    # than the whole grid's.
+    from unittest import mock
+
+    from memobs.kernels import _cubic_pieces
+
+    brackets = np.unique(np.array(picks) % n)
+    j = np.arange(n + 1)
+    y = np.exp(rates[0] * j) * np.cos(freq * j + phase) + weight * np.exp(rates[1] * j)
+    t = np.linspace(0.0, 3.0, n + 1)
+    with mock.patch.object(modal, "_cubic_pieces", wraps=_cubic_pieces) as solve:
+        got = modal._bracket_pieces(t, y, brackets)
+    knots = solve.call_args.args[0]
+    assert knots.size <= t.size and np.all(np.diff(knots) > 0)
+    want = _cubic_pieces(t, y)[:, brackets]
+    powers = (t[1] ** np.arange(3, -1, -1))[:, None]
+    size = np.sum(np.abs(want) * powers, axis=0)
+    err = np.sum(np.abs(got - want) * powers, axis=0)
+    assert np.all(err <= 4 * np.finfo(float).eps * size)
+
+
 def test_piece_roots_stop_at_exact_zeros_and_bisect_outside_steps():
     # Piece 0, (s - 0.5)^3 on [0, 1], is exactly 0 at its secant point 0.5,
     # where its slope is 0 too: the zero must end its iteration before the
