@@ -8,18 +8,13 @@ lambda_k^2 x_k(t) + M(t) should decay like 1/lambda_k; the residual table
 measures exactly that.
 
 Modal endpoint values are expensive at large lambda, so they are cached,
-one whole table x_k(t_j) per kernel, instants and lams.
-``ModalCache.table`` computes such a table on a miss and reads it.  For a
-kernel c exp(alpha t) (exponential, constant and zero kernels) the table
-comes from one array evaluation of the closed form, and no march runs.
-For every other kernel an entry comes from a Richardson pair (n and 2n
-steps), which cancels the leading h^2 error of the product-trapezoidal
-march; the step policy (``modal.DEFAULT_N_MIN`` and the cache's
-hlam_max) is fixed when the cache is built.
-The instants are marched in runs: one march to the run's largest instant,
-on a grid with every member on a node and fine enough for each member's
-own step policy, serves them all, and the modes whose runs share the
-final time and the step count are marched as one batch.
+one whole table x_k(t_j) per kernel, instants and lams.  ``modal`` picks
+every grid and computes the table (``modal.modal_table``): from the closed
+form for a kernel c exp(alpha t), with no march, and otherwise from
+Richardson pairs (n and 2n steps) of the product-trapezoidal march, with
+instants that share a grid marched in one run.  ``ModalCache`` keys and
+reads the tables: ``ModalCache.table`` fills a table on a miss, under the
+cache's hlam_max, fixed when the cache is built, and reads it.
 """
 
 from __future__ import annotations
@@ -31,15 +26,7 @@ import numpy as np
 
 from .errors import ValidationError, integer, real, reals
 from .kernels import MemoryKernel
-from .modal import (
-    DEFAULT_HLAM_MAX,
-    DEFAULT_N_MIN,
-    _closed_form,
-    _common_grid,
-    _exp_first_zero,
-    _n_steps,
-    solve_modal_richardson,
-)
+from .modal import DEFAULT_HLAM_MAX, modal_table
 from .spectral import SpectralBasis, SpectralField
 
 
@@ -54,9 +41,10 @@ class ModalCache:
     kernel takes Richardson-extrapolated solves, with a step policy fixed
     when the cache is built: an instant t on its own takes
     n_t = max(DEFAULT_N_MIN, ceil(t lam / hlam_max)) steps, and instants
-    marched in one run (``_runs``) take a step no coarser than that.  x(t)
-    is the march's value at t's node and the sup the largest |x| at the
-    nodes up to it.
+    marched in one run take a step no coarser than that.  x(t) is the
+    march's value at t's node and the sup the largest |x| at the nodes up
+    to it.  ``modal.modal_table`` picks those grids and computes the
+    values.
 
     A table is keyed by the kernel, its distinct nonzero instants in
     descending order and its distinct lams, sorted, and holds x and the sups
@@ -118,110 +106,9 @@ class ModalCache:
 
     def _fill(self, M: MemoryKernel, instants: list, lams: np.ndarray) -> tuple:
         """x and sup |x| for every instant (rows, descending) and lam
-        (columns, sorted and distinct): one array evaluation of the closed
-        form, each entry bit-identical to one of its own, or else marched
-        (``_march``)."""
-        form = M.exp_form()
-        if form is None:
-            return self._march(M, instants, lams)
-        shape = (len(instants), lams.size)
-        values, sups = _closed_form_entries(
-            np.tile(lams, len(instants)), *form, np.repeat(instants, lams.size)
-        )
-        return values.reshape(shape), sups.reshape(shape)
-
-    def _march(self, M: MemoryKernel, instants: list, lams: np.ndarray) -> tuple:
-        """``_fill`` for a kernel without a closed form.
-
-        The instants are split into runs (``_runs``) per lam, and the runs of
-        every lam that share a final time T and a step count n are one
-        batched Richardson march.  A member t reads x at its node n t / T
-        and the running max of |x| up to that node.
-
-        A lam's runs depend on the lam only through the step counts of the
-        instants, so the lams with the same step counts are split once, and
-        each member is read for all of them by one indexing of the march."""
-        alike: dict[tuple[int, ...], list[int]] = {}
-        for col, lam in enumerate(lams.tolist()):
-            steps = (_n_steps(t, lam, DEFAULT_N_MIN, self.hlam_max) for t in instants)
-            alike.setdefault(tuple(steps), []).append(col)
-        batches: dict[tuple[float, int], list[tuple[list[int], list[float]]]] = {}
-        for steps, cols in alike.items():
-            for T, n, members in _runs(instants, steps):
-                batches.setdefault((T, n), []).append((cols, members))
-        row = {t: i for i, t in enumerate(instants)}
-        values = np.empty((len(instants), lams.size))
-        sups = np.empty((len(instants), lams.size))
-        for (T, n), groups in batches.items():
-            batch = np.concatenate([lams[cols] for cols, _ in groups])
-            _, x = solve_modal_richardson(batch, M, T, n)
-            peaks = np.maximum.accumulate(np.abs(x), axis=1)
-            start = 0
-            for cols, members in groups:
-                rows = slice(start, start + len(cols))
-                start += len(cols)
-                for t in members:
-                    node = round(n * t / T)
-                    values[row[t], cols] = x[rows, node]
-                    sups[row[t], cols] = peaks[rows, node]
-        return values, sups
-
-
-def _runs(times: list[float], steps) -> list[tuple[float, int, list[float]]]:
-    """Split ``times``, in descending order, into runs; ``steps`` holds
-    n_t, the steps each instant takes alone.  Each run is (T, n, members),
-    one march of n steps to its largest member T with every member on a
-    node.
-
-    An instant joins the open run when t / T is p / q on the rational grid
-    of ``_common_grid`` and the run's step count grows by at most n_t;
-    otherwise it opens a run.  n is the smallest multiple of the run's
-    common denominator that is at least ceil(n_t q / p) for every member,
-    so no member is marched on a coarser step than its own policy gives.
-    A run of one instant is the march of that instant alone."""
-    runs: list[tuple[float, int, int, list[float]]] = []
-    for t, n_t in zip(times, steps):
-        if runs:
-            T, den, n, members = runs[-1]
-            grid = _common_grid(den, t / T)
-            if grid is not None and grid[1].numerator:
-                common, frac = grid
-                need = max(n, -(-n_t * frac.denominator // frac.numerator))
-                grown = -(-need // common) * common
-                if grown - n <= n_t:
-                    runs[-1] = (T, common, grown, members + [t])
-                    continue
-        runs.append((t, 1, n_t, [t]))
-    return [(T, n, members) for T, _, n, members in runs]
-
-
-def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: np.ndarray):
-    """x(t) and sup |x| on [0, t] for every lam in ``lams``, for
-    M(t) = c exp(alpha t), as two arrays from one evaluation of the closed
-    form.  ``t`` holds one time per lam (per row), so one call covers every
-    instant of a table.  The input is already checked, so it goes
-    straight to the array core of ``closed_form_exp``.
-
-    |x| peaks at 0, where it is 1, at t, or at a zero of x', and one zero
-    of x' per lam suffices.  s >= -1e-12 leaves at most one.  For s < 0,
-    x = R e^{a t} cos(b t - phi) with a = (alpha - lam) / 2, so |x| at the
-    zeros z of x' is R b / sqrt(a**2 + b**2) e^{a z}, monotone in z: the
-    largest is the first zero for lam >= alpha and the last one in (0, t]
-    for lam < alpha.
-    """
-    turn, spacing = _exp_first_zero(lams, c, alpha, lams - c / lams)
-    late = (lams < alpha) & (turn <= t) & ~np.isnan(spacing)
-    turn[late] += np.floor((t[late] - turn[late]) / spacing[late]) * spacing[late]
-    rows = turn <= t
-    # x at t and at the turning points in one evaluation; each entry is
-    # computed on its own, so the split changes no float.
-    both = _closed_form(
-        np.concatenate((lams, lams[rows])), c, alpha, np.concatenate((t, turn[rows]))
-    )
-    values = both[: lams.size]
-    peaks = np.zeros(lams.shape)
-    peaks[rows] = np.abs(both[lams.size :])
-    return values, np.maximum(np.maximum(1.0, np.abs(values)), peaks)
+        (columns, sorted and distinct), from ``modal.modal_table`` under
+        the cache's hlam_max."""
+        return modal_table(M, instants, lams, self.hlam_max)
 
 
 def propagate(

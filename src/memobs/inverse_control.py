@@ -10,7 +10,10 @@ acting on the natural recovery norm (coefficients weighted by lambda^-2).
 The impulse-control problem is the dual: impulses applied at times T - t_j
 reach, at time T, exactly the range of the observation Gram, so the control
 solve is a symmetric least-squares problem on that Gram, verified end to
-end by re-simulating the controlled system with jump conditions.
+end by re-simulating the controlled system with jump conditions.  The
+modal values come from a ``ModalCache``, and the closed loop from
+``modal.closed_loop_finals``: ``modal`` picks every march grid, so this
+module chooses none.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, integer, items, obj, real
 from .evolution import ModalCache
 from .kernels import MemoryKernel
-from .modal import CONTROLLED_N_MIN, DEFAULT_HLAM_MAX, _common_grid, _n_steps
-from .modal import solve_modal_richardson
+from .modal import closed_loop_finals
 from .regions import Interval, ObservationRegion
 from .sampling import SamplingPlan, _plan_gram, _plan_modes, _resolve_K
 from .spectral import SpectralBasis, SpectralField
@@ -539,27 +541,6 @@ def impulse_control(
     )
 
 
-def _jump_grids(lams, taus, T: float) -> dict[int, list[int]]:
-    """The modes of ``lams``, by index, grouped by their jump grid: the
-    smallest n >= the mode's own step count that places every tau exactly
-    on a node.  Every such n is a multiple of one denominator, found once."""
-    den = 1
-    for tau in taus:
-        grid = _common_grid(den, tau / T)
-        if grid is None:
-            raise NumericalError(
-                f"impulse time {tau} does not align with a rational grid"
-            )
-        den = grid[0]
-        if den > 50_000:
-            raise NumericalError("impulse times require an impractically fine grid")
-    grids: dict[int, list[int]] = {}
-    for idx, lam in enumerate(lams.tolist()):
-        n_target = _n_steps(T, lam, CONTROLLED_N_MIN, DEFAULT_HLAM_MAX)
-        grids.setdefault(((n_target + den - 1) // den) * den, []).append(idx)
-    return grids
-
-
 def simulate_controlled(
     y0: SpectralField,
     result: ImpulseControlResult,
@@ -569,9 +550,9 @@ def simulate_controlled(
 
     Every mode is marched through the full horizon with its impulse jumps
     applied at the exact grid nodes, on n and 2n steps, and the final values
-    are Richardson-extrapolated.  This path never uses the impulse-response
-    shortcut, so agreement with the predicted final state is a genuine
-    closed-loop check.  y0 must lie on the result's domain and hold at
+    are Richardson-extrapolated (``modal.closed_loop_finals``).  This path
+    never uses the impulse-response shortcut, so agreement with the
+    predicted final state is a genuine closed-loop check.  y0 must lie on the result's domain and hold at
     least its K modes.
     """
     T = result.T
@@ -584,16 +565,9 @@ def simulate_controlled(
     taus = [imp.tau for imp in result.impulses]
     if any(not 0.0 < tau < T for tau in taus):
         raise ValidationError("impulse times must be interior to (0, T)")
-    lams = basis.eigenvalues[:K]
-    # The modes that share a jump grid are marched as one batch.
-    finals = np.empty(K)
-    for n, modes in _jump_grids(lams, taus, T).items():
-        jumps: dict[int, np.ndarray] = {}
-        for imp in result.impulses:
-            node = round(n * imp.tau / T)
-            jumps[node] = jumps.get(node, 0.0) + imp.applied[modes]
-        x0 = y0.coefficients[modes]
-        x = solve_modal_richardson(lams[modes], M, T, n, x0, jumps)[1]
-        finals[modes] = x[:, -1]
+    applied = [imp.applied for imp in result.impulses]
+    finals = closed_loop_finals(
+        basis.eigenvalues[:K], M, T, y0.coefficients[:K], taus, applied
+    )
     sub = basis if K == basis.K else SpectralBasis(basis.L, K)
     return SpectralField(sub, finals)

@@ -27,8 +27,6 @@ O(n log^2 n).  This solves the scheme exactly, not an approximation of the
 kernel.  The O(n^2) loop with one history dot product per step computes
 the same scheme; no production path calls it, and it stays as the
 reference the fast solve is tested against.
-For kernels c exp(alpha t) (the exponential, constant and zero kernels)
-``ModalCache`` takes its values from the closed form and does not march.
 
 Both entries march a batch: ``lam`` may be a 1-D sequence, with ``x0`` and
 each jump increment a number or one entry per lam, and x then has one row
@@ -37,9 +35,19 @@ kernel samples, the history powers or spectra and weights, and the leaf
 band or block are computed once per batch.  A c exp(alpha t) batch then
 marches row by row, each row with its own running sum; for the other
 kernels each history update is one FFT over all rows, and only the leaf
-solves run row by row.  Modes that share a grid (the modes of one
-instant, or of one jump grid) are marched this way, which removes the
+solves run row by row.  Modes that share a grid (the modes of one run
+of instants, or of one jump grid) are marched this way, which removes the
 per-call work of a march that does not depend on lam.
+
+This module picks every march grid: each step count comes from
+``_n_steps`` under one of the step policies defined beside it, and the
+grids built from those counts are chosen here too.  ``modal_table`` gives
+the whole table x_k(t_j) and sup |x_k| on [0, t_j] that ``ModalCache``
+keys and stores: for kernels c exp(alpha t) (the exponential, constant and
+zero kernels) from the closed form, with no march, and for the others from
+Richardson marches whose instants share runs (``_runs``).
+``closed_loop_finals`` marches the impulse-controlled modes through their
+jumps, batched by jump grid (``_jump_grids``).
 
 The nodal set N = {t > 0 : x(t) = 0} is the obstruction to recovering a
 mode from samples; it is computed numerically from one march, each zero
@@ -83,9 +91,9 @@ SUSPECTED_TANGENTIAL = "suspected-tangential"
 _BAND_LEAF = 1024
 _LEAF = 256
 
-# The step policies, (n_min, hlam_max) pairs for _n_steps: ModalCache's, which
-# decomposition_residual reads too, nodal_set_numeric's and simulate_controlled's,
-# which keeps its own n_min with DEFAULT_HLAM_MAX.
+# The step policies, (n_min, hlam_max) pairs for _n_steps: modal_table's, whose
+# hlam_max is ModalCache's (DEFAULT_HLAM_MAX by default), nodal_set_numeric's
+# and closed_loop_finals', which keeps its own n_min with DEFAULT_HLAM_MAX.
 # Each constant names a test that fails when it is loosened.
 DEFAULT_N_MIN = 1024  # test_cache_linear_kernel_matches_high_precision_values
 DEFAULT_HLAM_MAX = 0.25  # test_tabulated_table_matches_exponential_closed_form
@@ -148,6 +156,55 @@ def _common_grid(den: int, ratio: float) -> tuple[int, Fraction] | None:
     if abs(float(frac) - ratio) > 1e-12:
         return None
     return math.lcm(den, frac.denominator), frac
+
+
+def _runs(times: list[float], steps) -> list[tuple[float, int, list[float]]]:
+    """Split ``times``, in descending order, into runs; ``steps`` holds
+    n_t, the steps each instant takes alone.  Each run is (T, n, members),
+    one march of n steps to its largest member T with every member on a
+    node.
+
+    An instant joins the open run when t / T is p / q on the rational grid
+    of ``_common_grid`` and the run's step count grows by at most n_t;
+    otherwise it opens a run.  n is the smallest multiple of the run's
+    common denominator that is at least ceil(n_t q / p) for every member,
+    so no member is marched on a coarser step than its own policy gives.
+    A run of one instant is the march of that instant alone."""
+    runs: list[tuple[float, int, int, list[float]]] = []
+    for t, n_t in zip(times, steps):
+        if runs:
+            T, den, n, members = runs[-1]
+            grid = _common_grid(den, t / T)
+            if grid is not None and grid[1].numerator:
+                common, frac = grid
+                need = max(n, -(-n_t * frac.denominator // frac.numerator))
+                grown = -(-need // common) * common
+                if grown - n <= n_t:
+                    runs[-1] = (T, common, grown, members + [t])
+                    continue
+        runs.append((t, 1, n_t, [t]))
+    return [(T, n, members) for T, _, n, members in runs]
+
+
+def _jump_grids(lams, taus, T: float) -> dict[int, list[int]]:
+    """The modes of ``lams``, by index, grouped by their jump grid: the
+    smallest n >= the mode's own step count that places every tau exactly
+    on a node.  Every such n is a multiple of one denominator, found once."""
+    den = 1
+    for tau in taus:
+        grid = _common_grid(den, tau / T)
+        if grid is None:
+            raise NumericalError(
+                f"impulse time {tau} does not align with a rational grid"
+            )
+        den = grid[0]
+        if den > 50_000:
+            raise NumericalError("impulse times require an impractically fine grid")
+    grids: dict[int, list[int]] = {}
+    for idx, lam in enumerate(lams.tolist()):
+        n_target = _n_steps(T, lam, CONTROLLED_N_MIN, DEFAULT_HLAM_MAX)
+        grids.setdefault(((n_target + den - 1) // den) * den, []).append(idx)
+    return grids
 
 
 def _is_row(v) -> bool:
@@ -748,6 +805,14 @@ def nodal_set_numeric(
     A grid point where x is exactly 0 is a zero.  Grid points where |x|
     dips below 1e-9 of the trajectory sup without a sign change are
     reported as suspected tangential zeros, one per run at its smallest |x|.
+
+    Two resolution limits hold (measured against ``nodal_set_exp_closed``
+    for lam = 4, M = 40).  The step is T_max / NODAL_N_MIN wherever the
+    cap does not bind, so every zero loses accuracy as T_max grows: the
+    zero at t = 2.83 errs by 1.2e-8 with T_max = 30, and the worst zero by
+    1.8e-9 with T_max = 10.  Sign changes where |x| is below about 1e-13
+    of sup are rounding noise, yet are reported as zeros: with T_max = 30
+    they err by 1.8e-5 and more, and 58 zeros are found against 57.
     """
     T_max = real(T_max, "T_max", positive=True)
     lam = real(lam, "lam", positive=True)
@@ -837,3 +902,103 @@ def nodal_set_exp_closed(
         zeros.append(z)
         z = first + len(zeros) * spacing
     return NodalSet(zeros, [SIGN_CHANGE] * len(zeros))
+
+
+def modal_table(
+    M: MemoryKernel, instants: list, lams: np.ndarray, hlam_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """x(t) and sup |x| on [0, t] for every instant (rows; distinct, nonzero
+    and descending) and lam (columns; sorted and distinct), as two arrays.
+
+    For a kernel with ``exp_form()`` they come from one array evaluation of
+    the closed form (``_closed_form_entries``), each entry bit-identical to
+    one of its own.  Every other kernel is marched, with Richardson pairs
+    under the step policy (DEFAULT_N_MIN, hlam_max): the instants are split
+    into runs (``_runs``) per lam, and the runs of every lam that share a
+    final time T and a step count n are one batched march.  A member t
+    reads x at its node n t / T and the running max of |x| up to that node.
+
+    A lam's runs depend on the lam only through the step counts of the
+    instants, so the lams with the same step counts are split once, and
+    each member is read for all of them by one indexing of the march."""
+    form = M.exp_form()
+    if form is not None:
+        shape = (len(instants), lams.size)
+        values, sups = _closed_form_entries(
+            np.tile(lams, len(instants)), *form, np.repeat(instants, lams.size)
+        )
+        return values.reshape(shape), sups.reshape(shape)
+    alike: dict[tuple[int, ...], list[int]] = {}
+    for col, lam in enumerate(lams.tolist()):
+        steps = (_n_steps(t, lam, DEFAULT_N_MIN, hlam_max) for t in instants)
+        alike.setdefault(tuple(steps), []).append(col)
+    batches: dict[tuple[float, int], list[tuple[list[int], list[float]]]] = {}
+    for steps, cols in alike.items():
+        for T, n, members in _runs(instants, steps):
+            batches.setdefault((T, n), []).append((cols, members))
+    row = {t: i for i, t in enumerate(instants)}
+    values = np.empty((len(instants), lams.size))
+    sups = np.empty((len(instants), lams.size))
+    for (T, n), groups in batches.items():
+        batch = np.concatenate([lams[cols] for cols, _ in groups])
+        _, x = solve_modal_richardson(batch, M, T, n)
+        peaks = np.maximum.accumulate(np.abs(x), axis=1)
+        start = 0
+        for cols, members in groups:
+            rows = slice(start, start + len(cols))
+            start += len(cols)
+            for t in members:
+                node = round(n * t / T)
+                values[row[t], cols] = x[rows, node]
+                sups[row[t], cols] = peaks[rows, node]
+    return values, sups
+
+
+def _closed_form_entries(lams: np.ndarray, c: float, alpha: float, t: np.ndarray):
+    """x(t) and sup |x| on [0, t] for every lam in ``lams``, for
+    M(t) = c exp(alpha t), as two arrays from one evaluation of the closed
+    form.  ``t`` holds one time per lam (per row), so one call covers every
+    instant of a table.  The input is already checked, so it goes
+    straight to the array core of ``closed_form_exp``.
+
+    |x| peaks at 0, where it is 1, at t, or at a zero of x', and one zero
+    of x' per lam suffices.  s >= -1e-12 leaves at most one.  For s < 0,
+    x = R e^{a t} cos(b t - phi) with a = (alpha - lam) / 2, so |x| at the
+    zeros z of x' is R b / sqrt(a**2 + b**2) e^{a z}, monotone in z: the
+    largest is the first zero for lam >= alpha and the last one in (0, t]
+    for lam < alpha.
+    """
+    turn, spacing = _exp_first_zero(lams, c, alpha, lams - c / lams)
+    late = (lams < alpha) & (turn <= t) & ~np.isnan(spacing)
+    turn[late] += np.floor((t[late] - turn[late]) / spacing[late]) * spacing[late]
+    rows = turn <= t
+    # x at t and at the turning points in one evaluation; each entry is
+    # computed on its own, so the split changes no float.
+    both = _closed_form(
+        np.concatenate((lams, lams[rows])), c, alpha, np.concatenate((t, turn[rows]))
+    )
+    values = both[: lams.size]
+    peaks = np.zeros(lams.shape)
+    peaks[rows] = np.abs(both[lams.size :])
+    return values, np.maximum(np.maximum(1.0, np.abs(values)), peaks)
+
+
+def closed_loop_finals(
+    lams, M: MemoryKernel, T: float, x0, taus, applied
+) -> np.ndarray:
+    """x(T) of every mode of ``lams`` started at ``x0`` (one entry per lam)
+    and jumping by ``applied[i]`` (one entry per lam) at time ``taus[i]``.
+
+    Each mode is marched through [0, T] on its jump grid (``_jump_grids``),
+    with every jump on its node and impulses that share a node summed, on n
+    and 2n steps, and its final value Richardson-extrapolated.  The modes
+    that share a jump grid are marched as one batch."""
+    finals = np.empty(lams.size)
+    for n, modes in _jump_grids(lams, taus, T).items():
+        jumps: dict[int, np.ndarray] = {}
+        for tau, d in zip(taus, applied):
+            node = round(n * tau / T)
+            jumps[node] = jumps.get(node, 0.0) + d[modes]
+        x = solve_modal_richardson(lams[modes], M, T, n, x0[modes], jumps)[1]
+        finals[modes] = x[:, -1]
+    return finals

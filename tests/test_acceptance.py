@@ -220,7 +220,7 @@ def test_criterion_06_probe_detects_uncovered_interval(record_criterion):
     x0 = 0.5 * (gap[0] + gap[1])
     assert x0 == pytest.approx(0.8)
     radii = [0.1, 0.05, 0.025, 0.0125]
-    cache = ModalCache(hlam_max=1.6)
+    cache = ModalCache()
     probe = probe_upper_bound(plan, M, basis, x0, radii, cache=cache)
     reference = probe_upper_bound(plan, M, basis, 0.25, [radii[-1]], cache=cache)
     ratios = probe.ratios

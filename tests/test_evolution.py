@@ -22,9 +22,8 @@ from memobs import (
     propagate,
     solve_modal_richardson,
 )
-from memobs import evolution
-from memobs.evolution import _runs
-from memobs.modal import DEFAULT_HLAM_MAX, DEFAULT_N_MIN, _n_steps
+from memobs import modal
+from memobs.modal import DEFAULT_HLAM_MAX, DEFAULT_N_MIN, _n_steps, _runs
 
 X_EXP21_LAM4_T1 = -0.035761146500884806  # roots -2, -3 at 40 digits
 
@@ -39,7 +38,7 @@ def recorded_marches():
         calls.append((lam.tolist(), T, n, x))
         return t, x
 
-    with mock.patch.object(evolution, "solve_modal_richardson", spy):
+    with mock.patch.object(modal, "solve_modal_richardson", spy):
         yield calls
 
 

@@ -26,6 +26,7 @@ from memobs import (
     simulate_observations,
     solve_modal_richardson,
 )
+from memobs import modal
 from memobs.modal import CONTROLLED_N_MIN, DEFAULT_HLAM_MAX, _n_steps
 
 
@@ -367,40 +368,45 @@ class TestControl:
         # A tabulated decaying kernel and instants on a 1/40 grid, as in the
         # many-instants benchmark.  Modes 1 to 25 share the default jump
         # grid of 2560 steps and modes 26 and 27 need 2720 and 2920, so
-        # there are three batches.
+        # there are three batches.  The second plan adds a region at
+        # t = 0.45, so two impulses share a node and their increments sum.
         K, T = 27, 1.0
         basis = SpectralBasis(math.pi, K)
         grid = np.linspace(0.0, 6.0, 1201)
         M = TabulatedKernel(grid, 2.0 * np.exp(-0.6 * grid))
-        plan = SamplingPlan(
-            [(0.2, [[0.0, 1.5]]), (0.45, [[1.0, 2.5]]), (0.7, [[2.0, math.pi]])]
-        )
+        entries = [(0.2, [[0.0, 1.5]]), (0.45, [[1.0, 2.5]]), (0.7, [[2.0, math.pi]])]
         k = np.arange(1, K + 1)
         y0 = SpectralField(basis, 0.1 * np.cos(k) / k**2)
         target = 0.05 / k**2
         target[0] = 1.0
-        res = impulse_control(y0, SpectralField(basis, target), plan, T, M)
-        calls = []
+        for plan in (
+            SamplingPlan(entries),
+            SamplingPlan(entries + [(0.45, [[0.2, 0.9]])]),
+        ):
+            res = impulse_control(y0, SpectralField(basis, target), plan, T, M)
+            calls = []
 
-        def counted(*args):
-            calls.append(args[3])
-            return solve_modal_richardson(*args)
+            def counted(*args):
+                calls.append(args[3])
+                return solve_modal_richardson(*args)
 
-        monkeypatch.setattr(inverse_control, "solve_modal_richardson", counted)
-        final = simulate_controlled(y0, res, M).coefficients
-        monkeypatch.undo()
-        taus = [imp.tau for imp in res.impulses]
-        grids = set()
-        for idx, lam in enumerate(basis.eigenvalues.tolist()):
-            n = per_mode_jump_grid(taus, T, lam)
-            grids.add(n)
-            jumps = {}
-            for imp in res.impulses:
-                node = round(n * imp.tau / T)
-                jumps[node] = jumps.get(node, 0.0) + float(imp.applied[idx])
-            x0 = float(y0.coefficients[idx])
-            assert final[idx] == solve_modal_richardson(lam, M, T, n, x0, jumps)[1][-1]
-        assert len(grids) == 3 and sorted(calls) == sorted(grids)
+            monkeypatch.setattr(modal, "solve_modal_richardson", counted)
+            final = simulate_controlled(y0, res, M).coefficients
+            monkeypatch.undo()
+            taus = [imp.tau for imp in res.impulses]
+            assert len(set(taus)) == 3
+            grids = set()
+            for idx, lam in enumerate(basis.eigenvalues.tolist()):
+                n = per_mode_jump_grid(taus, T, lam)
+                grids.add(n)
+                jumps = {}
+                for imp in res.impulses:
+                    node = round(n * imp.tau / T)
+                    jumps[node] = jumps.get(node, 0.0) + float(imp.applied[idx])
+                x0 = float(y0.coefficients[idx])
+                march = solve_modal_richardson(lam, M, T, n, x0, jumps)[1][-1]
+                assert final[idx] == march
+            assert len(grids) == 3 and sorted(calls) == sorted(grids)
 
     def test_unreachable_mode_is_reported(self, cache):
         # lambda_1 = 4 on (0, pi/2); with M = 4 the mode-1 solution is
@@ -467,15 +473,15 @@ def test_jump_grids_match_per_mode_rule(T, L, K, fracs):
             want.setdefault(per_mode_jump_grid(taus, T, lam), []).append(idx)
     except NumericalError as exc:
         with pytest.raises(NumericalError, match=str(exc)):
-            inverse_control._jump_grids(lams, taus, T)
+            modal._jump_grids(lams, taus, T)
         return
-    assert inverse_control._jump_grids(lams, taus, T) == want
+    assert modal._jump_grids(lams, taus, T) == want
 
 
 def test_jump_grids_reject_an_irrational_impulse_time():
     lams = SpectralBasis(math.pi, 4).eigenvalues
     with pytest.raises(NumericalError, match="does not align with a rational grid"):
-        inverse_control._jump_grids(lams, [1.0 / math.pi], 1.0)
+        modal._jump_grids(lams, [1.0 / math.pi], 1.0)
 
 
 @pytest.mark.parametrize("K", [2.5, 3.7])
